@@ -29,6 +29,7 @@ from .errors import (
     EntangledInput,
     IoError,
     TangleflowError,
+    UsageError,
 )
 from .model import random_initial_configuration
 from .topology import classify_entangled_graph, is_entangled, tangle_decomposition
@@ -56,11 +57,14 @@ def _load_system(path):
 
 def _flow_params(args, default_t_max) -> FlowParams:
     defaults = FlowParams()
-    return FlowParams(
-        dt_init=args.dt_init if getattr(args, "dt_init", None) is not None else defaults.dt_init,
-        t_max=args.t_max if args.t_max is not None else default_t_max,
-        grad_tol=args.grad_tol if getattr(args, "grad_tol", None) is not None else defaults.grad_tol,
-    )
+    try:
+        return FlowParams(
+            dt_init=args.dt_init if getattr(args, "dt_init", None) is not None else defaults.dt_init,
+            t_max=args.t_max if args.t_max is not None else default_t_max,
+            grad_tol=args.grad_tol if getattr(args, "grad_tol", None) is not None else defaults.grad_tol,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _cmd_classify(args) -> int:
@@ -143,7 +147,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_verify(args) -> int:
     system = _load_system(args.design)
-    params = FlowParams(t_max=args.t_max if args.t_max is not None else 50.0)
+    params = _flow_params(args, default_t_max=50.0)
     energy_fn = energy_entangled if system.kind == "entangled-graph" else energy_weave
 
     config = random_initial_configuration(system, seed=1)
@@ -251,7 +255,7 @@ def main(argv=None) -> int:
             return 0 if exc.code == 0 else 2
         try:
             return args.func(args)
-        except (DesignSyntaxError, DesignSemanticError, IoError) as exc:
+        except (DesignSyntaxError, DesignSemanticError, IoError, UsageError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except TangleflowError as exc:

@@ -2,15 +2,19 @@
 
 The heights follow the steepest-descent flow of the energy: a quadratic
 stretching term along edges (per thread family for weaves) plus a 1/|gap|
-repulsion between the two copies at every vertex.  The integrator performs
-classical fourth-order Runge-Kutta steps, rejects any step that breaks a
-structural guard (finiteness, crossing signs, gap floor, energy descent),
-and adapts the step size between the configured bounds.
+repulsion between the two copies at every vertex.  Graphs and weaves share
+one path: the state is the stacked heights z = [z_blue; z_red] (then the
+flattened planar coordinates, if they flow), with one Laplacian per family.
+`step` and `integrate` take the same guarded step: classical fourth-order
+Runge-Kutta, rejected when the end state breaks a structural guard
+(finiteness, crossing signs, gap floor) or raises the energy; `integrate`
+adapts dt between the configured bounds.  Only recorded samples carry a
+`Configuration`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +39,6 @@ __all__ = [
     "integrate",
 ]
 
-# fraction of the initial inverse energy used as the minimum-gap floor
-_DEFAULT_GAP_SAFETY = 0.5
-
 # accepted steps may raise the energy by at most this fraction of the
 # initial energy (absorbs rounding noise near stationarity)
 _ENERGY_CUSHION = 1e-13
@@ -46,6 +47,10 @@ _ENERGY_CUSHION = 1e-13
 # 2.785; keep lambda*dt under this margin so stiff gap modes stay damped
 # instead of cycling between growth and energy-guard rejection
 _STABILITY_MARGIN = 2.5
+
+# the guard rejects non-finite states and the stability bound overflows to
+# an infinite gap cube, so the step loop runs with these warnings silenced
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,11 @@ class FlowParams:
     def __post_init__(self):
         if not self.dt_min > 0:
             raise ValueError(f"dt_min must be positive, got {self.dt_min!r}")
-        if self.dt_init < self.dt_min:
+        if not self.dt_min <= self.dt_init:  # also rejects NaN
             raise ValueError(
                 f"dt_init ({self.dt_init!r}) must be at least dt_min ({self.dt_min!r})"
             )
-        if self.dt_max < self.dt_init:
+        if not self.dt_init <= self.dt_max:
             raise ValueError(
                 f"dt_max ({self.dt_max!r}) must be at least dt_init ({self.dt_init!r})"
             )
@@ -110,6 +115,10 @@ class Trajectory:
     status: str  # "converged" or "truncated"
 
 
+def _stacked(config) -> np.ndarray:
+    return np.concatenate((config.z_blue, config.z_red))
+
+
 def _checked_gaps(config) -> np.ndarray:
     d = config.z_blue - config.z_red
     zero = np.nonzero(d == 0.0)[0]
@@ -118,24 +127,19 @@ def _checked_gaps(config) -> np.ndarray:
     return d
 
 
-def _quadratic_term(system, z_blue, z_red) -> float:
-    if system.kind == "weave":
-        return float(
-            -(z_blue @ system.blue_laplacian @ z_blue)
-            - (z_red @ system.red_laplacian @ z_red)
-        )
-    return float(
-        -(z_blue @ system.laplacian @ z_blue) - (z_red @ system.laplacian @ z_red)
+def _energy(system, zb, zr, gaps, x_term) -> float:
+    """Energy of the heights zb, zr, given their nonzero absolute gaps and
+    the planar term x_term."""
+    return (
+        x_term
+        + float(-(zb @ system.blue_laplacian @ zb) - (zr @ system.red_laplacian @ zr))
+        + float((1.0 / gaps).sum())
     )
 
 
 def _total_energy(system, config) -> float:
-    d = _checked_gaps(config)
-    return (
-        system.planar_term(config.x)
-        + _quadratic_term(system, config.z_blue, config.z_red)
-        + float(np.sum(1.0 / np.abs(d)))
-    )
+    gaps = np.abs(_checked_gaps(config))
+    return _energy(system, config.z_blue, config.z_red, gaps, system.planar_term(config.x))
 
 
 def energy_entangled(system, config) -> float:
@@ -152,18 +156,21 @@ def energy_weave(system, config) -> float:
     return _total_energy(system, config)
 
 
-def _velocity(system, z_blue, z_red):
-    """Descent velocity of the heights (negative energy gradient)."""
-    d = z_blue - z_red
-    with np.errstate(divide="ignore", invalid="ignore"):
-        repulsion = system.sign / (d * d)
-    if system.kind == "weave":
-        v_blue = 2.0 * (system.blue_laplacian @ z_blue) + repulsion
-        v_red = 2.0 * (system.red_laplacian @ z_red) - repulsion
-    else:
-        v_blue = 2.0 * (system.laplacian @ z_blue) + repulsion
-        v_red = 2.0 * (system.laplacian @ z_red) - repulsion
-    return v_blue, v_red
+def _velocity(system, y):
+    """Descent velocity (negative energy gradient) of the stacked state y:
+    2 L_B z_blue + sign/d^2 and 2 L_R z_red - sign/d^2, followed by the
+    planar velocity when y carries the planar coordinates."""
+    n = system.n_vertices
+    zb, zr = y[:n], y[n:2 * n]
+    d = zb - zr
+    repulsion = system.sign / (d * d)
+    parts = [
+        2.0 * (system.blue_laplacian @ zb) + repulsion,
+        2.0 * (system.red_laplacian @ zr) - repulsion,
+    ]
+    if y.size > 2 * n:
+        parts.append(_planar_velocity(system, y[2 * n:].reshape(n, 2)).ravel())
+    return np.concatenate(parts)
 
 
 def _planar_velocity(system, x):
@@ -177,74 +184,79 @@ def _planar_velocity(system, x):
 def gradient(system, config):
     """Descent direction (v_blue, v_red) of the height flow at config."""
     _checked_gaps(config)
-    return _velocity(system, config.z_blue, config.z_red)
+    with np.errstate(**_QUIET):
+        v = _velocity(system, _stacked(config))
+    return v[: system.n_vertices], v[system.n_vertices:]
 
 
 def stationarity_residual(system, config) -> float:
     """Sup norm of the descent velocity; zero exactly at stationary points."""
-    v_blue, v_red = gradient(system, config)
-    return max(float(np.max(np.abs(v_blue))), float(np.max(np.abs(v_red))))
+    return float(np.max(np.abs(np.concatenate(gradient(system, config)))))
 
 
-def _rk4(system, z_blue, z_red, x, dt, flow_planar, k1=None):
-    """One Runge-Kutta step of the joint height (and optionally planar) flow.
-    Returns the new (z_blue, z_red, x)."""
-
-    def vel(zb, zr, xx):
-        vb, vr = _velocity(system, zb, zr)
-        vx = _planar_velocity(system, xx) if flow_planar else None
-        return vb, vr, vx
-
-    if k1 is None:
-        k1 = vel(z_blue, z_red, x)
-
-    def advance(c, k):
-        zb = z_blue + c * dt * k[0]
-        zr = z_red + c * dt * k[1]
-        xx = x + c * dt * k[2] if flow_planar else x
-        return zb, zr, xx
-
-    k2 = vel(*advance(0.5, k1))
-    k3 = vel(*advance(0.5, k2))
-    k4 = vel(*advance(1.0, k3))
-    sixth = dt / 6.0
-    new_blue = z_blue + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    new_red = z_red + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    if flow_planar:
-        new_x = x + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    else:
-        new_x = x
-    return new_blue, new_red, new_x
-
-
-def _guard_reason(system, z_blue, z_red, x, gap_floor):
-    """Why the end state is structurally unacceptable, or None."""
-    if not (np.all(np.isfinite(z_blue)) and np.all(np.isfinite(z_red)) and np.all(np.isfinite(x))):
+def _guard_reason(system, y, gap_floor):
+    """Why the state y is structurally unacceptable, or None."""
+    n = system.n_vertices
+    d = y[:n] - y[n:2 * n]
+    # every signed gap at or above the floor (false for NaN) and a finite sum
+    # (false for any inf or NaN entry) imply that all the checks below pass
+    if (d * system.sign).min() >= gap_floor and math.isfinite(y.sum()):
+        return None
+    if not np.all(np.isfinite(y)):
         return "non-finite heights"
-    d = z_blue - z_red
-    if np.any(d == 0.0) or np.any(np.sign(d) != system.sign):
+    if np.any(np.sign(d) != system.sign):
         return "crossing sign flipped"
     if float(np.min(np.abs(d))) < gap_floor:
         return f"minimum gap fell below the floor {gap_floor:.3e}"
     return None
 
 
-def step(system, config, dt) -> Configuration:
-    """One guarded Runge-Kutta step of size dt.
+def _guarded_step(system, y, k1, dt, gap_floor, energy_cap, x_term):
+    """One Runge-Kutta step of size dt from the stacked state y, where k1 is
+    the velocity at y and x_term the planar term of a fixed layout.
 
-    The guard checks the end state: heights must stay finite, every crossing
-    must keep its sign, and no gap may fall below gap_safety divided by the
-    energy at the input configuration.
+    Returns (y_new, energy, gaps, reason): reason is None when the step
+    passes the guard and its energy stays at or below energy_cap.
     """
-    energy = _total_energy(system, config)
-    gap_floor = _DEFAULT_GAP_SAFETY / energy
-    z_blue, z_red, x = _rk4(
-        system, config.z_blue, config.z_red, config.x, dt, flow_planar=False
-    )
-    reason = _guard_reason(system, z_blue, z_red, x, gap_floor)
+    half = 0.5 * dt
+    k2 = _velocity(system, y + half * k1)
+    k3 = _velocity(system, y + half * k2)
+    k4 = _velocity(system, y + dt * k3)
+    y_new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    reason = _guard_reason(system, y_new, gap_floor)
+    if reason is not None:
+        return y_new, None, None, reason
+    n = system.n_vertices
+    if y.size > 2 * n:
+        x_term = system.planar_term(y_new[2 * n:].reshape(n, 2))
+    zb, zr = y_new[:n], y_new[n:2 * n]
+    gaps = np.abs(zb - zr)
+    energy = _energy(system, zb, zr, gaps, x_term)
+    if energy > energy_cap:
+        return y_new, energy, gaps, "energy increased"
+    return y_new, energy, gaps, None
+
+
+def step(system, config, dt) -> Configuration:
+    """One guarded Runge-Kutta step of size dt: the step `integrate` takes.
+
+    The end state must keep finite heights and every crossing sign, no gap
+    may fall below the default gap_safety divided by the energy at the input
+    configuration, and the energy may not rise beyond the integrator's
+    rounding cushion.  Otherwise GapGuardTripped is raised.
+    """
+    x_term = system.planar_term(config.x)
+    energy = _energy(system, config.z_blue, config.z_red, np.abs(_checked_gaps(config)), x_term)
+    y = _stacked(config)
+    with np.errstate(**_QUIET):
+        y_new, _, _, reason = _guarded_step(
+            system, y, _velocity(system, y), dt, FlowParams.gap_safety / energy,
+            energy + _ENERGY_CUSHION * abs(energy), x_term,
+        )
     if reason is not None:
         raise GapGuardTripped(f"step of size {dt!r} rejected: {reason}")
-    return Configuration(x=config.x, z_blue=z_blue, z_red=z_red)
+    n = system.n_vertices
+    return Configuration(x=config.x, z_blue=y_new[:n], z_red=y_new[n:])
 
 
 def _component_vertex_indices(system):
@@ -270,117 +282,92 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
     grad_tol, or "truncated" at t_max.  Samples are recorded at t = 0, after
     every record_stride-th accepted step, and at the final state.  A step is
     rejected (and dt halved) when it trips a structural guard or raises the
-    energy; rejection at dt_min raises StepUnderflow.
+    energy; rejection at dt_min raises StepUnderflow.  Initial states with
+    misshapen or non-finite coordinates, violated crossing signs, or a
+    non-finite energy or velocity raise InvalidInitial.
     """
-    d0 = config0.z_blue - config0.z_red
-    if config0.z_blue.shape != (system.n_vertices,) or config0.z_red.shape != (
-        system.n_vertices,
-    ):
-        raise InvalidInitial(
-            f"initial heights must have shape ({system.n_vertices},)"
-        )
-    if np.any(d0 == 0.0) or np.any(np.sign(d0) != system.sign):
-        bad = int(
-            np.nonzero((d0 == 0.0) | (np.sign(d0) != system.sign))[0][0]
-        )
-        raise InvalidInitial(
-            f"initial heights violate the crossing sign at vertex {bad}"
-        )
+    n = system.n_vertices
+    z_blue, z_red, x0 = config0.z_blue, config0.z_red, config0.x
+    if z_blue.shape != (n,) or z_red.shape != (n,) or x0.shape != (n, 2):
+        raise InvalidInitial(f"initial heights must have shape ({n},), planar coordinates ({n}, 2)")
+    if not (np.all(np.isfinite(z_blue)) and np.all(np.isfinite(z_red)) and np.all(np.isfinite(x0))):
+        raise InvalidInitial("initial heights and planar coordinates must be finite")
+    d0 = z_blue - z_red
+    flipped = np.nonzero(np.sign(d0) != system.sign)[0]  # a zero gap has sign 0
+    if flipped.size:
+        raise InvalidInitial(f"initial heights violate the crossing sign at vertex {flipped[0]}")
 
-    e0 = _total_energy(system, config0)
+    y = np.concatenate((z_blue, z_red, x0.ravel()) if flow_planar else (z_blue, z_red))
+    x_term = system.planar_term(x0)
+    with np.errstate(**_QUIET):
+        e0 = _energy(system, z_blue, z_red, np.abs(d0), x_term)
+        v = _velocity(system, y)
+    grad_norm = float(np.abs(v).max())
+    if not (math.isfinite(e0) and math.isfinite(grad_norm)):
+        raise InvalidInitial(f"initial energy {e0!r} or velocity {grad_norm!r} is not finite")
+
     gap_floor = params.gap_safety / e0
-    members = _component_vertex_indices(system) if system.kind == "weave" else None
-    x_term = system.planar_term(config0.x)
+    members = _component_vertex_indices(system) if system.kind == "weave" else ()
     # Gershgorin bound on the stretching part of the flow Jacobian; the gap
     # repulsion adds at most 4/min_gap^3 on top of it
-    if system.kind == "weave":
-        quad_rate = 2.0 * max(
-            float(np.max(np.sum(np.abs(system.blue_laplacian), axis=1))),
-            float(np.max(np.sum(np.abs(system.red_laplacian), axis=1))),
-        )
-    else:
-        quad_rate = 2.0 * float(np.max(np.sum(np.abs(system.laplacian), axis=1)))
+    quad_rate = 2.0 * max(
+        float(np.max(np.sum(np.abs(system.blue_laplacian), axis=1))),
+        float(np.max(np.sum(np.abs(system.red_laplacian), axis=1))),
+    )
 
-    def make_sample(t, config, energy, grad_norm):
-        d = config.z_blue - config.z_red
-        if members is None:
-            m_components = ()
-        else:
-            m_components = tuple(
-                float(np.sum(config.z_blue[blue])) + float(np.sum(config.z_red[red]))
-                for blue, red in members
-            )
+    def sample(t, y, energy, grad_norm):
+        x = y[2 * n:].reshape(n, 2) if flow_planar else x0
+        config = Configuration(x=x, z_blue=y[:n], z_red=y[n:2 * n])
         return Sample(
             t=t,
             config=config,
             energy=energy,
             grad_norm=grad_norm,
-            min_gap=float(np.min(np.abs(d))),
+            min_gap=float(np.min(np.abs(config.z_blue - config.z_red))),
             m_blue=float(np.mean(config.z_blue)),
             m_red=float(np.mean(config.z_red)),
-            m_components=m_components,
+            m_components=tuple(
+                float(np.sum(config.z_blue[blue])) + float(np.sum(config.z_red[red]))
+                for blue, red in members
+            ),
         )
 
     t = 0.0
     dt = params.dt_init
-    config = config0
     energy = e0
-    v_blue, v_red = _velocity(system, config.z_blue, config.z_red)
-    v_x = _planar_velocity(system, config.x) if flow_planar else None
-
-    def sup_velocity():
-        g = max(float(np.max(np.abs(v_blue))), float(np.max(np.abs(v_red))))
-        if flow_planar:
-            g = max(g, float(np.max(np.abs(v_x))))
-        return g
-
-    grad_norm = sup_velocity()
-    samples = [make_sample(t, config, energy, grad_norm)]
+    samples = [sample(t, y, energy, grad_norm)]
     accepted = 0
     cushion = _ENERGY_CUSHION * abs(e0)
 
-    while True:
-        if grad_norm < params.grad_tol:
-            status = "converged"
-            break
-        if t >= params.t_max:
-            status = "truncated"
-            break
-        dt_eff = min(dt, params.t_max - t)
-        k1 = (v_blue, v_red, v_x)
-        new_blue, new_red, new_x = _rk4(
-            system, config.z_blue, config.z_red, config.x, dt_eff, flow_planar, k1=k1
-        )
-        reason = _guard_reason(system, new_blue, new_red, new_x, gap_floor)
-        if reason is None:
-            if flow_planar:
-                x_term = system.planar_term(new_x)
-            gaps = np.abs(new_blue - new_red)
-            new_energy = (
-                x_term
-                + _quadratic_term(system, new_blue, new_red)
-                + float(np.sum(1.0 / gaps))
+    with np.errstate(**_QUIET):
+        while True:
+            if grad_norm < params.grad_tol:
+                status = "converged"
+                break
+            if t >= params.t_max:
+                status = "truncated"
+                break
+            dt_eff = min(dt, params.t_max - t)
+            y_new, new_energy, gaps, reason = _guarded_step(
+                system, y, v, dt_eff, gap_floor, energy + cushion, x_term
             )
-            if new_energy > energy + cushion:
-                reason = "energy increased"
-        if reason is not None:
-            if dt_eff <= params.dt_min:
-                raise StepUnderflow(t, dt_eff)
-            dt = max(dt_eff / 2.0, params.dt_min)
-            continue
-        t += dt_eff
-        config = Configuration(x=new_x, z_blue=new_blue, z_red=new_red)
-        energy = new_energy
-        accepted += 1
-        stable_dt = _STABILITY_MARGIN / (quad_rate + 4.0 / float(np.min(gaps)) ** 3)
-        dt = max(params.dt_min, min(dt * 1.25, params.dt_max, stable_dt))
-        v_blue, v_red = _velocity(system, config.z_blue, config.z_red)
-        if flow_planar:
-            v_x = _planar_velocity(system, config.x)
-        grad_norm = sup_velocity()
-        if accepted % params.record_stride == 0:
-            samples.append(make_sample(t, config, energy, grad_norm))
+            if reason is not None:
+                if dt_eff <= params.dt_min:
+                    raise StepUnderflow(t, dt_eff)
+                dt = max(dt_eff / 2.0, params.dt_min)
+                continue
+            t += dt_eff
+            y = y_new
+            energy = new_energy
+            accepted += 1
+            # an overflowing gap cube is an infinite one: no repulsion limit
+            stable_dt = _STABILITY_MARGIN / (quad_rate + 4.0 / float(gaps.min() ** 3))
+            dt = max(params.dt_min, min(dt * 1.25, params.dt_max, stable_dt))
+            v = _velocity(system, y)
+            grad_norm = float(np.abs(v).max())
+            if accepted % params.record_stride == 0:
+                samples.append(sample(t, y, energy, grad_norm))
 
     if samples[-1].t < t:
-        samples.append(make_sample(t, config, energy, grad_norm))
+        samples.append(sample(t, y, energy, grad_norm))
     return Trajectory(system=system, samples=tuple(samples), status=status)

@@ -104,8 +104,9 @@ class ZeroGap(TangleflowError):
 
 
 class GapGuardTripped(TangleflowError):
-    """A single integration step moved some gap below the safety floor or
-    across zero; the step size is too large for the current state."""
+    """A single integration step left non-finite heights, moved some gap
+    below the safety floor or across zero, or raised the energy; the step
+    size is too large for the current state."""
 
 
 class StepUnderflow(TangleflowError):
@@ -183,3 +184,7 @@ class DesignSemanticError(TangleflowError):
 
 class IoError(TangleflowError):
     """Reading or writing a file failed."""
+
+
+class UsageError(TangleflowError):
+    """A command-line option value is out of range."""

@@ -106,6 +106,8 @@ class _SystemBase:
     lattice_basis: tuple
     sign: np.ndarray
     laplacian: np.ndarray
+    blue_laplacian: np.ndarray  # per height family; both are `laplacian` for graphs
+    red_laplacian: np.ndarray
 
     def _finalize_geometry(self):
         """Precompute vectorized edge arrays, the harmonic layout, and the
@@ -155,6 +157,7 @@ class EntangledSystem(_SystemBase):
             L[u, u] -= 1.0
             L[v, v] -= 1.0
         self.laplacian = _frozen_array(L)
+        self.blue_laplacian = self.red_laplacian = self.laplacian
         self._finalize_geometry()
         self.planar_x = _frozen_array(_solve_harmonic(self))
         self.planar_energy = self.planar_term(self.planar_x)

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tangleflow
 from conftest import DESIGN_DIR
 from tangleflow.cli import main
 
@@ -149,6 +152,26 @@ def test_bad_design_file_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("relax", "--t-max", "-5"),
+        ("relax", "--t-max", "nan"),
+        ("relax", "--grad-tol", "0"),
+        ("relax", "--dt-init", "1"),
+        ("relax", "--dt-init", "nan"),
+        ("verify", "--t-max", "-5"),
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_flow_flag_exits_2(capsys, argv):
+    command, flag, value = argv
+    code, out, err = run_cli(capsys, command, design("entangled_pair.graph"), flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()
@@ -165,10 +188,15 @@ def test_log_env_var_controls_stderr(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child process imports the same package the suite imports, however
+    # that one was put on the path
+    src = str(Path(tangleflow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "tangleflow", "classify", design("layered_2x2.weave")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert result.stdout == "untangled, K=3: W1={b1|-}, W2={-|r1,r2}, W3={b2|-}\n"

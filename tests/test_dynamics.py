@@ -229,6 +229,29 @@ def test_trajectory_sampling_and_monotonicity():
     assert traj.samples[0].t == 0.0
 
 
+@pytest.mark.parametrize(
+    "name, seed, n_samples, t_final, energy",
+    [
+        ("untangled_pair.graph", 11, 518, 50.0, 0.7929604794788951),
+        ("checker_4x4.weave", 3, 141, 12.319119304451943, 70.09762524723679),
+    ],
+)
+def test_step_sequence_is_pinned(name, seed, n_samples, t_final, energy):
+    """Every accepted step recorded: the step sequence, and step() taking
+    the same guarded first step as integrate()."""
+    system = load_system(name)
+    config0 = random_initial_configuration(system, seed=seed)
+    traj = integrate(system, config0, FlowParams(t_max=50.0, record_stride=1))
+    assert len(traj.samples) == n_samples
+    assert traj.samples[-1].t == pytest.approx(t_final, rel=1e-12)
+    assert traj.samples[-1].energy == pytest.approx(energy, rel=1e-12)
+    first = traj.samples[1]
+    assert first.t == FlowParams().dt_init
+    stepped = step(system, config0, first.t)
+    assert np.max(np.abs(stepped.z_blue - first.config.z_blue)) <= 1e-14
+    assert np.max(np.abs(stepped.z_red - first.config.z_red)) <= 1e-14
+
+
 def test_integrate_invariants_on_random_systems():
     rng = np.random.default_rng(31)
     for _ in range(6):
@@ -279,6 +302,40 @@ def harmonic(system):
     return harmonic_planar_coordinates(system)
 
 
+@pytest.mark.parametrize(
+    "name, z_blue, z_red",
+    [
+        # misshapen heights: checked before any arithmetic broadcasts them
+        ("entangled_pair.graph", (1.0, -1.0, 1.0), (-1.0, 1.0)),
+        # non-finite heights
+        ("entangled_pair.graph", (np.inf, -1.0), (-1.0, 1.0)),
+        # overflowing heights: the stretching energy overflows
+        ("entangled_pair.graph", (1e200, -1e200), (-1e200, 1e200)),
+        # non-finite initial energy: 1/gap overflows
+        ("entangled_pair.graph", (1e-320, -1.0), (0.0, 1.0)),
+        # non-finite initial velocity: 1/gap^2 overflows
+        ("entangled_pair.graph", (1e-160, -1.0), (0.0, 1.0)),
+    ],
+    ids=["misshapen", "non-finite", "overflowing", "energy-overflow", "velocity-overflow"],
+)
+def test_integrate_rejects_unusable_initial_heights(name, z_blue, z_red):
+    system = load_system(name)
+    bad = Configuration(
+        x=harmonic(system), z_blue=np.array(z_blue), z_red=np.array(z_red)
+    )
+    with pytest.raises(InvalidInitial):
+        integrate(system, bad, FlowParams(t_max=1.0))
+
+
+def test_integrate_accepts_gaps_whose_cube_overflows():
+    """The stability bound treats an overflowing gap cube as infinite."""
+    system = load_system("untangled_pair.graph")
+    config = make_configuration(system, (1e103, 2e103), (-1e103, -1e103))
+    traj = integrate(system, config, FlowParams(t_max=1.0))
+    assert traj.status == "truncated"
+    assert traj.samples[-1].t == 1.0
+
+
 def test_step_underflow_reports_snapshot():
     system = load_system("entangled_pair.graph")
     config = random_initial_configuration(system, seed=2)
@@ -296,6 +353,8 @@ def test_flow_params_validation():
         FlowParams(gap_safety=1.5)
     with pytest.raises(ValueError):
         FlowParams(record_stride=0)
+    with pytest.raises(ValueError):
+        FlowParams(dt_init=float("nan"))  # would never shrink or grow
 
 
 def test_record_stride_controls_sample_count():
