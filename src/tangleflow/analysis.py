@@ -1,14 +1,12 @@
 """Post-hoc analysis: spectra, commutation, power-law fits, flatness,
 separation growth, and limit comparison.
 
-The eigensolver is a cyclic Jacobi iteration specialized to the small
-symmetric matrices this library produces; it reports the spectrum of the
-negated input in ascending order, so connectivity Laplacians (which are
+Spectra come from LAPACK through `numpy.linalg.eigh`; they are reported for
+the negated input in ascending order, so connectivity Laplacians (which are
 negative semidefinite) yield the familiar nonnegative values.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +14,8 @@ import numpy as np
 from .errors import (
     EntangledInput,
     InsufficientSamples,
+    InvalidParameter,
+    MismatchedVertexSet,
     NonpositiveValue,
     NotConverged,
     NotSymmetric,
@@ -73,7 +73,8 @@ class ScalingReport:
 
 
 def eigendecompose(matrix) -> EigenData:
-    """Full spectrum of the negated symmetric matrix by cyclic Jacobi sweeps.
+    """Full spectrum of the negated symmetric matrix by LAPACK
+    (`numpy.linalg.eigh`).
 
     Columns are sign-normalized so their largest-magnitude entry is positive;
     a connectivity Laplacian therefore gets the +1/sqrt(n) kernel vector
@@ -86,51 +87,10 @@ def eigendecompose(matrix) -> EigenData:
     if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric")
 
-    n = M.shape[0]
-    A = -M.copy()
-    V = np.eye(n)
-    for _sweep in range(100):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(A, 1) ** 2)))
-        if off <= 1e-15 * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                # theta >= 0 also captures -0.0, keeping the rotation alive
-                # when the two diagonal entries are equal
-                t = (1.0 if theta >= 0.0 else -1.0) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # closed-form update of the rotated 2x2 block: exact zeros on
-                # the off-diagonal and no rounding detour through c**2 terms
-                app, aqq = A[p, p], A[q, q]
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                for r in range(n):
-                    if r == p or r == q:
-                        continue
-                    arp, arq = A[r, p], A[r, q]
-                    A[r, p] = A[p, r] = c * arp - s * arq
-                    A[r, q] = A[q, r] = s * arp + c * arq
-                v_p, v_q = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * v_p - s * v_q
-                V[:, q] = s * v_p + c * v_q
-
-    values = np.diag(A).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order] + 0.0  # adding +0.0 turns any -0.0 into +0.0
-    vectors = V[:, order]
-    for k in range(n):
-        lead = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[lead, k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
+    values, vectors = np.linalg.eigh(-M)
+    values = values + 0.0  # adding +0.0 turns any -0.0 into +0.0
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(M.shape[0])]
+    vectors = vectors * np.where(lead < 0.0, -1.0, 1.0)
     return EigenData(eigenvalues=values, eigenvectors=vectors)
 
 
@@ -147,7 +107,7 @@ def fit_power_law(series: Series, window) -> ScalingReport:
     """Least-squares line on (log t, log value) restricted to the window."""
     lo, hi = float(window[0]), float(window[1])
     if not (0.0 < lo < hi):
-        raise ValueError(f"window must satisfy 0 < lo < hi, got {window!r}")
+        raise InvalidParameter(f"window must satisfy 0 < lo < hi, got {window!r}")
     mask = (series.times >= lo) & (series.times <= hi)
     count = int(np.count_nonzero(mask))
     if count < _MIN_FIT_SAMPLES:
@@ -262,7 +222,7 @@ def compare_limits(traj_a, traj_b, tol: float = 1e-4):
     a = traj_a.samples[-1].config
     b = traj_b.samples[-1].config
     if a.z_blue.shape != b.z_blue.shape:
-        raise ValueError(
+        raise MismatchedVertexSet(
             f"configurations have different sizes: {a.z_blue.shape} vs {b.z_blue.shape}"
         )
     n = a.z_blue.shape[0]

@@ -21,6 +21,9 @@ import numpy as np
 from .errors import (
     GapGuardTripped,
     InvalidInitial,
+    InvalidParameter,
+    MismatchedVertexSet,
+    NonFiniteHeights,
     StepUnderflow,
     ZeroGap,
 )
@@ -69,25 +72,25 @@ class FlowParams:
 
     def __post_init__(self):
         if not self.dt_min > 0:
-            raise ValueError(f"dt_min must be positive, got {self.dt_min!r}")
+            raise InvalidParameter(f"dt_min must be positive, got {self.dt_min!r}")
         if not self.dt_min <= self.dt_init:  # also rejects NaN
-            raise ValueError(
+            raise InvalidParameter(
                 f"dt_init ({self.dt_init!r}) must be at least dt_min ({self.dt_min!r})"
             )
         if not self.dt_init <= self.dt_max:
-            raise ValueError(
+            raise InvalidParameter(
                 f"dt_max ({self.dt_max!r}) must be at least dt_init ({self.dt_init!r})"
             )
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max!r}")
+        if not (self.t_max > 0 and math.isfinite(self.t_max)):
+            raise InvalidParameter(f"t_max must be positive and finite, got {self.t_max!r}")
         if not self.grad_tol > 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol!r}")
+            raise InvalidParameter(f"grad_tol must be positive, got {self.grad_tol!r}")
         if not 0.0 < self.gap_safety < 1.0:
-            raise ValueError(
+            raise InvalidParameter(
                 f"gap_safety must lie strictly between 0 and 1, got {self.gap_safety!r}"
             )
         if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
-            raise ValueError(
+            raise InvalidParameter(
                 f"record_stride must be a positive integer, got {self.record_stride!r}"
             )
 
@@ -119,8 +122,18 @@ def _stacked(config) -> np.ndarray:
     return np.concatenate((config.z_blue, config.z_red))
 
 
-def _checked_gaps(config) -> np.ndarray:
-    d = config.z_blue - config.z_red
+def _checked_gaps(system, config) -> np.ndarray:
+    """The gaps z_blue - z_red of heights that fit the system, are finite and
+    nowhere touch."""
+    n = system.n_vertices
+    zb, zr = config.z_blue, config.z_red
+    if zb.shape != (n,) or zr.shape != (n,):
+        raise MismatchedVertexSet(
+            f"height arrays must have shape ({n},), got {zb.shape} and {zr.shape}"
+        )
+    if not (np.all(np.isfinite(zb)) and np.all(np.isfinite(zr))):
+        raise NonFiniteHeights("heights must be finite")
+    d = zb - zr
     zero = np.nonzero(d == 0.0)[0]
     if zero.size:
         raise ZeroGap(int(zero[0]))
@@ -138,7 +151,7 @@ def _energy(system, zb, zr, gaps, x_term) -> float:
 
 
 def _total_energy(system, config) -> float:
-    gaps = np.abs(_checked_gaps(config))
+    gaps = np.abs(_checked_gaps(system, config))
     return _energy(system, config.z_blue, config.z_red, gaps, system.planar_term(config.x))
 
 
@@ -183,7 +196,7 @@ def _planar_velocity(system, x):
 
 def gradient(system, config):
     """Descent direction (v_blue, v_red) of the height flow at config."""
-    _checked_gaps(config)
+    _checked_gaps(system, config)
     with np.errstate(**_QUIET):
         v = _velocity(system, _stacked(config))
     return v[: system.n_vertices], v[system.n_vertices:]
@@ -246,7 +259,7 @@ def step(system, config, dt) -> Configuration:
     rounding cushion.  Otherwise GapGuardTripped is raised.
     """
     x_term = system.planar_term(config.x)
-    energy = _energy(system, config.z_blue, config.z_red, np.abs(_checked_gaps(config)), x_term)
+    energy = _energy(system, config.z_blue, config.z_red, np.abs(_checked_gaps(system, config)), x_term)
     y = _stacked(config)
     with np.errstate(**_QUIET):
         y_new, _, _, reason = _guarded_step(

@@ -11,11 +11,16 @@ class TangleflowError(Exception):
     """Base class for all tangleflow errors."""
 
 
+class InvalidParameter(TangleflowError, ValueError):
+    """A numeric control (integrator step sizes and horizon, initial gap
+    scale, fit window) lies outside its valid range."""
+
+
 # --------------------------------------------------------------------------
 # model construction
 
 
-class MismatchedVertexSet(TangleflowError):
+class MismatchedVertexSet(TangleflowError, ValueError):
     """A per-vertex table (crossing signs, heights) does not cover exactly the
     vertex set of the system it is paired with."""
 
@@ -38,6 +43,12 @@ class InvalidGraph(TangleflowError):
 class ZeroSignEntry(TangleflowError):
     """A weave sign matrix contains a zero entry; every blue-red crossing must
     declare which thread passes over."""
+
+
+class InvalidWeave(TangleflowError, ValueError):
+    """A weave's sign matrix does not have one row of n_red entries per blue
+    thread, holds a value other than +1/-1, or its spacing is not
+    positive."""
 
 
 class DegenerateSize(TangleflowError):
@@ -122,6 +133,10 @@ class StepUnderflow(TangleflowError):
         self.t = float(t)
         self.dt = float(dt)
         super().__init__(message or f"step size underflow at t={t:.6g} (dt={dt:.6g})")
+
+
+class NonFiniteHeights(TangleflowError):
+    """Heights handed to an energy or gradient function are not finite."""
 
 
 class InvalidInitial(TangleflowError):

@@ -17,6 +17,8 @@ from .errors import (
     DisconnectedGraph,
     InvalidGraph,
     InvalidLattice,
+    InvalidParameter,
+    InvalidWeave,
     MismatchedVertexSet,
     SignViolation,
     SingularSystem,
@@ -39,7 +41,11 @@ __all__ = [
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    return _freeze(np.array(values, dtype=dtype))
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """Make a freshly built array read-only in place, without copying it."""
     arr.setflags(write=False)
     return arr
 
@@ -109,31 +115,25 @@ class _SystemBase:
     blue_laplacian: np.ndarray  # per height family; both are `laplacian` for graphs
     red_laplacian: np.ndarray
 
-    def _finalize_geometry(self):
-        """Precompute vectorized edge arrays, the harmonic layout, and the
-        planar energy.  Requires self.edges / self.lattice_basis / laplacian.
+    def _finalize_geometry(self, u_idx, v_idx, counts):
+        """Store the edge arrays (endpoints u_idx -> v_idx, lattice-period
+        counts per edge) with their planar shift vectors, and the constant
+        term of the layout equation.  Requires self.lattice_basis.
         """
         B = np.asarray(self.lattice_basis, dtype=float)
-        m = len(self.edges)
-        u_idx = np.zeros(m, dtype=int)
-        v_idx = np.zeros(m, dtype=int)
-        shifts = np.zeros((m, 2), dtype=float)
-        for e, (u, v, (sx, sy)) in enumerate(self.edges):
-            u_idx[e] = u
-            v_idx[e] = v
-            shifts[e] = sx * B[0] + sy * B[1]
-        self._edge_u = _frozen_array(u_idx, dtype=int)
-        self._edge_v = _frozen_array(v_idx, dtype=int)
-        self._edge_shift = _frozen_array(shifts)
+        shifts = counts[:, :1] * B[0] + counts[:, 1:] * B[1]
+        self._edge_u = _freeze(u_idx)
+        self._edge_v = _freeze(v_idx)
+        self._edge_shift = _freeze(shifts)
         # net shift flux per vertex: the constant term of the layout equation
         rhs = np.zeros((self.n_vertices, 2))
         np.add.at(rhs, u_idx, shifts)
         np.add.at(rhs, v_idx, -shifts)
-        self._planar_rhs = _frozen_array(rhs)
+        self._planar_rhs = _freeze(rhs)
 
     def planar_term(self, x: np.ndarray) -> float:
         """Sum over edges of |x(v) + shift - x(u)|^2."""
-        if len(self.edges) == 0:
+        if self._edge_u.size == 0:
             return 0.0
         d = x[self._edge_v] + self._edge_shift - x[self._edge_u]
         return float(np.sum(d * d))
@@ -148,18 +148,14 @@ class EntangledSystem(_SystemBase):
         self.edges = graph.edges
         self.lattice_basis = graph.lattice_basis
         self.sign = _frozen_array(sign, dtype=int)
-        L = np.zeros((self.n_vertices, self.n_vertices))
-        for u, v, _shift in graph.edges:
-            if u == v:
-                continue  # a shifted loop stretches in-plane but not in height
-            L[u, v] += 1.0
-            L[v, u] += 1.0
-            L[u, u] -= 1.0
-            L[v, v] -= 1.0
-        self.laplacian = _frozen_array(L)
+        table = np.array(
+            [(u, v, sx, sy) for u, v, (sx, sy) in graph.edges], dtype=int
+        ).reshape(-1, 4)
+        # a shifted loop stretches in-plane but not in height
+        self.laplacian = _freeze(_laplacian(table[:, 0], table[:, 1], self.n_vertices))
         self.blue_laplacian = self.red_laplacian = self.laplacian
-        self._finalize_geometry()
-        self.planar_x = _frozen_array(_solve_harmonic(self))
+        self._finalize_geometry(table[:, 0], table[:, 1], table[:, 2:])
+        self.planar_x = _freeze(_solve_harmonic(self))
         self.planar_energy = self.planar_term(self.planar_x)
 
 
@@ -169,52 +165,48 @@ class WeaveSystem(_SystemBase):
     def __init__(self, design: WeaveDesign):
         self.design = design
         nb, nr = design.n_blue, design.n_red
-        self.n_vertices = nb * nr
-        self.sign = _frozen_array(
-            [design.sign[i][j] for i in range(nb) for j in range(nr)], dtype=int
-        )
-        self.blue_threads = tuple(
-            tuple(i * nr + j for j in range(nr)) for i in range(nb)
-        )
-        self.red_threads = tuple(
-            tuple(i * nr + j for i in range(nb)) for j in range(nr)
-        )
-        self.blue_laplacian = _frozen_array(_thread_laplacian(self.blue_threads, self.n_vertices))
-        self.red_laplacian = _frozen_array(_thread_laplacian(self.red_threads, self.n_vertices))
-        self.laplacian = _frozen_array(self.blue_laplacian + self.red_laplacian)
+        self.n_vertices = n = nb * nr
+        self.sign = _frozen_array(design.sign, dtype=int).reshape(n)
+        grid = np.arange(n).reshape(nb, nr)  # vertex i * nr + j: blue i over red j
+        self.blue_threads = tuple(map(tuple, grid.tolist()))
+        self.red_threads = tuple(map(tuple, grid.T.tolist()))
+        self.blue_laplacian = _freeze(_thread_laplacian(grid, n))
+        self.red_laplacian = _freeze(_thread_laplacian(grid.T, n))
+        self.laplacian = _freeze(self.blue_laplacian + self.red_laplacian)
 
         s = design.spacing
         self.lattice_basis = ((nr * s, 0.0), (0.0, nb * s))
-        edges = []
-        for i in range(nb):
-            for j in range(nr):
-                v = i * nr + j
-                edges.append((v, i * nr + (j + 1) % nr, (1, 0) if j == nr - 1 else (0, 0)))
-                edges.append((v, ((i + 1) % nb) * nr + j, (0, 1) if i == nb - 1 else (0, 0)))
-        self.edges = tuple(edges)
-        self._finalize_geometry()
-        grid = np.zeros((self.n_vertices, 2))
-        for i in range(nb):
-            for j in range(nr):
-                grid[i * nr + j] = ((j - (nr - 1) / 2) * s, (i - (nb - 1) / 2) * s)
-        self.planar_x = _frozen_array(grid)
+        # per vertex, in vertex order: the edge to its right neighbor, wrapping
+        # one period in x, then the edge to its lower neighbor, wrapping in y
+        i, j = np.divmod(np.arange(n), nr)
+        u_idx = np.repeat(np.arange(n), 2)
+        v_idx = np.stack((i * nr + (j + 1) % nr, (i + 1) % nb * nr + j), axis=1).reshape(-1)
+        counts = np.zeros((2 * n, 2), dtype=int)
+        counts[0::2, 0] = j == nr - 1
+        counts[1::2, 1] = i == nb - 1
+        self.edges = tuple(zip(u_idx.tolist(), v_idx.tolist(), map(tuple, counts.tolist())))
+        self._finalize_geometry(u_idx, v_idx, counts)
+        self.planar_x = _freeze(np.stack(((j - (nr - 1) / 2) * s, (i - (nb - 1) / 2) * s), axis=1))
         self.planar_energy = self.planar_term(self.planar_x)
 
 
-def _thread_laplacian(threads, n: int) -> np.ndarray:
-    """Adjacency-minus-degree matrix of the disjoint thread cycles."""
+def _laplacian(u, v, n: int) -> np.ndarray:
+    """Adjacency-minus-degree matrix of the multigraph with edges u[e]-v[e];
+    loops (u[e] == v[e]) are dropped."""
+    keep = u != v
+    u, v = u[keep], v[keep]
     L = np.zeros((n, n))
-    for thread in threads:
-        m = len(thread)
-        if m == 1:
-            continue  # a single crossing has no in-thread neighbor terms
-        for k in range(m):
-            u, v = thread[k], thread[(k + 1) % m]
-            L[u, v] += 1.0
-            L[v, u] += 1.0
-            L[u, u] -= 1.0
-            L[v, v] -= 1.0
+    np.add.at(L, (u, v), 1.0)
+    np.add.at(L, (v, u), 1.0)
+    np.add.at(L, (u, u), -1.0)
+    np.add.at(L, (v, v), -1.0)
     return L
+
+
+def _thread_laplacian(threads: np.ndarray, n: int) -> np.ndarray:
+    """Adjacency-minus-degree matrix of the disjoint thread cycles, one per
+    row of vertex indices (a single crossing has no in-thread neighbor)."""
+    return _laplacian(threads.reshape(-1), np.roll(threads, -1, axis=1).reshape(-1), n)
 
 
 def _solve_harmonic(system: _SystemBase) -> np.ndarray:
@@ -236,7 +228,7 @@ def _solve_harmonic(system: _SystemBase) -> np.ndarray:
     tension = x[system._edge_v] + system._edge_shift - x[system._edge_u]
     np.add.at(resid, system._edge_u, tension)
     np.add.at(resid, system._edge_v, -tension)
-    if len(system.edges) and np.max(np.abs(resid)) > 1e-10:
+    if system._edge_u.size and np.max(np.abs(resid)) > 1e-10:
         raise SingularSystem(
             f"harmonic layout residual {np.max(np.abs(resid)):.3e} exceeds 1e-10"
         )
@@ -315,17 +307,17 @@ def build_weave_system(design: WeaveDesign) -> WeaveSystem:
     if not isinstance(nb, int) or not isinstance(nr, int) or nb < 1 or nr < 1:
         raise DegenerateSize(f"thread counts must be positive integers, got {nb}x{nr}")
     if len(design.sign) != nb:
-        raise ValueError(f"sign matrix has {len(design.sign)} rows for {nb} blue threads")
+        raise InvalidWeave(f"sign matrix has {len(design.sign)} rows for {nb} blue threads")
     for i, row in enumerate(design.sign):
         if len(row) != nr:
-            raise ValueError(f"sign row {i} has {len(row)} entries for {nr} red threads")
+            raise InvalidWeave(f"sign row {i} has {len(row)} entries for {nr} red threads")
         for j, value in enumerate(row):
             if value == 0:
                 raise ZeroSignEntry(f"sign entry ({i}, {j}) is zero")
-            if int(value) not in (1, -1):
-                raise ValueError(f"sign entry ({i}, {j}) must be +1 or -1, got {value!r}")
+            if value not in (1, -1):
+                raise InvalidWeave(f"sign entry ({i}, {j}) must be +1 or -1, got {value!r}")
     if not (isinstance(design.spacing, (int, float)) and design.spacing > 0):
-        raise ValueError(f"spacing must be positive, got {design.spacing!r}")
+        raise InvalidWeave(f"spacing must be positive, got {design.spacing!r}")
     return WeaveSystem(design)
 
 
@@ -360,7 +352,7 @@ def random_initial_configuration(system, seed: int, gap_scale: float = 1.0) -> C
     barycenter is shifted to zero.
     """
     if gap_scale <= 0:
-        raise ValueError(f"gap_scale must be positive, got {gap_scale!r}")
+        raise InvalidParameter(f"gap_scale must be positive, got {gap_scale!r}")
     rng = np.random.default_rng(seed)
     n = system.n_vertices
     sign = system.sign.astype(float)

@@ -11,6 +11,8 @@ import enum
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InconsistentHeightOrder, IndexOutOfRange
 
 __all__ = [
@@ -103,14 +105,29 @@ def minimal_weaved_components(system) -> tuple:
     return tuple(found)
 
 
+def _sign_matrix(system) -> np.ndarray:
+    """The weave's crossing signs as an (n_blue, n_red) array."""
+    return system.sign.reshape(system.design.n_blue, system.design.n_red)
+
+
 def weavely_connected_components(system):
     """Merge interlocked blocks that share a thread.
 
     Returns (components, singles): components is a tuple of (blue, red)
     thread tuples, singles the (blue, red) threads in no block at all.
     """
-    loops = minimal_weaved_components(system)
-    nb, nr = system.design.n_blue, system.design.n_red
+    if system.kind != "weave":
+        raise TypeError(f"expected a weave system, got kind={system.kind!r}")
+    S = _sign_matrix(system)
+    nb, nr = S.shape
+    # blue rows i1, i2 interlock exactly when row i1 takes both signs on the
+    # columns where the two rows differ; each such column is a red thread of
+    # some block through i1 and i2
+    differ = S[:, None, :] != S[None, :, :]
+    over = S[:, None, :] > 0
+    interlock = np.any(differ & over, axis=2) & np.any(differ & ~over, axis=2)
+    adjacency = np.any(interlock[:, :, None] & differ, axis=1)
+
     # union-find over thread slots: 0..nb-1 blue, nb..nb+nr-1 red
     parent = list(range(nb + nr))
 
@@ -120,20 +137,14 @@ def weavely_connected_components(system):
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
+    for i, j in zip(*np.nonzero(adjacency)):
+        ri, rj = find(int(i)), find(nb + int(j))
+        if ri != rj:
+            parent[ri] = rj
 
-    in_loop = set()
-    for mc in loops:
-        slots = [i - 1 for i in mc.blue_pair] + [nb + j - 1 for j in mc.red_pair]
-        in_loop.update(slots)
-        for other in slots[1:]:
-            union(slots[0], other)
-
+    in_blue, in_red = adjacency.any(axis=1), adjacency.any(axis=0)
     groups = {}
-    for slot in sorted(in_loop):
+    for slot in np.flatnonzero(np.concatenate((in_blue, in_red))).tolist():
         groups.setdefault(find(slot), []).append(slot)
     components = []
     for slots in groups.values():
@@ -141,8 +152,8 @@ def weavely_connected_components(system):
         red = tuple(s - nb + 1 for s in slots if s >= nb)
         components.append((blue, red))
     components.sort()
-    single_blue = tuple(i + 1 for i in range(nb) if i not in in_loop)
-    single_red = tuple(j + 1 for j in range(nr) if nb + j not in in_loop)
+    single_blue = tuple((np.flatnonzero(~in_blue) + 1).tolist())
+    single_red = tuple((np.flatnonzero(~in_red) + 1).tolist())
     return tuple(components), (single_blue, single_red)
 
 
@@ -198,39 +209,34 @@ def tangle_decomposition(system) -> TangleDecomposition:
     vote (blue-over-red puts the blue component higher).
     """
     wccs, (single_blue, single_red) = weavely_connected_components(system)
-    sign = system.design.sign
-    nb, nr = system.design.n_blue, system.design.n_red
+    S = _sign_matrix(system)
+    nb, nr = S.shape
 
     nodes = [(blue, red, "weavely-connected") for blue, red in wccs]
     grouped = {}
     for i in single_blue:
-        grouped.setdefault(("blue", tuple(sign[i - 1])), []).append(i)
+        grouped.setdefault(("blue", S[i - 1].tobytes()), []).append(i)
     for j in single_red:
-        grouped.setdefault(("red", tuple(sign[i - 1][j - 1] for i in range(1, nb + 1))), []).append(j)
+        grouped.setdefault(("red", S[:, j - 1].tobytes()), []).append(j)
     for (family, _profile), members in sorted(grouped.items(), key=lambda kv: (kv[0][0], kv[1])):
         if family == "blue":
             nodes.append((tuple(members), (), "single-untangled"))
         else:
             nodes.append(((), tuple(members), "single-untangled"))
 
-    owner_blue = {}
-    owner_red = {}
+    owner_blue = np.empty(nb, dtype=int)
+    owner_red = np.empty(nr, dtype=int)
     for idx, (blue, red, _kind) in enumerate(nodes):
-        for i in blue:
-            owner_blue[i] = idx
-        for j in red:
-            owner_red[j] = idx
+        owner_blue[[i - 1 for i in blue]] = idx
+        owner_red[[j - 1 for j in red]] = idx
 
-    edges = set()
-    for i in range(1, nb + 1):
-        for j in range(1, nr + 1):
-            a, b = owner_blue[i], owner_red[j]
-            if a == b:
-                continue
-            if sign[i - 1][j - 1] == 1:
-                edges.add((a, b))
-            else:
-                edges.add((b, a))
+    # every crossing between distinct components votes blue-over-red
+    a, b = owner_blue[:, None], owner_red[None, :]
+    between = a != b
+    over = S > 0
+    upper = np.where(over, a, b)[between]
+    lower = np.where(over, b, a)[between]
+    edges = set(zip(upper.tolist(), lower.tolist()))
 
     order, ambiguous = _order_nodes(nodes, edges)
     components = []

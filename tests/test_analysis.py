@@ -211,3 +211,46 @@ def test_compare_limits_two_seeds_agree():
     traj_b = integrate(system, random_initial_configuration(system, seed=2), params)
     ok, residual = compare_limits(traj_a, traj_b, tol=1e-4)
     assert ok and residual <= 1e-4
+
+
+def assert_eigen_contract(M, data):
+    n = M.shape[0]
+    reference = np.linalg.eigvalsh(-M)
+    scale = max(1.0, float(np.max(np.abs(reference))))
+    assert np.all(np.abs(data.eigenvalues - reference) <= 1e-9 * scale)
+    assert np.all(np.diff(data.eigenvalues) >= 0.0)
+    assert not np.any(np.signbit(data.eigenvalues) & (data.eigenvalues == 0.0))  # no -0.0
+    V = data.eigenvectors
+    assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-10
+    lead = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
+    assert np.all(lead > 0.0)
+    # each column is an eigenvector of -M for its eigenvalue
+    assert np.max(np.abs(-M @ V - V * data.eigenvalues)) <= 1e-9 * scale
+
+
+def test_eigendecompose_contract_on_large_checkerboard_weave():
+    from tangleflow.model import WeaveDesign, build_weave_system
+
+    n = 14
+    sign = tuple(tuple(1 if (i + j) % 2 == 0 else -1 for j in range(n)) for i in range(n))
+    system = build_weave_system(WeaveDesign(n_blue=n, n_red=n, sign=sign, spacing=1.0))
+    M = np.asarray(system.laplacian)
+    data = eigendecompose(M)
+    assert_eigen_contract(M, data)
+    # connected Laplacian: the constant kernel vector comes first, positive
+    assert abs(data.eigenvalues[0]) <= 1e-12
+    assert np.max(np.abs(data.eigenvectors[:, 0] - 1.0 / np.sqrt(n * n))) <= 1e-12
+
+
+def test_eigendecompose_contract_on_random_symmetric_matrices():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 60):
+        A = rng.normal(size=(n, n))
+        M = A + A.T
+        assert_eigen_contract(M, eigendecompose(M))
+        # integer matrices with repeated eigenvalues and exact zeros
+        B = rng.integers(-1, 2, size=(n, n)).astype(float)
+        B = np.triu(B) + np.triu(B, 1).T
+        assert_eigen_contract(B, eigendecompose(B))
+        # the negated zero matrix is all -0.0, whose spectrum is reported as +0.0
+        assert_eigen_contract(np.zeros((n, n)), eigendecompose(np.zeros((n, n))))

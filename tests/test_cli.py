@@ -160,13 +160,22 @@ def test_bad_design_file_exits_2(capsys, tmp_path):
         ("relax", "--grad-tol", "0"),
         ("relax", "--dt-init", "1"),
         ("relax", "--dt-init", "nan"),
+        ("relax", "--t-max", "inf"),
         ("verify", "--t-max", "-5"),
+        ("verify", "--t-max", "inf"),
     ],
     ids=" ".join,
 )
 def test_out_of_range_flow_flag_exits_2(capsys, argv):
     command, flag, value = argv
     code, out, err = run_cli(capsys, command, design("entangled_pair.graph"), flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scaling_infinite_t_max_exits_2(capsys):
+    code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--t-max", "inf")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -17,6 +17,8 @@ from tangleflow.dynamics import (
 from tangleflow.errors import (
     GapGuardTripped,
     InvalidInitial,
+    MismatchedVertexSet,
+    NonFiniteHeights,
     StepUnderflow,
     ZeroGap,
 )
@@ -355,6 +357,8 @@ def test_flow_params_validation():
         FlowParams(record_stride=0)
     with pytest.raises(ValueError):
         FlowParams(dt_init=float("nan"))  # would never shrink or grow
+    with pytest.raises(ValueError):
+        FlowParams(t_max=float("inf"))  # an untangled run would never end
 
 
 def test_record_stride_controls_sample_count():
@@ -396,3 +400,25 @@ def test_planar_flow_relaxes_to_harmonic_positions():
     target = harmonic_planar_coordinates(system)
     shift = final_x.mean(axis=0) - target.mean(axis=0)
     assert np.max(np.abs(final_x - shift - target)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "z_blue, z_red, expected",
+    [
+        ((0.5, -0.5, 0.5), (-0.5, 0.5, -0.5), MismatchedVertexSet),
+        ((0.5, -0.5), (-0.5, 0.5, -0.5), MismatchedVertexSet),
+        (((0.5, -0.5),), ((-0.5, 0.5),), MismatchedVertexSet),
+        ((float("inf"), -0.5), (-0.5, 0.5), NonFiniteHeights),
+        ((0.5, -0.5), (-0.5, float("nan")), NonFiniteHeights),
+    ],
+    ids=["both-3", "blue-2-red-3", "2d", "inf", "nan"],
+)
+def test_energy_and_gradient_reject_unusable_heights(z_blue, z_red, expected):
+    system = load_system("entangled_pair.graph")
+    config = Configuration(x=system.planar_x, z_blue=z_blue, z_red=z_red)
+    for fn in (energy_entangled, gradient, stationarity_residual):
+        with pytest.raises(expected):
+            fn(system, config)
+    weave = load_system("split_2x2.weave")
+    with pytest.raises(MismatchedVertexSet):
+        energy_weave(weave, config)

@@ -153,6 +153,36 @@ def test_weave_errors():
         build_weave_system(WeaveDesign(n_blue=0, n_red=2, sign=(), spacing=1.0))
 
 
+def test_value_errors_are_tangleflow_errors():
+    """Out-of-range values raise typed errors that are both TangleflowError
+    and ValueError, so either base catches them."""
+    from tangleflow.dynamics import FlowParams
+    from tangleflow.errors import InvalidParameter, InvalidWeave, TangleflowError
+
+    def weave(sign, spacing=1.0):
+        return lambda: build_weave_system(
+            WeaveDesign(n_blue=2, n_red=2, sign=sign, spacing=spacing)
+        )
+
+    cases = [
+        (InvalidWeave, weave(((1, -1),))),  # one row for two blue threads
+        (InvalidWeave, weave(((1, -1), (1,)))),  # short row
+        (InvalidWeave, weave(((1, 2), (-1, 1)))),  # entry not +1/-1
+        (InvalidWeave, weave(((1.5, -1), (-1, 1)))),  # was truncated to +1
+        (InvalidWeave, weave(((1, -1), (-1, 1)), spacing=0.0)),
+        (InvalidParameter, lambda: FlowParams(dt_min=0.0)),
+        (InvalidParameter, lambda: FlowParams(t_max=float("inf"))),
+        (InvalidParameter, lambda: FlowParams(grad_tol=-1.0)),
+        (InvalidParameter, lambda: FlowParams(record_stride=0)),
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=0.0)),
+    ]
+    for expected, build in cases:
+        with pytest.raises(expected) as err:
+            build()
+        assert isinstance(err.value, TangleflowError)
+        assert isinstance(err.value, ValueError)
+
+
 def test_weave_thread_structure():
     system = load_system("checker_4x4.weave")
     # blue thread i visits v_{i,0..3}; red thread j visits v_{0..3,j}
@@ -160,6 +190,42 @@ def test_weave_thread_structure():
     assert system.blue_threads[2] == (8, 9, 10, 11)
     assert system.red_threads[1] == (1, 5, 9, 13)
     assert len(system.blue_threads) == 4 and len(system.red_threads) == 4
+
+
+def test_weave_assembly_matches_loop_reference():
+    """The array-built weave structure equals a per-vertex loop construction
+    exactly (all arithmetic is integer-valued or identical per entry)."""
+    rng = np.random.default_rng(8)
+    shapes = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 5)] + [
+        tuple(int(k) for k in rng.integers(1, 8, size=2)) for _ in range(15)
+    ]
+    for nb, nr in shapes:
+        sign = tuple(tuple(int(s) for s in rng.choice([-1, 1], size=nr)) for _ in range(nb))
+        spacing = float(rng.choice([1.0, 0.7, 2.5]))
+        system = build_weave_system(WeaveDesign(n_blue=nb, n_red=nr, sign=sign, spacing=spacing))
+        n = nb * nr
+        laplacians = {"blue": np.zeros((n, n)), "red": np.zeros((n, n))}
+        edges = []
+        grid = np.zeros((n, 2))
+        for i in range(nb):
+            for j in range(nr):
+                v = i * nr + j
+                for family, w in (("blue", i * nr + (j + 1) % nr), ("red", (i + 1) % nb * nr + j)):
+                    if w != v:
+                        L = laplacians[family]
+                        L[v, w] += 1.0
+                        L[w, v] += 1.0
+                        L[v, v] -= 1.0
+                        L[w, w] -= 1.0
+                edges.append((v, i * nr + (j + 1) % nr, (1, 0) if j == nr - 1 else (0, 0)))
+                edges.append((v, (i + 1) % nb * nr + j, (0, 1) if i == nb - 1 else (0, 0)))
+                grid[v] = ((j - (nr - 1) / 2) * spacing, (i - (nb - 1) / 2) * spacing)
+        assert np.array_equal(system.blue_laplacian, laplacians["blue"])
+        assert np.array_equal(system.red_laplacian, laplacians["red"])
+        assert system.edges == tuple(edges)
+        assert np.array_equal(system.planar_x, grid)
+        assert np.array_equal(system.sign, np.array(sign).reshape(n))
+        assert not system.laplacian.flags.writeable
 
 
 def test_harmonic_pair_positions():

@@ -228,3 +228,118 @@ def test_inconsistent_order_error_is_defensive():
             edges={(0, 1), (1, 2), (2, 0)},
         )
     assert len(err.value.cycle) >= 2
+
+
+def oracle_weavely_connected(sign):
+    """Reference interlock grouping: scan every 2x2 block of the sign matrix,
+    join the four threads of each alternating block, and list the threads in
+    no block as singles."""
+    nb, nr = len(sign), len(sign[0])
+    parent = list(range(nb + nr))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    in_block = set()
+    for i1 in range(nb):
+        for i2 in range(i1 + 1, nb):
+            for j1 in range(nr):
+                for j2 in range(j1 + 1, nr):
+                    s = sign[i1][j1]
+                    if sign[i2][j2] == s and sign[i1][j2] == -s and sign[i2][j1] == -s:
+                        slots = (i1, i2, nb + j1, nb + j2)
+                        in_block.update(slots)
+                        for other in slots[1:]:
+                            ra, rb = find(slots[0]), find(other)
+                            if ra != rb:
+                                parent[ra] = rb
+    groups = {}
+    for slot in sorted(in_block):
+        groups.setdefault(find(slot), []).append(slot)
+    components = sorted(
+        (tuple(s + 1 for s in g if s < nb), tuple(s - nb + 1 for s in g if s >= nb))
+        for g in groups.values()
+    )
+    singles = (
+        tuple(i + 1 for i in range(nb) if i not in in_block),
+        tuple(j + 1 for j in range(nr) if nb + j not in in_block),
+    )
+    return tuple(components), singles
+
+
+def oracle_decomposition(sign):
+    """Reference decomposition: the oracle components, then single threads
+    grouped by identical crossing profile, ordered by every crossing between
+    distinct groups (the sort itself is the library's `_order_nodes`)."""
+    from tangleflow.topology import _order_nodes
+
+    nb, nr = len(sign), len(sign[0])
+    components, (single_blue, single_red) = oracle_weavely_connected(sign)
+    nodes = [(blue, red, "weavely-connected") for blue, red in components]
+    grouped = {}
+    for i in single_blue:
+        grouped.setdefault(("blue", tuple(sign[i - 1])), []).append(i)
+    for j in single_red:
+        grouped.setdefault(("red", tuple(row[j - 1] for row in sign)), []).append(j)
+    for (family, _), members in sorted(grouped.items(), key=lambda kv: (kv[0][0], kv[1])):
+        pair = (tuple(members), ()) if family == "blue" else ((), tuple(members))
+        nodes.append((*pair, "single-untangled"))
+    owner_blue = {i: k for k, (blue, _, _) in enumerate(nodes) for i in blue}
+    owner_red = {j: k for k, (_, red, _) in enumerate(nodes) for j in red}
+    edges = set()
+    for i in range(1, nb + 1):
+        for j in range(1, nr + 1):
+            a, b = owner_blue[i], owner_red[j]
+            if a != b:
+                edges.add((a, b) if sign[i - 1][j - 1] == 1 else (b, a))
+    order, ambiguous = _order_nodes(nodes, edges)
+    layers = []
+    for k in order:
+        blue, red, kind = nodes[k]
+        layers.append((blue, red, kind, len(blue) * (nr - len(red)) + len(red) * (nb - len(blue))))
+    return layers, ambiguous
+
+
+def checkerboard(n_blue, n_red, phase=1):
+    return [[phase if (i + j) % 2 == 0 else -phase for j in range(n_red)] for i in range(n_blue)]
+
+
+def stacked_blocks(sizes):
+    """Interlocked checkerboard blocks stacked top to bottom."""
+    owner = [k for k, size in enumerate(sizes) for _ in range(size)]
+    n = len(owner)
+    return [
+        [
+            (1 if (i + j) % 2 == 0 else -1) if owner[i] == owner[j] else (1 if owner[i] < owner[j] else -1)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def equivalence_sign_matrices():
+    rng = np.random.default_rng(2023)
+    for _ in range(320):
+        nb, nr = (int(k) for k in rng.integers(1, 10, size=2))
+        p = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        yield [[1 if rng.random() < p else -1 for _ in range(nr)] for _ in range(nb)]
+    for n in range(2, 25, 2):
+        yield checkerboard(n, n)
+        yield checkerboard(n, n + 1, -1)
+    for sizes in [(2, 2), (2, 3, 4), (4, 4, 4), (3, 2, 4, 3, 2), (2,) * 12, (4, 3, 2, 4, 3, 4, 4)]:
+        yield stacked_blocks(sizes)
+
+
+def test_decomposition_matches_block_scan_oracle():
+    count = 0
+    for sign in equivalence_sign_matrices():
+        system = weave(sign)
+        assert weavely_connected_components(system) == oracle_weavely_connected(sign)
+        decomp = tangle_decomposition(system)
+        layers, ambiguous = oracle_decomposition(sign)
+        assert [(c.blue, c.red, c.kind, c.weight) for c in decomp.components] == layers
+        assert decomp.order_ambiguous == ambiguous
+        count += 1
+    assert count >= 300
