@@ -27,6 +27,7 @@ from .errors import (
     DesignSemanticError,
     DesignSyntaxError,
     EntangledInput,
+    InvalidParameter,
     IoError,
     TangleflowError,
     UsageError,
@@ -67,6 +68,13 @@ def _flow_params(args, default_t_max) -> FlowParams:
         raise UsageError(str(exc)) from None
 
 
+def _initial_configuration(system, seed):
+    try:
+        return random_initial_configuration(system, seed=seed)
+    except InvalidParameter as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _cmd_classify(args) -> int:
     system = _load_system(args.design)
     if system.kind == "entangled-graph":
@@ -93,7 +101,7 @@ def _cmd_classify(args) -> int:
 def _cmd_relax(args) -> int:
     system = _load_system(args.design)
     params = _flow_params(args, default_t_max=FlowParams().t_max)
-    config = random_initial_configuration(system, seed=args.seed)
+    config = _initial_configuration(system, args.seed)
     _LOG.info("integrating to t_max=%g", params.t_max)
     trajectory = integrate(system, config, params)
     final = trajectory.samples[-1]
@@ -120,7 +128,7 @@ def _cmd_scaling(args) -> int:
             "scaling requires an untangled design; this one is entangled"
         )
     params = _flow_params(args, default_t_max=1e5)
-    config = random_initial_configuration(system, seed=args.seed)
+    config = _initial_configuration(system, args.seed)
     _LOG.info("integrating to t_max=%g", params.t_max)
     trajectory = integrate(system, config, params)
     window = (params.t_max / 10.0, params.t_max)

@@ -306,7 +306,7 @@ def write_trajectory_csv(path, trajectory):
         ]
         cells.extend(_g17(m) for m in s.m_components)
         lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n", "trajectory CSV")
 
 
 def write_configuration_json(path, system, config):
@@ -352,4 +352,11 @@ def write_configuration_json(path, system, config):
                 }
             )
         payload["threads"] = threads
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, indent=2) + "\n", "configuration JSON")
+
+
+def _write_text(path, text, what):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} {path}: {exc}") from None

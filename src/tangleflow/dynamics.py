@@ -9,11 +9,13 @@ flattened planar coordinates, if they flow), with one Laplacian per family.
 Runge-Kutta, rejected when the end state breaks a structural guard
 (finiteness, crossing signs, gap floor) or raises the energy; `integrate`
 adapts dt between the configured bounds.  Only recorded samples carry a
-`Configuration`.
+`Configuration`.  The step loop reads per-system constants (float signs,
+doubled Laplacians) that are built on its first use for a system.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +85,8 @@ class FlowParams:
             )
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
             raise InvalidParameter(f"t_max must be positive and finite, got {self.t_max!r}")
-        if not self.grad_tol > 0:
-            raise InvalidParameter(f"grad_tol must be positive, got {self.grad_tol!r}")
+        if not (self.grad_tol > 0 and math.isfinite(self.grad_tol)):
+            raise InvalidParameter(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
         if not 0.0 < self.gap_safety < 1.0:
             raise InvalidParameter(
                 f"gap_safety must lie strictly between 0 and 1, got {self.gap_safety!r}"
@@ -145,8 +147,8 @@ def _energy(system, zb, zr, gaps, x_term) -> float:
     the planar term x_term."""
     return (
         x_term
-        + float(-(zb @ system.blue_laplacian @ zb) - (zr @ system.red_laplacian @ zr))
-        + float((1.0 / gaps).sum())
+        + float(-(zb.dot(system.blue_laplacian).dot(zb)) - zr.dot(system.red_laplacian).dot(zr))
+        + float(np.add.reduce(1.0 / gaps))
     )
 
 
@@ -169,21 +171,54 @@ def energy_weave(system, config) -> float:
     return _total_energy(system, config)
 
 
-def _velocity(system, y):
+class _StepKernel:
+    """The constants of the step loop of one system: the crossing signs as
+    floats (so sign / d^2 casts nothing) and the bound `dot` of the doubled
+    Laplacians, shared when both families have the same one.  Doubling is
+    exact, so (2 L) z equals 2 (L z) bit for bit."""
+
+    def __init__(self, system):
+        # a proxy: a strong reference from the cached kernel would keep its
+        # system, the cache key, alive for good
+        self.system = weakref.proxy(system)
+        self.n = system.n_vertices
+        self.sign = system.sign.astype(float)
+        two_blue = 2.0 * system.blue_laplacian
+        two_red = two_blue if system.red_laplacian is system.blue_laplacian else 2.0 * system.red_laplacian
+        self.blue_dot = two_blue.dot
+        self.red_dot = two_red.dot
+
+
+# built on first use and dropped with their system, so `classify` and
+# `spectrum`, which never step, never hold them
+_KERNELS = weakref.WeakKeyDictionary()
+
+
+def _kernel(system) -> _StepKernel:
+    kernel = _KERNELS.get(system)
+    if kernel is None:
+        kernel = _KERNELS[system] = _StepKernel(system)
+    return kernel
+
+
+def _velocity(kernel, y):
     """Descent velocity (negative energy gradient) of the stacked state y:
     2 L_B z_blue + sign/d^2 and 2 L_R z_red - sign/d^2, followed by the
     planar velocity when y carries the planar coordinates."""
-    n = system.n_vertices
+    n = kernel.n
     zb, zr = y[:n], y[n:2 * n]
-    d = zb - zr
-    repulsion = system.sign / (d * d)
-    parts = [
-        2.0 * (system.blue_laplacian @ zb) + repulsion,
-        2.0 * (system.red_laplacian @ zr) - repulsion,
-    ]
+    d2 = zb - zr
+    d2 *= d2
+    repulsion = np.divide(kernel.sign, d2, out=d2)
+    v = np.empty(y.size)
+    blue, red = v[:n], v[n:2 * n]
+    kernel.blue_dot(zb, blue)
+    blue += repulsion
+    kernel.red_dot(zr, red)
+    red -= repulsion
     if y.size > 2 * n:
-        parts.append(_planar_velocity(system, y[2 * n:].reshape(n, 2)).ravel())
-    return np.concatenate(parts)
+        v[2 * n:] = _planar_velocity(kernel.system, y[2 * n:].reshape(n, 2)).ravel()
+    return v
 
 
 def _planar_velocity(system, x):
@@ -198,7 +233,7 @@ def gradient(system, config):
     """Descent direction (v_blue, v_red) of the height flow at config."""
     _checked_gaps(system, config)
     with np.errstate(**_QUIET):
-        v = _velocity(system, _stacked(config))
+        v = _velocity(_kernel(system), _stacked(config))
     return v[: system.n_vertices], v[system.n_vertices:]
 
 
@@ -207,24 +242,27 @@ def stationarity_residual(system, config) -> float:
     return float(np.max(np.abs(np.concatenate(gradient(system, config)))))
 
 
-def _guard_reason(system, y, gap_floor):
-    """Why the state y is structurally unacceptable, or None."""
-    n = system.n_vertices
+def _guard_reason(kernel, y, gap_floor):
+    """Why the state y is structurally unacceptable, as a string; when it
+    is acceptable, its absolute gaps |z_blue - z_red| instead."""
+    n = kernel.n
     d = y[:n] - y[n:2 * n]
+    gaps = d * kernel.sign
     # every signed gap at or above the floor (false for NaN) and a finite sum
-    # (false for any inf or NaN entry) imply that all the checks below pass
-    if (d * system.sign).min() >= gap_floor and math.isfinite(y.sum()):
-        return None
+    # (false for any inf or NaN entry) imply that all the checks below pass;
+    # the signed gaps are then the absolute ones
+    if np.minimum.reduce(gaps) >= gap_floor and math.isfinite(np.add.reduce(y)):
+        return gaps
     if not np.all(np.isfinite(y)):
         return "non-finite heights"
-    if np.any(np.sign(d) != system.sign):
+    if np.any(np.sign(d) != kernel.sign):
         return "crossing sign flipped"
     if float(np.min(np.abs(d))) < gap_floor:
         return f"minimum gap fell below the floor {gap_floor:.3e}"
-    return None
+    return gaps  # only the sum overflowed; the signs hold, so these are |d|
 
 
-def _guarded_step(system, y, k1, dt, gap_floor, energy_cap, x_term):
+def _guarded_step(kernel, y, k1, dt, gap_floor, energy_cap, x_term):
     """One Runge-Kutta step of size dt from the stacked state y, where k1 is
     the velocity at y and x_term the planar term of a fixed layout.
 
@@ -232,19 +270,17 @@ def _guarded_step(system, y, k1, dt, gap_floor, energy_cap, x_term):
     passes the guard and its energy stays at or below energy_cap.
     """
     half = 0.5 * dt
-    k2 = _velocity(system, y + half * k1)
-    k3 = _velocity(system, y + half * k2)
-    k4 = _velocity(system, y + dt * k3)
+    k2 = _velocity(kernel, y + half * k1)
+    k3 = _velocity(kernel, y + half * k2)
+    k4 = _velocity(kernel, y + dt * k3)
     y_new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    reason = _guard_reason(system, y_new, gap_floor)
-    if reason is not None:
-        return y_new, None, None, reason
-    n = system.n_vertices
+    gaps = _guard_reason(kernel, y_new, gap_floor)
+    if isinstance(gaps, str):
+        return y_new, None, None, gaps
+    n, system = kernel.n, kernel.system
     if y.size > 2 * n:
         x_term = system.planar_term(y_new[2 * n:].reshape(n, 2))
-    zb, zr = y_new[:n], y_new[n:2 * n]
-    gaps = np.abs(zb - zr)
-    energy = _energy(system, zb, zr, gaps, x_term)
+    energy = _energy(system, y_new[:n], y_new[n:2 * n], gaps, x_term)
     if energy > energy_cap:
         return y_new, energy, gaps, "energy increased"
     return y_new, energy, gaps, None
@@ -261,9 +297,10 @@ def step(system, config, dt) -> Configuration:
     x_term = system.planar_term(config.x)
     energy = _energy(system, config.z_blue, config.z_red, np.abs(_checked_gaps(system, config)), x_term)
     y = _stacked(config)
+    kernel = _kernel(system)
     with np.errstate(**_QUIET):
         y_new, _, _, reason = _guarded_step(
-            system, y, _velocity(system, y), dt, FlowParams.gap_safety / energy,
+            kernel, y, _velocity(kernel, y), dt, FlowParams.gap_safety / energy,
             energy + _ENERGY_CUSHION * abs(energy), x_term,
         )
     if reason is not None:
@@ -312,10 +349,11 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
 
     y = np.concatenate((z_blue, z_red, x0.ravel()) if flow_planar else (z_blue, z_red))
     x_term = system.planar_term(x0)
+    kernel = _kernel(system)
     with np.errstate(**_QUIET):
         e0 = _energy(system, z_blue, z_red, np.abs(d0), x_term)
-        v = _velocity(system, y)
-    grad_norm = float(np.abs(v).max())
+        v = _velocity(kernel, y)
+    grad_norm = float(np.maximum.reduce(np.abs(v)))
     if not (math.isfinite(e0) and math.isfinite(grad_norm)):
         raise InvalidInitial(f"initial energy {e0!r} or velocity {grad_norm!r} is not finite")
 
@@ -362,7 +400,7 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
                 break
             dt_eff = min(dt, params.t_max - t)
             y_new, new_energy, gaps, reason = _guarded_step(
-                system, y, v, dt_eff, gap_floor, energy + cushion, x_term
+                kernel, y, v, dt_eff, gap_floor, energy + cushion, x_term
             )
             if reason is not None:
                 if dt_eff <= params.dt_min:
@@ -374,10 +412,10 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
             energy = new_energy
             accepted += 1
             # an overflowing gap cube is an infinite one: no repulsion limit
-            stable_dt = _STABILITY_MARGIN / (quad_rate + 4.0 / float(gaps.min() ** 3))
+            stable_dt = _STABILITY_MARGIN / (quad_rate + 4.0 / float(np.minimum.reduce(gaps) ** 3))
             dt = max(params.dt_min, min(dt * 1.25, params.dt_max, stable_dt))
-            v = _velocity(system, y)
-            grad_norm = float(np.abs(v).max())
+            v = _velocity(kernel, y)
+            grad_norm = float(np.maximum.reduce(np.abs(v)))
             if accepted % params.record_stride == 0:
                 samples.append(sample(t, y, energy, grad_norm))
 

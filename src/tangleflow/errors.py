@@ -12,8 +12,8 @@ class TangleflowError(Exception):
 
 
 class InvalidParameter(TangleflowError, ValueError):
-    """A numeric control (integrator step sizes and horizon, initial gap
-    scale, fit window) lies outside its valid range."""
+    """A numeric control (integrator step sizes, horizon and tolerance,
+    initial seed and gap scale, fit window) lies outside its valid range."""
 
 
 # --------------------------------------------------------------------------

@@ -349,8 +349,10 @@ def random_initial_configuration(system, seed: int, gap_scale: float = 1.0) -> C
 
     Each copy starts at signed distance between gap_scale and 2*gap_scale from
     the plane, so every gap is at least 2*gap_scale wide; the global height
-    barycenter is shifted to zero.
+    barycenter is shifted to zero.  The seed must be a non-negative integer.
     """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
     if gap_scale <= 0:
         raise InvalidParameter(f"gap_scale must be positive, got {gap_scale!r}")
     rng = np.random.default_rng(seed)

@@ -158,6 +158,8 @@ def test_bad_design_file_exits_2(capsys, tmp_path):
         ("relax", "--t-max", "-5"),
         ("relax", "--t-max", "nan"),
         ("relax", "--grad-tol", "0"),
+        ("relax", "--grad-tol", "inf"),
+        ("relax", "--seed", "-1"),
         ("relax", "--dt-init", "1"),
         ("relax", "--dt-init", "nan"),
         ("relax", "--t-max", "inf"),
@@ -179,6 +181,25 @@ def test_scaling_infinite_t_max_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scaling_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--seed", "-1", "--t-max", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--out-traj", "--out-config"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, flag):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(
+        capsys, "relax", design("entangled_pair.graph"), "--t-max", "1", flag, str(target)
+    )
+    assert code == 2
+    assert out.startswith("status ")  # the results print before the write
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,10 +1,13 @@
 """Energy, gradient, and guarded adaptive integration of the descent flow."""
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import load_system, random_graph_system, random_weave_system
+from tangleflow import dynamics
 from tangleflow.dynamics import (
     FlowParams,
     energy_entangled,
@@ -236,6 +239,8 @@ def test_trajectory_sampling_and_monotonicity():
     [
         ("untangled_pair.graph", 11, 518, 50.0, 0.7929604794788951),
         ("checker_4x4.weave", 3, 141, 12.319119304451943, 70.09762524723679),
+        # this run rejects two steps
+        ("chained_4x4.weave", 9, 367, 20.381040993106726, 60.58244255215241),
     ],
 )
 def test_step_sequence_is_pinned(name, seed, n_samples, t_final, energy):
@@ -252,6 +257,74 @@ def test_step_sequence_is_pinned(name, seed, n_samples, t_final, energy):
     stepped = step(system, config0, first.t)
     assert np.max(np.abs(stepped.z_blue - first.config.z_blue)) <= 1e-14
     assert np.max(np.abs(stepped.z_red - first.config.z_red)) <= 1e-14
+
+
+def test_guard_reason_returns_gaps_or_reason():
+    """An acceptable state yields its absolute gaps, bit for bit; each kind
+    of unacceptable state yields its reason."""
+    system = load_system("entangled_pair.graph")  # signs (+1, -1)
+    kernel = dynamics._kernel(system)
+
+    def guard(z_blue, z_red, floor=1e-3):
+        with np.errstate(**dynamics._QUIET):
+            return dynamics._guard_reason(kernel, np.array(z_blue + z_red), floor)
+
+    rng = np.random.default_rng(5)
+    for seed in range(20):
+        config = random_initial_configuration(system, seed=seed, gap_scale=float(rng.uniform(1e-2, 1e2)))
+        gaps = guard(tuple(config.z_blue), tuple(config.z_red))
+        assert not isinstance(gaps, str)
+        assert np.array_equal(gaps, np.abs(config.z_blue - config.z_red))
+    # finite heights whose sum overflows take the slow path and still pass
+    gaps = guard((1e308, 1e308), (0.0, 1.5e308))
+    assert np.array_equal(gaps, [1e308, 0.5e308])
+    assert guard((float("nan"), -1.0), (-1.0, 1.0)) == "non-finite heights"
+    assert guard((float("inf"), -1.0), (-1.0, 1.0)) == "non-finite heights"
+    assert guard((-1.0, -1.0), (1.0, 1.0)) == "crossing sign flipped"
+    assert guard((0.25, -0.25), (-0.25, 0.25), floor=1.0) == (
+        "minimum gap fell below the floor 1.000e+00"
+    )
+
+
+def test_step_kernel_matches_reference_arithmetic():
+    """The velocity and energy of the step loop equal, bit for bit, the
+    plain formulas: 2 (L z) +- sign / d^2 with matmul and an integer sign,
+    and -(z L z) summed with `@`."""
+    rng = np.random.default_rng(17)
+    systems = [load_system(name) for name in ("untangled_pair.graph", "honeycomb.graph", "three_blocks_6x6.weave")]
+    systems += [random_graph_system(rng) for _ in range(4)] + [random_weave_system(rng) for _ in range(4)]
+    for system in systems:
+        n = system.n_vertices
+        kernel = dynamics._kernel(system)
+        assert dynamics._kernel(system) is kernel
+        for trial in range(10):
+            scale = 10.0 ** rng.uniform(-2, 2)
+            config = random_initial_configuration(system, seed=trial, gap_scale=scale)
+            zb, zr = config.z_blue, config.z_red
+            d = zb - zr
+            repulsion = system.sign / (d * d)
+            expected = np.concatenate(
+                (2.0 * (system.blue_laplacian @ zb) + repulsion, 2.0 * (system.red_laplacian @ zr) - repulsion)
+            )
+            assert np.array_equal(dynamics._velocity(kernel, np.concatenate((zb, zr))), expected)
+            x = system.planar_x + rng.normal(size=(n, 2))
+            planar = dynamics._velocity(kernel, np.concatenate((zb, zr, x.ravel())))
+            assert np.array_equal(planar[:2 * n], expected)
+            assert np.array_equal(planar[2 * n:], dynamics._planar_velocity(system, x).ravel())
+            energy = (
+                1.5
+                + float(-(zb @ system.blue_laplacian @ zb) - (zr @ system.red_laplacian @ zr))
+                + float((1.0 / np.abs(d)).sum())
+            )
+            assert dynamics._energy(system, zb, zr, np.abs(d), 1.5) == energy
+
+
+def test_step_constants_do_not_outlive_their_system():
+    system = load_system("split_2x2.weave")
+    integrate(system, random_initial_configuration(system, seed=0), FlowParams(t_max=1.0))
+    alive = weakref.ref(system)
+    del system
+    assert alive() is None
 
 
 def test_integrate_invariants_on_random_systems():
@@ -359,6 +432,8 @@ def test_flow_params_validation():
         FlowParams(dt_init=float("nan"))  # would never shrink or grow
     with pytest.raises(ValueError):
         FlowParams(t_max=float("inf"))  # an untangled run would never end
+    with pytest.raises(ValueError):
+        FlowParams(grad_tol=float("inf"))  # would report convergence at t=0
 
 
 def test_record_stride_controls_sample_count():

@@ -175,6 +175,9 @@ def test_value_errors_are_tangleflow_errors():
         (InvalidParameter, lambda: FlowParams(grad_tol=-1.0)),
         (InvalidParameter, lambda: FlowParams(record_stride=0)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=0.0)),
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), -1)),
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 1.5)),
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), "3")),
     ]
     for expected, build in cases:
         with pytest.raises(expected) as err:
