@@ -195,13 +195,7 @@ def flatness_series(trajectory, component) -> Series:
         raise UnknownComponent(
             f"weave components are 1..{decomp.k}, got {component!r}"
         )
-    comp = decomp.components[int(component) - 1]
-    blue_vertices = np.array(
-        [v for i in comp.blue for v in system.blue_threads[i - 1]], dtype=int
-    )
-    red_vertices = np.array(
-        [v for j in comp.red for v in system.red_threads[j - 1]], dtype=int
-    )
+    blue_vertices, red_vertices = system._component_vertices(decomp.components[int(component) - 1])
     values = []
     for s in trajectory.samples:
         heights = np.concatenate(

@@ -17,6 +17,7 @@ import numpy as np
 
 from .analysis import commutation_check, compare_limits, eigendecompose, fit_power_law, separation_series
 from .designio import (
+    _g17,
     design_to_system,
     load_design,
     write_configuration_json,
@@ -46,14 +47,13 @@ _LOG_LEVELS = {
 }
 
 
-def _g17(value) -> str:
-    return format(float(value), ".17g")
-
-
 def _load_system(path):
     design = load_design(path)
     _LOG.info("loaded design %s", path)
-    return design_to_system(design)
+    try:
+        return design_to_system(design)
+    except TangleflowError as exc:  # a design that parses but is no valid system
+        raise DesignSemanticError(str(exc)) from None
 
 
 def _flow_params(args, default_t_max) -> FlowParams:

@@ -10,12 +10,12 @@ Runge-Kutta, rejected when the end state breaks a structural guard
 (finiteness, crossing signs, gap floor) or raises the energy; `integrate`
 adapts dt between the configured bounds.  Only recorded samples carry a
 `Configuration`.  The step loop reads per-system constants (float signs,
-doubled Laplacians) that are built on its first use for a system.
+doubled Laplacians) that each `integrate`, `step` or `gradient` call builds
+for itself and drops when it returns.
 """
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,27 +178,13 @@ class _StepKernel:
     exact, so (2 L) z equals 2 (L z) bit for bit."""
 
     def __init__(self, system):
-        # a proxy: a strong reference from the cached kernel would keep its
-        # system, the cache key, alive for good
-        self.system = weakref.proxy(system)
+        self.system = system
         self.n = system.n_vertices
         self.sign = system.sign.astype(float)
         two_blue = 2.0 * system.blue_laplacian
         two_red = two_blue if system.red_laplacian is system.blue_laplacian else 2.0 * system.red_laplacian
         self.blue_dot = two_blue.dot
         self.red_dot = two_red.dot
-
-
-# built on first use and dropped with their system, so `classify` and
-# `spectrum`, which never step, never hold them
-_KERNELS = weakref.WeakKeyDictionary()
-
-
-def _kernel(system) -> _StepKernel:
-    kernel = _KERNELS.get(system)
-    if kernel is None:
-        kernel = _KERNELS[system] = _StepKernel(system)
-    return kernel
 
 
 def _velocity(kernel, y):
@@ -217,23 +203,15 @@ def _velocity(kernel, y):
     kernel.red_dot(zr, red)
     red -= repulsion
     if y.size > 2 * n:
-        v[2 * n:] = _planar_velocity(kernel.system, y[2 * n:].reshape(n, 2)).ravel()
+        v[2 * n:] = 2.0 * kernel.system._edge_tension(y[2 * n:].reshape(n, 2)).ravel()
     return v
-
-
-def _planar_velocity(system, x):
-    tension = x[system._edge_v] + system._edge_shift - x[system._edge_u]
-    out = np.zeros_like(x)
-    np.add.at(out, system._edge_u, tension)
-    np.add.at(out, system._edge_v, -tension)
-    return 2.0 * out
 
 
 def gradient(system, config):
     """Descent direction (v_blue, v_red) of the height flow at config."""
     _checked_gaps(system, config)
     with np.errstate(**_QUIET):
-        v = _velocity(_kernel(system), _stacked(config))
+        v = _velocity(_StepKernel(system), _stacked(config))
     return v[: system.n_vertices], v[system.n_vertices:]
 
 
@@ -297,7 +275,7 @@ def step(system, config, dt) -> Configuration:
     x_term = system.planar_term(config.x)
     energy = _energy(system, config.z_blue, config.z_red, np.abs(_checked_gaps(system, config)), x_term)
     y = _stacked(config)
-    kernel = _kernel(system)
+    kernel = _StepKernel(system)
     with np.errstate(**_QUIET):
         y_new, _, _, reason = _guarded_step(
             kernel, y, _velocity(kernel, y), dt, FlowParams.gap_safety / energy,
@@ -307,22 +285,6 @@ def step(system, config, dt) -> Configuration:
         raise GapGuardTripped(f"step of size {dt!r} rejected: {reason}")
     n = system.n_vertices
     return Configuration(x=config.x, z_blue=y_new[:n], z_red=y_new[n:])
-
-
-def _component_vertex_indices(system):
-    """Per tangle component (top to bottom): the vertex index arrays whose
-    blue / red heights the component barycenter sums."""
-    decomposition = tangle_decomposition(system)
-    members = []
-    for comp in decomposition.components:
-        blue = np.array(
-            [v for i in comp.blue for v in system.blue_threads[i - 1]], dtype=int
-        )
-        red = np.array(
-            [v for j in comp.red for v in system.red_threads[j - 1]], dtype=int
-        )
-        members.append((blue, red))
-    return members
 
 
 def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: bool = False) -> Trajectory:
@@ -349,7 +311,7 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
 
     y = np.concatenate((z_blue, z_red, x0.ravel()) if flow_planar else (z_blue, z_red))
     x_term = system.planar_term(x0)
-    kernel = _kernel(system)
+    kernel = _StepKernel(system)
     with np.errstate(**_QUIET):
         e0 = _energy(system, z_blue, z_red, np.abs(d0), x_term)
         v = _velocity(kernel, y)
@@ -358,7 +320,12 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
         raise InvalidInitial(f"initial energy {e0!r} or velocity {grad_norm!r} is not finite")
 
     gap_floor = params.gap_safety / e0
-    members = _component_vertex_indices(system) if system.kind == "weave" else ()
+    # per tangle component, top to bottom: the vertices its barycenter sums
+    members = (
+        [system._component_vertices(c) for c in tangle_decomposition(system).components]
+        if system.kind == "weave"
+        else ()
+    )
     # Gershgorin bound on the stretching part of the flow Jacobian; the gap
     # repulsion adds at most 4/min_gap^3 on top of it
     quad_rate = 2.0 * max(

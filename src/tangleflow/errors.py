@@ -30,14 +30,14 @@ class DisconnectedGraph(TangleflowError):
     unique harmonic layout exists."""
 
 
-class InvalidLattice(TangleflowError):
-    """The two lattice basis vectors do not span the plane."""
+class InvalidLattice(TangleflowError, ValueError):
+    """The lattice basis is not two finite 2-vectors that span the plane."""
 
 
-class InvalidGraph(TangleflowError):
+class InvalidGraph(TangleflowError, ValueError):
     """Structural defect in the quotient graph: an edge endpoint out of range,
-    a self-loop with zero shift (which would collapse to a point), or a
-    crossing-sign value other than +1/-1."""
+    a non-integer endpoint or shift, a self-loop with zero shift (which
+    would collapse to a point), or a crossing-sign value other than +1/-1."""
 
 
 class ZeroSignEntry(TangleflowError):

@@ -8,7 +8,7 @@ constant planar energy.  Configurations assign the two height functions.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,6 +138,16 @@ class _SystemBase:
         d = x[self._edge_v] + self._edge_shift - x[self._edge_u]
         return float(np.sum(d * d))
 
+    def _edge_tension(self, x: np.ndarray) -> np.ndarray:
+        """Net pull of the edges on each vertex of the layout x: the sum of
+        x(v) + shift - x(u) over its out-edges minus over its in-edges (half
+        the negative gradient of `planar_term`)."""
+        tension = x[self._edge_v] + self._edge_shift - x[self._edge_u]
+        out = np.zeros_like(x)
+        np.add.at(out, self._edge_u, tension)
+        np.add.at(out, self._edge_v, -tension)
+        return out
+
 
 class EntangledSystem(_SystemBase):
     kind = "entangled-graph"
@@ -167,7 +177,7 @@ class WeaveSystem(_SystemBase):
         nb, nr = design.n_blue, design.n_red
         self.n_vertices = n = nb * nr
         self.sign = _frozen_array(design.sign, dtype=int).reshape(n)
-        grid = np.arange(n).reshape(nb, nr)  # vertex i * nr + j: blue i over red j
+        self._grid = grid = _freeze(np.arange(n).reshape(nb, nr))  # vertex i * nr + j: blue i over red j
         self.blue_threads = tuple(map(tuple, grid.tolist()))
         self.red_threads = tuple(map(tuple, grid.T.tolist()))
         self.blue_laplacian = _freeze(_thread_laplacian(grid, n))
@@ -188,6 +198,13 @@ class WeaveSystem(_SystemBase):
         self._finalize_geometry(u_idx, v_idx, counts)
         self.planar_x = _freeze(np.stack(((j - (nr - 1) / 2) * s, (i - (nb - 1) / 2) * s), axis=1))
         self.planar_energy = self.planar_term(self.planar_x)
+
+    def _component_vertices(self, component):
+        """The vertex indices of a tangle component's blue threads and of its
+        red threads, thread by thread in the component's order."""
+        blue = self._grid[[i - 1 for i in component.blue]].ravel()
+        red = self._grid.T[[j - 1 for j in component.red]].ravel()
+        return blue, red
 
 
 def _laplacian(u, v, n: int) -> np.ndarray:
@@ -223,16 +240,29 @@ def _solve_harmonic(system: _SystemBase) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"harmonic layout system is singular: {exc}") from None
     x = x - x.mean(axis=0)
-    # verify the layout equation on the original system
-    resid = np.zeros_like(x)
-    tension = x[system._edge_v] + system._edge_shift - x[system._edge_u]
-    np.add.at(resid, system._edge_u, tension)
-    np.add.at(resid, system._edge_v, -tension)
-    if system._edge_u.size and np.max(np.abs(resid)) > 1e-10:
-        raise SingularSystem(
-            f"harmonic layout residual {np.max(np.abs(resid)):.3e} exceeds 1e-10"
-        )
+    # verify the layout equation on the original system (NaN fails too)
+    resid = float(np.max(np.abs(system._edge_tension(x))))
+    if not resid <= 1e-10:
+        raise SingularSystem(f"harmonic layout residual {resid:.3e} exceeds 1e-10")
     return x
+
+
+def _roots(n: int, pairs) -> list:
+    """Union-find over 0..n-1 joined by the (a, b) pairs: the representative
+    of each element, equal exactly for connected elements."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(a) for a in range(n)]
 
 
 def _validate_graph(graph: PeriodicQuotientGraph):
@@ -242,34 +272,24 @@ def _validate_graph(graph: PeriodicQuotientGraph):
     basis = np.asarray(graph.lattice_basis, dtype=float)
     if basis.shape != (2, 2):
         raise InvalidLattice(f"lattice basis must be two 2-vectors, got shape {basis.shape}")
+    if not np.all(np.isfinite(basis)):
+        raise InvalidLattice("lattice basis entries must be finite")
     det = basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]
     scale = max(1.0, float(np.max(np.abs(basis))) ** 2)
     if abs(det) <= 1e-12 * scale:
         raise InvalidLattice("lattice basis vectors are linearly dependent")
     for u, v, shift in graph.edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidGraph(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        if len(shift) != 2:
-            raise InvalidGraph(f"edge ({u}, {v}) shift must be a 2-vector, got {shift!r}")
+        if not all(isinstance(w, (int, np.integer)) and 0 <= w < n for w in (u, v)):
+            raise InvalidGraph(f"edge ({u}, {v}) needs integer endpoints in 0..{n - 1}")
+        if len(shift) != 2 or not all(isinstance(s, (int, np.integer)) for s in shift):
+            raise InvalidGraph(f"edge ({u}, {v}) shift must be two integers, got {shift!r}")
         if u == v and shift[0] == 0 and shift[1] == 0:
             raise InvalidGraph(
                 f"vertex {u} has a self-loop with zero shift; such an edge "
                 "collapses to a point in every periodic realization"
             )
     # connectivity of the underlying multigraph (shifts ignored)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v, _ in graph.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    if len({find(v) for v in range(n)}) != 1:
+    if len(set(_roots(n, ((u, v) for u, v, _ in graph.edges)))) != 1:
         raise DisconnectedGraph("the quotient graph must be connected")
 
 
@@ -286,13 +306,10 @@ def _normalize_sign(sign, n: int) -> np.ndarray:
             raise MismatchedVertexSet(
                 f"crossing sign list has {len(values)} entries for {n} vertices"
             )
-    out = np.zeros(n, dtype=int)
     for v, value in enumerate(values):
-        iv = int(value)
-        if iv != value or iv not in (1, -1):
+        if value not in (1, -1):
             raise InvalidGraph(f"crossing sign at vertex {v} must be +1 or -1, got {value!r}")
-        out[v] = iv
-    return out
+    return np.array(values, dtype=int)
 
 
 def build_entangled_system(graph: PeriodicQuotientGraph, sign) -> EntangledSystem:
@@ -316,8 +333,8 @@ def build_weave_system(design: WeaveDesign) -> WeaveSystem:
                 raise ZeroSignEntry(f"sign entry ({i}, {j}) is zero")
             if value not in (1, -1):
                 raise InvalidWeave(f"sign entry ({i}, {j}) must be +1 or -1, got {value!r}")
-    if not (isinstance(design.spacing, (int, float)) and design.spacing > 0):
-        raise InvalidWeave(f"spacing must be positive, got {design.spacing!r}")
+    if not (isinstance(design.spacing, (int, float)) and 0 < design.spacing < np.inf):
+        raise InvalidWeave(f"spacing must be positive and finite, got {design.spacing!r}")
     return WeaveSystem(design)
 
 
@@ -353,8 +370,8 @@ def random_initial_configuration(system, seed: int, gap_scale: float = 1.0) -> C
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
-    if gap_scale <= 0:
-        raise InvalidParameter(f"gap_scale must be positive, got {gap_scale!r}")
+    if not 0 < gap_scale < np.inf:  # also rejects NaN
+        raise InvalidParameter(f"gap_scale must be positive and finite, got {gap_scale!r}")
     rng = np.random.default_rng(seed)
     n = system.n_vertices
     sign = system.sign.astype(float)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentHeightOrder, IndexOutOfRange
+from .model import _roots
 
 __all__ = [
     "Classification",
@@ -128,24 +129,14 @@ def weavely_connected_components(system):
     interlock = np.any(differ & over, axis=2) & np.any(differ & ~over, axis=2)
     adjacency = np.any(interlock[:, :, None] & differ, axis=1)
 
-    # union-find over thread slots: 0..nb-1 blue, nb..nb+nr-1 red
-    parent = list(range(nb + nr))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in zip(*np.nonzero(adjacency)):
-        ri, rj = find(int(i)), find(nb + int(j))
-        if ri != rj:
-            parent[ri] = rj
+    # connected thread slots: 0..nb-1 blue, nb..nb+nr-1 red
+    i, j = np.nonzero(adjacency)
+    roots = _roots(nb + nr, zip(i.tolist(), (j + nb).tolist()))
 
     in_blue, in_red = adjacency.any(axis=1), adjacency.any(axis=0)
     groups = {}
     for slot in np.flatnonzero(np.concatenate((in_blue, in_red))).tolist():
-        groups.setdefault(find(slot), []).append(slot)
+        groups.setdefault(roots[slot], []).append(slot)
     components = []
     for slots in groups.values():
         blue = tuple(s + 1 for s in slots if s < nb)

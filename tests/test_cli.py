@@ -150,6 +150,17 @@ def test_bad_design_file_exits_2(capsys, tmp_path):
     assert err != ""
     code, _, err = run_cli(capsys, "classify", str(tmp_path / "missing.graph"))
     assert code == 2
+    # designs that parse but describe no valid graph
+    good = (DESIGN_DIR / "untangled_pair.graph").read_text()
+    for invalid in (
+        good.replace("edge 1 0 1 0\n", "").replace("edge 0 1 0 0", "edge 0 0 1 0"),  # disconnected
+        good.replace("edge 0 1 0 0", "edge 0 0 0 0"),  # zero-shift self-loop
+        good.replace("lattice 1 0 0 1", "lattice 1 0 2 0"),  # dependent lattice
+    ):
+        bad.write_text(invalid)
+        code, out, err = run_cli(capsys, "classify", str(bad))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

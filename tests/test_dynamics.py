@@ -30,6 +30,7 @@ from tangleflow.model import (
     make_configuration,
     random_initial_configuration,
 )
+from tangleflow.topology import tangle_decomposition
 
 A_STAR = (1.0 / 32.0) ** (1.0 / 3.0)  # stationary height of the entangled pair
 
@@ -263,7 +264,7 @@ def test_guard_reason_returns_gaps_or_reason():
     """An acceptable state yields its absolute gaps, bit for bit; each kind
     of unacceptable state yields its reason."""
     system = load_system("entangled_pair.graph")  # signs (+1, -1)
-    kernel = dynamics._kernel(system)
+    kernel = dynamics._StepKernel(system)
 
     def guard(z_blue, z_red, floor=1e-3):
         with np.errstate(**dynamics._QUIET):
@@ -295,8 +296,7 @@ def test_step_kernel_matches_reference_arithmetic():
     systems += [random_graph_system(rng) for _ in range(4)] + [random_weave_system(rng) for _ in range(4)]
     for system in systems:
         n = system.n_vertices
-        kernel = dynamics._kernel(system)
-        assert dynamics._kernel(system) is kernel
+        kernel = dynamics._StepKernel(system)
         for trial in range(10):
             scale = 10.0 ** rng.uniform(-2, 2)
             config = random_initial_configuration(system, seed=trial, gap_scale=scale)
@@ -310,13 +310,33 @@ def test_step_kernel_matches_reference_arithmetic():
             x = system.planar_x + rng.normal(size=(n, 2))
             planar = dynamics._velocity(kernel, np.concatenate((zb, zr, x.ravel())))
             assert np.array_equal(planar[:2 * n], expected)
-            assert np.array_equal(planar[2 * n:], dynamics._planar_velocity(system, x).ravel())
+            assert np.array_equal(planar[2 * n:], 2.0 * system._edge_tension(x).ravel())
             energy = (
                 1.5
                 + float(-(zb @ system.blue_laplacian @ zb) - (zr @ system.red_laplacian @ zr))
                 + float((1.0 / np.abs(d)).sum())
             )
             assert dynamics._energy(system, zb, zr, np.abs(d), 1.5) == energy
+
+
+def test_component_barycenters_are_pinned():
+    """M_W sums each component's heights thread by thread, top to bottom;
+    the final values of one run are pinned (single-thread components
+    included)."""
+    system = load_system("mixed_stack_6x6.weave")
+    traj = integrate(system, random_initial_configuration(system, seed=1), FlowParams(t_max=50.0))
+    components = tangle_decomposition(system).components
+    for s in traj.samples:
+        expected = []
+        for comp in components:
+            blue = [v for i in comp.blue for v in system.blue_threads[i - 1]]
+            red = [v for j in comp.red for v in system.red_threads[j - 1]]
+            expected.append(float(np.sum(s.config.z_blue[blue])) + float(np.sum(s.config.z_red[red])))
+        assert s.m_components == tuple(expected)
+    assert traj.samples[-1].m_components == pytest.approx(
+        (102.30750569423567, 12.361971896577348, -0.045767557082182407, -12.376241049255464, -102.24746898447538),
+        rel=1e-12,
+    )
 
 
 def test_step_constants_do_not_outlive_their_system():

@@ -159,6 +159,11 @@ def test_value_errors_are_tangleflow_errors():
     from tangleflow.dynamics import FlowParams
     from tangleflow.errors import InvalidParameter, InvalidWeave, TangleflowError
 
+    def graph(edges=((0, 1, (0, 0)), (1, 0, (1, 0))), basis=SQUARE_BASIS, sign=(1, -1)):
+        return lambda: build_entangled_system(
+            PeriodicQuotientGraph(n_vertices=2, edges=edges, lattice_basis=basis), sign
+        )
+
     def weave(sign, spacing=1.0):
         return lambda: build_weave_system(
             WeaveDesign(n_blue=2, n_red=2, sign=sign, spacing=spacing)
@@ -170,11 +175,20 @@ def test_value_errors_are_tangleflow_errors():
         (InvalidWeave, weave(((1, 2), (-1, 1)))),  # entry not +1/-1
         (InvalidWeave, weave(((1.5, -1), (-1, 1)))),  # was truncated to +1
         (InvalidWeave, weave(((1, -1), (-1, 1)), spacing=0.0)),
+        (InvalidWeave, weave(((1, -1), (-1, 1)), spacing=float("inf"))),  # NaN layout
+        (InvalidLattice, graph(basis=((float("nan"), 0.0), (0.0, 1.0)))),
+        (InvalidGraph, graph(edges=((0, 1, (0.5, 0)), (1, 0, (1, 0))))),  # was truncated to (0, 0)
+        (InvalidGraph, graph(edges=((0, 1.0, (0, 0)), (1, 0, (1, 0))))),
+        (InvalidGraph, graph(sign=("+", -1))),
+        (InvalidGraph, graph(sign=(float("nan"), -1))),
+        (InvalidGraph, graph(sign=(None, -1))),
         (InvalidParameter, lambda: FlowParams(dt_min=0.0)),
         (InvalidParameter, lambda: FlowParams(t_max=float("inf"))),
         (InvalidParameter, lambda: FlowParams(grad_tol=-1.0)),
         (InvalidParameter, lambda: FlowParams(record_stride=0)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=0.0)),
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=float("nan"))),
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=float("inf"))),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), -1)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 1.5)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), "3")),

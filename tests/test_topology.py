@@ -203,6 +203,31 @@ def test_partition_and_order_law_on_random_weaves():
         assert not decomp.order_ambiguous
 
 
+def thread_by_thread_vertices(system, comp):
+    """A component's vertices, expanded from the thread tuples."""
+    blue = np.array([v for i in comp.blue for v in system.blue_threads[i - 1]], dtype=int)
+    red = np.array([v for j in comp.red for v in system.red_threads[j - 1]], dtype=int)
+    return blue, red
+
+
+def test_component_vertices_expand_threads_in_order():
+    """The component-vertex map equals the thread-by-thread expansion, order
+    included, and per family the components' vertices partition range(n)."""
+    rng = np.random.default_rng(17)  # the random weaves of the partition test above
+    systems = [load_system(name) for name in WEAVE_DESIGNS]
+    systems += [random_weave_system(rng) for _ in range(40)]
+    for system in systems:
+        components = tangle_decomposition(system).components
+        members = [system._component_vertices(c) for c in components]
+        for comp, (blue, red) in zip(components, members):
+            expected_blue, expected_red = thread_by_thread_vertices(system, comp)
+            assert np.array_equal(blue, expected_blue) and blue.dtype.kind == "i"
+            assert np.array_equal(red, expected_red) and red.dtype.kind == "i"
+        for family in (0, 1):
+            vertices = np.concatenate([m[family] for m in members])
+            assert np.array_equal(np.sort(vertices), np.arange(system.n_vertices))
+
+
 def test_relabeling_invariance():
     """Reversing the blue thread order relabels but does not change the structure."""
     base = load_system("three_blocks_6x6.weave")
