@@ -8,13 +8,27 @@ flattened planar coordinates, if they flow), with one Laplacian per family.
 `step` and `integrate` take the same guarded step: classical fourth-order
 Runge-Kutta, rejected when the end state breaks a structural guard
 (finiteness, crossing signs, gap floor) or raises the energy; `integrate`
-adapts dt between the configured bounds.  Only recorded samples carry a
-`Configuration`.  The step loop reads per-system constants (float signs,
-doubled Laplacians) that each `integrate`, `step` or `gradient` call builds
-for itself and drops when it returns.
+adapts dt between the configured bounds.
+
+`integrate` runs in two phases.  Untangled systems never converge: their
+components drift apart like t^(1/3), and RK4 would crawl along that smooth
+tail at dt_max.  So once an untangled run has held dt at its cap for
+`_SWITCH_STEPS` consecutive accepted steps, it switches to the L-stable ROS2
+Rosenbrock-W method (Verwer, Spee, Blom and Hundsdorfer 1999) with step-size
+control from its embedded first-order estimate, in the manner of LSODA's
+nonstiff-to-stiff switch.  W = I - gamma h J is inverted once per step size
+and reused while h is unchanged; ROS2 is second order for any W.  Every
+Rosenbrock step passes the same guards as an RK4 step.  Entangled runs,
+planar-flow runs and runs shorter than the switch stay on RK4 throughout.
+
+Only recorded samples carry a `Configuration`.  The step loop reads
+per-system constants (float signs, doubled Laplacians) that each
+`integrate`, `step` or `gradient` call builds for itself and drops when it
+returns.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -30,7 +44,7 @@ from .errors import (
     ZeroGap,
 )
 from .model import Configuration
-from .topology import tangle_decomposition
+from .topology import Classification, classify_entangled_graph, tangle_decomposition
 
 __all__ = [
     "FlowParams",
@@ -57,12 +71,36 @@ _STABILITY_MARGIN = 2.5
 # an infinite gap cube, so the step loop runs with these warnings silenced
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
+# an untangled run switches to the Rosenbrock phase after this many
+# consecutive accepted RK4 steps at the dt cap (t ~ 100 on the bundled
+# designs); far more than the ~500 steps of a t_max=50 run, which stays RK4
+_SWITCH_STEPS = 1000
+
+# the Rosenbrock phase keeps its embedded error estimate below this fraction
+# of the largest height (or of 1, if no height is larger); looser tolerances
+# move the fitted separation prefactors off their law (2.8e-4 at 1e-4),
+# tighter ones no longer bring them closer (~1e-4 at 3e-5 and at 1e-6)
+_ROS_TOL = 3e-5
+
+# h doubles after a step whose error is below this fraction of the
+# tolerance: the estimate is O(h^2), so the doubled step still passes
+_ROS_GROW = 0.2
+
+# ROS2's gamma, which makes the method L-stable
+_ROS_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
+
+_LOG = logging.getLogger("tangleflow")
+
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Integrator controls.  Steps start at dt_init, halve on rejection down
-    to dt_min, and grow by 25% per accepted step up to dt_max (never beyond
-    the stability estimate for the current minimum gap)."""
+    """Integrator controls.  RK4 steps start at dt_init, halve on rejection
+    down to dt_min, and grow by 25% per accepted step up to dt_max (never
+    beyond the stability estimate for the current minimum gap); a sample is
+    recorded every record_stride accepted RK4 steps.  dt_max and
+    record_stride govern the RK4 phase only: the Rosenbrock phase of an
+    untangled run chooses its own step size (still at least dt_min) and
+    records every accepted step."""
 
     dt_init: float = 1e-3
     dt_min: float = 1e-9
@@ -181,10 +219,12 @@ class _StepKernel:
         self.system = system
         self.n = system.n_vertices
         self.sign = system.sign.astype(float)
-        two_blue = 2.0 * system.blue_laplacian
-        two_red = two_blue if system.red_laplacian is system.blue_laplacian else 2.0 * system.red_laplacian
-        self.blue_dot = two_blue.dot
-        self.red_dot = two_red.dot
+        self.two_blue = 2.0 * system.blue_laplacian
+        self.two_red = (
+            self.two_blue if system.red_laplacian is system.blue_laplacian else 2.0 * system.red_laplacian
+        )
+        self.blue_dot = self.two_blue.dot
+        self.red_dot = self.two_red.dot
 
 
 def _velocity(kernel, y):
@@ -205,6 +245,27 @@ def _velocity(kernel, y):
     if y.size > 2 * n:
         v[2 * n:] = 2.0 * kernel.system._edge_tension(y[2 * n:].reshape(n, 2)).ravel()
     return v
+
+
+def _jacobian(kernel, y):
+    """Jacobian of `_velocity` in the stacked heights y = [z_blue; z_red]:
+    blockdiag(2 L_B, 2 L_R) plus, on each vertex's (blue, red) pair, the
+    block [[-D, D], [D, -D]] with D = 2 / |d|^3.  It is symmetric, its
+    columns sum to zero (so 1^T J = 0), and it is minus the Hessian of the
+    height energy."""
+    n = kernel.n
+    d = np.abs(y[:n] - y[n:2 * n])
+    D = 2.0 / (d * d * d)
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, :n] = kernel.two_blue
+    J[n:, n:] = kernel.two_red
+    blue = np.arange(n)
+    red = blue + n
+    J[blue, blue] -= D
+    J[red, red] -= D
+    J[blue, red] = D
+    J[red, blue] = D
+    return J
 
 
 def gradient(system, config):
@@ -287,15 +348,86 @@ def step(system, config, dt) -> Configuration:
     return Configuration(x=config.x, z_blue=y_new[:n], z_red=y_new[n:])
 
 
+def _rosenbrock_phase(kernel, y, v, t, h, energy, params, gap_floor, cushion, x_term, record):
+    """Continue the flow from time t at the stacked heights y (velocity v,
+    energy `energy`) with guarded ROS2 steps, starting at step size h.
+
+    A step is rejected, and h halved, when its error estimate exceeds the
+    tolerance, it trips a structural guard, or its energy exceeds the last
+    accepted one by more than the cushion; rejection at dt_min raises
+    StepUnderflow.  h doubles after a step well inside the tolerance, and W
+    is refreshed (from the Jacobian at the current state) only when h
+    changes.  record(t, y, energy, grad_norm) is called on every accepted
+    step.  Returns (t, y, energy, grad_norm, status).
+    """
+    system, size = kernel.system, y.size
+    accepted = rejected = refreshes = 0
+    h_w = None  # the step size W^-1 was built for
+    k1, k2 = np.empty(size), np.empty(size)
+    grad_norm = float(np.maximum.reduce(np.abs(v)))
+    while True:
+        if grad_norm < params.grad_tol:
+            status = "converged"
+            break
+        if t >= params.t_max:
+            status = "truncated"
+            break
+        h_eff = min(h, params.t_max - t)
+        if h_eff != h_w:
+            W = _jacobian(kernel, y)
+            W *= -_ROS_GAMMA * h_eff
+            W.flat[:: size + 1] += 1.0
+            w_inv = np.linalg.inv(W)
+            h_w = h_eff
+            refreshes += 1
+        np.dot(w_inv, v, out=k1)
+        f = _velocity(kernel, y + h_eff * k1)
+        f -= 2.0 * k1
+        np.dot(w_inv, f, out=k2)
+        y_new = y + (1.5 * h_eff) * k1 + (0.5 * h_eff) * k2
+        # the embedded first-order solution is y + h k1
+        k1 += k2
+        error = 0.5 * h_eff * float(np.maximum.reduce(np.abs(k1)))
+        error /= _ROS_TOL * max(1.0, float(np.maximum.reduce(np.abs(y))))
+        gaps = _guard_reason(kernel, y_new, gap_floor)
+        new_energy = None
+        if error <= 1.0 and not isinstance(gaps, str):  # a NaN error fails
+            new_energy = _energy(system, y_new[: kernel.n], y_new[kernel.n:], gaps, x_term)
+        if new_energy is None or new_energy > energy + cushion:
+            if h_eff <= params.dt_min:
+                raise StepUnderflow(t, h_eff)
+            h = max(h_eff / 2.0, params.dt_min)
+            rejected += 1
+            continue
+        t += h_eff
+        y = y_new
+        energy = new_energy
+        accepted += 1
+        v = _velocity(kernel, y)
+        grad_norm = float(np.maximum.reduce(np.abs(v)))
+        record(t, y, energy, grad_norm)
+        h = 2.0 * h_eff if error < _ROS_GROW else h_eff
+    _LOG.info(
+        "Rosenbrock phase ended at t=%g: %d accepted, %d rejected steps, %d W refreshes",
+        t, accepted, rejected, refreshes,
+    )
+    return t, y, energy, grad_norm, status
+
+
 def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: bool = False) -> Trajectory:
     """Run the guarded descent flow from config0.
 
     Stops with status "converged" when the sup-norm velocity drops below
-    grad_tol, or "truncated" at t_max.  Samples are recorded at t = 0, after
-    every record_stride-th accepted step, and at the final state.  A step is
-    rejected (and dt halved) when it trips a structural guard or raises the
-    energy; rejection at dt_min raises StepUnderflow.  Initial states with
-    misshapen or non-finite coordinates, violated crossing signs, or a
+    grad_tol, or "truncated" at t_max.  The flow starts on adaptive RK4:
+    samples are recorded at t = 0, after every record_stride-th accepted
+    step, and at the final state, and a step is rejected (and dt halved)
+    when it trips a structural guard or raises the energy; rejection at
+    dt_min raises StepUnderflow.  An untangled system (a graph with one
+    crossing sign, or a weave with two or more tangle components) whose
+    heights alone flow switches, once dt has stayed at its cap for
+    `_SWITCH_STEPS` consecutive accepted steps, to error-controlled ROS2
+    steps under the same guards, each recorded as a sample.  Initial states
+    with misshapen or non-finite coordinates, violated crossing signs, or a
     non-finite energy or velocity raise InvalidInitial.
     """
     n = system.n_vertices
@@ -321,11 +453,13 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
 
     gap_floor = params.gap_safety / e0
     # per tangle component, top to bottom: the vertices its barycenter sums
-    members = (
-        [system._component_vertices(c) for c in tangle_decomposition(system).components]
-        if system.kind == "weave"
-        else ()
-    )
+    if system.kind == "weave":
+        members = [system._component_vertices(c) for c in tangle_decomposition(system).components]
+        untangled = len(members) >= 2
+    else:
+        members = ()
+        untangled = classify_entangled_graph(system) is Classification.UNTANGLED
+    switches = untangled and not flow_planar
     # Gershgorin bound on the stretching part of the flow Jacobian; the gap
     # repulsion adds at most 4/min_gap^3 on top of it
     quad_rate = 2.0 * max(
@@ -333,10 +467,10 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
         float(np.max(np.sum(np.abs(system.red_laplacian), axis=1))),
     )
 
-    def sample(t, y, energy, grad_norm):
+    def record(t, y, energy, grad_norm):
         x = y[2 * n:].reshape(n, 2) if flow_planar else x0
         config = Configuration(x=x, z_blue=y[:n], z_red=y[n:2 * n])
-        return Sample(
+        samples.append(Sample(
             t=t,
             config=config,
             energy=energy,
@@ -348,13 +482,14 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
                 float(np.sum(config.z_blue[blue])) + float(np.sum(config.z_red[red]))
                 for blue, red in members
             ),
-        )
+        ))
 
     t = 0.0
     dt = params.dt_init
     energy = e0
-    samples = [sample(t, y, energy, grad_norm)]
-    accepted = 0
+    samples = []
+    record(t, y, energy, grad_norm)
+    accepted = rejected = held = 0  # held: consecutive accepted steps with dt at its cap
     cushion = _ENERGY_CUSHION * abs(e0)
 
     with np.errstate(**_QUIET):
@@ -365,6 +500,9 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
             if t >= params.t_max:
                 status = "truncated"
                 break
+            if switches and held >= _SWITCH_STEPS:
+                status = None  # the run goes on with Rosenbrock steps
+                break
             dt_eff = min(dt, params.t_max - t)
             y_new, new_energy, gaps, reason = _guarded_step(
                 kernel, y, v, dt_eff, gap_floor, energy + cushion, x_term
@@ -373,6 +511,8 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
                 if dt_eff <= params.dt_min:
                     raise StepUnderflow(t, dt_eff)
                 dt = max(dt_eff / 2.0, params.dt_min)
+                rejected += 1
+                held = 0
                 continue
             t += dt_eff
             y = y_new
@@ -380,12 +520,23 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
             accepted += 1
             # an overflowing gap cube is an infinite one: no repulsion limit
             stable_dt = _STABILITY_MARGIN / (quad_rate + 4.0 / float(np.minimum.reduce(gaps) ** 3))
-            dt = max(params.dt_min, min(dt * 1.25, params.dt_max, stable_dt))
+            cap = min(params.dt_max, stable_dt)
+            dt = max(params.dt_min, min(dt * 1.25, cap))
+            held = held + 1 if dt == cap else 0
             v = _velocity(kernel, y)
             grad_norm = float(np.maximum.reduce(np.abs(v)))
             if accepted % params.record_stride == 0:
-                samples.append(sample(t, y, energy, grad_norm))
+                record(t, y, energy, grad_norm)
+
+        if status is None:
+            _LOG.info(
+                "switching to Rosenbrock steps at t=%g after %d accepted, %d rejected RK4 steps",
+                t, accepted, rejected,
+            )
+            t, y, energy, grad_norm, status = _rosenbrock_phase(
+                kernel, y, v, t, dt, energy, params, gap_floor, cushion, x_term, record
+            )
 
     if samples[-1].t < t:
-        samples.append(sample(t, y, energy, grad_norm))
+        record(t, y, energy, grad_norm)
     return Trajectory(system=system, samples=tuple(samples), status=status)

@@ -31,7 +31,8 @@ class DisconnectedGraph(TangleflowError):
 
 
 class InvalidLattice(TangleflowError, ValueError):
-    """The lattice basis is not two finite 2-vectors that span the plane."""
+    """The lattice basis is not two finite numeric 2-vectors that span the
+    plane, or its entries are so large that the planar energy overflows."""
 
 
 class InvalidGraph(TangleflowError, ValueError):
@@ -46,9 +47,10 @@ class ZeroSignEntry(TangleflowError):
 
 
 class InvalidWeave(TangleflowError, ValueError):
-    """A weave's sign matrix does not have one row of n_red entries per blue
-    thread, holds a value other than +1/-1, or its spacing is not
-    positive."""
+    """A weave's thread counts are not integers, its sign matrix does not
+    have one row of n_red entries per blue thread or holds a value other
+    than +1/-1, or its spacing is not positive or so large that the planar
+    energy overflows."""
 
 
 class DegenerateSize(TangleflowError):

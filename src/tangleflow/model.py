@@ -7,8 +7,11 @@ constant planar energy.  Configurations assign the two height functions.
 """
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -269,25 +272,44 @@ def _validate_graph(graph: PeriodicQuotientGraph):
     n = graph.n_vertices
     if not isinstance(n, int) or n < 1:
         raise InvalidGraph(f"vertex count must be a positive integer, got {n!r}")
-    basis = np.asarray(graph.lattice_basis, dtype=float)
+    try:
+        basis = np.asarray(graph.lattice_basis)
+    except ValueError:  # ragged rows
+        basis = np.asarray(None)
+    if basis.dtype.kind not in "iuf":
+        raise InvalidLattice(f"lattice basis entries must be numbers, got {graph.lattice_basis!r}")
+    basis = basis.astype(float)
     if basis.shape != (2, 2):
         raise InvalidLattice(f"lattice basis must be two 2-vectors, got shape {basis.shape}")
     if not np.all(np.isfinite(basis)):
         raise InvalidLattice("lattice basis entries must be finite")
+    size = float(np.max(np.abs(basis)))
+    if not math.isfinite(size * size):
+        raise InvalidLattice(f"lattice basis entries of size {size!r} overflow their squares")
     det = basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]
-    scale = max(1.0, float(np.max(np.abs(basis))) ** 2)
-    if abs(det) <= 1e-12 * scale:
+    if abs(det) <= 1e-12 * max(1.0, size * size):
         raise InvalidLattice("lattice basis vectors are linearly dependent")
+    periods = 0  # the most lattice periods any edge shift crosses
     for u, v, shift in graph.edges:
         if not all(isinstance(w, (int, np.integer)) and 0 <= w < n for w in (u, v)):
             raise InvalidGraph(f"edge ({u}, {v}) needs integer endpoints in 0..{n - 1}")
-        if len(shift) != 2 or not all(isinstance(s, (int, np.integer)) for s in shift):
-            raise InvalidGraph(f"edge ({u}, {v}) shift must be two integers, got {shift!r}")
+        if not (
+            isinstance(shift, (tuple, list, np.ndarray))
+            and len(shift) == 2
+            and all(isinstance(s, (int, np.integer)) and -(2**63) < s < 2**63 for s in shift)
+        ):
+            raise InvalidGraph(f"edge ({u}, {v}) shift must be two 64-bit integers, got {shift!r}")
+        periods = max(periods, abs(int(shift[0])), abs(int(shift[1])))
         if u == v and shift[0] == 0 and shift[1] == 0:
             raise InvalidGraph(
                 f"vertex {u} has a self-loop with zero shift; such an edge "
                 "collapses to a point in every periodic realization"
             )
+    # the harmonic layout's planar energy is at most that of the layout with
+    # every vertex at the origin, whose edge vectors are shorter than this
+    reach = 3.0 * size * periods
+    if not math.isfinite(reach * reach * len(graph.edges)):
+        raise InvalidGraph(f"edges crossing {periods} lattice periods overflow the planar energy")
     # connectivity of the underlying multigraph (shifts ignored)
     if len(set(_roots(n, ((u, v) for u, v, _ in graph.edges)))) != 1:
         raise DisconnectedGraph("the quotient graph must be connected")
@@ -321,7 +343,9 @@ def build_entangled_system(graph: PeriodicQuotientGraph, sign) -> EntangledSyste
 def build_weave_system(design: WeaveDesign) -> WeaveSystem:
     """Validate and assemble a weave system from its sign matrix."""
     nb, nr = design.n_blue, design.n_red
-    if not isinstance(nb, int) or not isinstance(nr, int) or nb < 1 or nr < 1:
+    if not all(isinstance(count, int) and not isinstance(count, bool) for count in (nb, nr)):
+        raise InvalidWeave(f"thread counts must be integers, got {nb!r} and {nr!r}")
+    if nb < 1 or nr < 1:
         raise DegenerateSize(f"thread counts must be positive integers, got {nb}x{nr}")
     if len(design.sign) != nb:
         raise InvalidWeave(f"sign matrix has {len(design.sign)} rows for {nb} blue threads")
@@ -333,8 +357,12 @@ def build_weave_system(design: WeaveDesign) -> WeaveSystem:
                 raise ZeroSignEntry(f"sign entry ({i}, {j}) is zero")
             if value not in (1, -1):
                 raise InvalidWeave(f"sign entry ({i}, {j}) must be +1 or -1, got {value!r}")
-    if not (isinstance(design.spacing, (int, float)) and 0 < design.spacing < np.inf):
-        raise InvalidWeave(f"spacing must be positive and finite, got {design.spacing!r}")
+    # the planar energy sums 2 nb nr squared edge lengths spacing^2
+    largest = math.sqrt(sys.float_info.max / (2 * nb * nr))
+    if not (isinstance(design.spacing, (int, float)) and 0 < design.spacing <= largest):
+        raise InvalidWeave(
+            f"spacing must be positive and at most {largest:.6g} (a finite planar energy), got {design.spacing!r}"
+        )
     return WeaveSystem(design)
 
 
@@ -370,7 +398,7 @@ def random_initial_configuration(system, seed: int, gap_scale: float = 1.0) -> C
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
-    if not 0 < gap_scale < np.inf:  # also rejects NaN
+    if not (isinstance(gap_scale, Real) and 0 < gap_scale < np.inf):  # also rejects NaN
         raise InvalidParameter(f"gap_scale must be positive and finite, got {gap_scale!r}")
     rng = np.random.default_rng(seed)
     n = system.n_vertices

@@ -202,7 +202,6 @@ def test_gradient_finite_difference_agreement(capsys):
     )
 
 
-@pytest.mark.slow
 def test_cube_root_separation_law(capsys):
     results = []
     budgets_ok = True

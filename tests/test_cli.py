@@ -219,13 +219,28 @@ def test_unknown_subcommand_exits_2(capsys):
     assert code == 2
 
 
-def test_log_env_var_controls_stderr(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, logged",
+    [
+        (("classify", "split_2x2.weave"), ()),
+        # the run switches to Rosenbrock steps at t ~ 100
+        (
+            ("scaling", "untangled_pair.graph", "--t-max", "300"),
+            ("INFO tangleflow: switching to Rosenbrock steps at t=", "INFO tangleflow: Rosenbrock phase ended at t=300:"),
+        ),
+    ],
+    ids=["classify", "scaling"],
+)
+def test_log_env_var_controls_stderr(capsys, monkeypatch, argv, logged):
+    command, name, *rest = argv
     monkeypatch.setenv("TANGLEFLOW_LOG", "debug")
-    _, out_debug, err_debug = run_cli(capsys, "classify", design("split_2x2.weave"))
+    _, out_debug, err_debug = run_cli(capsys, command, design(name), *rest)
     monkeypatch.setenv("TANGLEFLOW_LOG", "quiet")
-    _, out_quiet, err_quiet = run_cli(capsys, "classify", design("split_2x2.weave"))
+    _, out_quiet, err_quiet = run_cli(capsys, command, design(name), *rest)
     assert out_debug == out_quiet  # stdout is byte-stable regardless of log level
     assert len(err_debug) >= len(err_quiet)
+    for line in logged:
+        assert line in err_debug and line not in err_quiet
 
 
 def test_module_entry_point():

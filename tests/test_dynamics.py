@@ -6,8 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import load_system, random_graph_system, random_weave_system
+from conftest import GRAPH_DESIGNS, WEAVE_DESIGNS, load_system, random_graph_system, random_weave_system
 from tangleflow import dynamics
+from tangleflow.analysis import separation_series
 from tangleflow.dynamics import (
     FlowParams,
     energy_entangled,
@@ -209,10 +210,11 @@ def test_integrate_pair_converges_to_closed_form():
     assert stationarity_residual(system, final) <= 1e-8
 
 
-def test_integrate_untangled_pair_follows_cube_root_growth():
+@pytest.mark.parametrize("t_max", [1000.0, 1e5])
+def test_integrate_untangled_pair_follows_cube_root_growth(t_max):
     system = load_system("untangled_pair.graph")
     config = make_configuration(system, (0.5, 0.5), (-0.5, -0.5))
-    traj = integrate(system, config, FlowParams(t_max=1000.0))
+    traj = integrate(system, config, FlowParams(t_max=t_max))
     assert traj.status == "truncated"
     final = traj.samples[-1]
     gap = float(final.config.z_blue[0] - final.config.z_red[0])
@@ -220,6 +222,90 @@ def test_integrate_untangled_pair_follows_cube_root_growth():
     assert gap**3 == pytest.approx(1.0 + 6.0 * final.t, rel=1e-3)
     seps = [abs(s.m_blue - s.m_red) for s in traj.samples]
     assert all(b > a for a, b in zip(seps, seps[1:]))
+
+
+@pytest.mark.parametrize("name", ["untangled_pair.graph", "three_blocks_6x6.weave"])
+def test_invariants_hold_across_the_rosenbrock_switch(name):
+    """Every accepted step of a run that switches from RK4 to Rosenbrock
+    steps keeps the flow's invariants; steps far longer than dt_max show
+    that the switch happened (RK4 steps differ from dt_max only by
+    rounding)."""
+    system = load_system(name)
+    config = random_initial_configuration(system, seed=11)
+    e0 = dynamics._total_energy(system, config)
+    m0 = float(np.sum(config.z_blue + config.z_red))
+    params = FlowParams(t_max=1e4, record_stride=1)
+    traj = integrate(system, config, params)
+    assert traj.samples[-1].t == params.t_max
+    energies = [s.energy for s in traj.samples]
+    assert all(b <= a + 1e-12 * abs(e0) for a, b in zip(energies, energies[1:]))
+    for s in traj.samples:
+        assert abs(float(np.sum(s.config.z_blue + s.config.z_red)) - m0) <= 1e-8
+        assert np.all(np.sign(s.config.z_blue - s.config.z_red) == system.sign)
+        assert s.min_gap >= params.gap_safety / e0
+    assert np.max(np.diff([s.t for s in traj.samples])) > 10 * params.dt_max
+
+
+# ROADMAP item 1's law A_k for the separation series of each cut between
+# tangle components (top to bottom) of the untangled bundled designs: the
+# prefactor of s^3 = A t + B, fixed by topology alone
+SEPARATION_LAW = {
+    "untangled_pair.graph": (6,),
+    "square_flat.graph": (6,),
+    "three_blocks_6x6.weave": (138240, 138240),
+    "two_blocks_4x4.weave": (12288,),
+    "layered_2x2.weave": (192, 192),
+    "split_2x2.weave": (384,),
+    "mixed_stack_6x6.weave": (200353, 282729, 282729, 200353),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEPARATION_LAW))
+def test_separation_prefactor_matches_the_law(name):
+    """A stepper-independent oracle for long runs: the fit of s^3 = A t + B
+    on [500, 1e5] gives the law's A within 2e-4 (the worst measured at this
+    horizon is 1.1e-4, on mixed_stack_6x6)."""
+    system = load_system(name)
+    traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=1e5))
+    series = separation_series(traj)
+    assert len(series) == len(SEPARATION_LAW[name])
+    for cut, law in zip(series, SEPARATION_LAW[name]):
+        inside = (cut.times >= 500.0) & (cut.times <= 1e5)
+        slope, _ = np.polyfit(cut.times[inside], cut.values[inside] ** 3, 1)
+        assert slope == pytest.approx(law, rel=2e-4)
+
+
+def finite_difference_jacobian(kernel, y, eps=1e-5):
+    columns = []
+    for k in range(y.size):
+        shift = np.zeros(y.size)
+        shift[k] = eps
+        columns.append((dynamics._velocity(kernel, y + shift) - dynamics._velocity(kernel, y - shift)) / (2 * eps))
+    return np.stack(columns, axis=1)
+
+
+def test_jacobian_matches_finite_differences():
+    """_jacobian equals central differences of _velocity to 1e-6 of its
+    largest entry (acceptance 4's tolerance for the gradient), is symmetric,
+    and has zero column sums, on the bundled designs and on the random
+    systems of acceptance 4."""
+    cases = [(load_system(name), 0) for name in GRAPH_DESIGNS + WEAVE_DESIGNS]
+    rng = np.random.default_rng(77)
+    for trial in range(20):
+        if trial % 2 == 0:
+            system = random_graph_system(rng, max_vertices=10)
+        else:
+            system = random_weave_system(rng, max_threads=5)
+        cases.append((system, int(rng.integers(1 << 30))))
+    for system, seed in cases:
+        config = random_initial_configuration(system, seed=seed)
+        kernel = dynamics._StepKernel(system)
+        y = np.concatenate((config.z_blue, config.z_red))
+        J = dynamics._jacobian(kernel, y)
+        scale = np.max(np.abs(J))
+        assert np.max(np.abs(J - finite_difference_jacobian(kernel, y))) <= 1e-6 * scale
+        assert np.array_equal(J, J.T)
+        assert np.max(np.abs(J.sum(axis=0))) <= 1e-12 * scale
 
 
 def test_trajectory_sampling_and_monotonicity():

@@ -176,6 +176,13 @@ def test_value_errors_are_tangleflow_errors():
         (InvalidWeave, weave(((1.5, -1), (-1, 1)))),  # was truncated to +1
         (InvalidWeave, weave(((1, -1), (-1, 1)), spacing=0.0)),
         (InvalidWeave, weave(((1, -1), (-1, 1)), spacing=float("inf"))),  # NaN layout
+        (InvalidWeave, weave(((1, -1), (-1, 1)), spacing=1e308)),  # infinite lattice period, NaN layout
+        (InvalidWeave, lambda: build_weave_system(WeaveDesign(n_blue=True, n_red=2, sign=((1, -1),)))),
+        (InvalidLattice, graph(basis=((1e300, 0.0), (0.0, 1e300)))),  # was a raw OverflowError
+        (InvalidLattice, graph(basis=(("1", 0.0), (0.0, 1.0)))),  # was a raw ValueError
+        (InvalidGraph, graph(edges=((0, 1, 0), (1, 0, (1, 0))))),  # int shift, was a raw TypeError
+        (InvalidGraph, graph(edges=((0, 1, (0, 0)), (1, 0, (2**70, 0))))),  # was a raw OverflowError
+        (InvalidGraph, graph(edges=((0, 1, (0, 0)), (1, 0, (2**62, 0))), basis=((1e150, 0.0), (0.0, 1e150)))),
         (InvalidLattice, graph(basis=((float("nan"), 0.0), (0.0, 1.0)))),
         (InvalidGraph, graph(edges=((0, 1, (0.5, 0)), (1, 0, (1, 0))))),  # was truncated to (0, 0)
         (InvalidGraph, graph(edges=((0, 1.0, (0, 0)), (1, 0, (1, 0))))),
@@ -189,6 +196,7 @@ def test_value_errors_are_tangleflow_errors():
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=0.0)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=float("nan"))),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=float("inf"))),
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale="1")),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), -1)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 1.5)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), "3")),
