@@ -21,10 +21,18 @@ and reused while h is unchanged; ROS2 is second order for any W.  Every
 Rosenbrock step passes the same guards as an RK4 step.  Entangled runs,
 planar-flow runs and runs shorter than the switch stay on RK4 throughout.
 
+Both phases evaluate a candidate end state in one place, `_end_state`: the
+guard, then the velocity there, once.  That velocity gives the energy,
+through the exact identity y.v = R - 2 Q over the heights (Q the stretching
+energy, R = sum 1/|d| the repulsion, so E = x_term + 1.5 R - 0.5 y.v), the
+sup-norm convergence test, and the next step's first stage (RK4's k1, ROS2's
+v), as in the "first same as last" Runge-Kutta pairs of Dormand and Prince
+(1980).  The guard's minimum gap sets the RK4 stability cap on dt.
+
 Only recorded samples carry a `Configuration`.  The step loop reads
-per-system constants (float signs, doubled Laplacians) that each
-`integrate`, `step` or `gradient` call builds for itself and drops when it
-returns.
+per-system constants (float signs, doubled Laplacians) and runs the RK4
+stages in buffers that each `integrate`, `step` or `gradient` call builds
+for itself and drops when it returns.
 """
 from __future__ import annotations
 
@@ -213,9 +221,11 @@ class _StepKernel:
     """The constants of the step loop of one system: the crossing signs as
     floats (so sign / d^2 casts nothing) and the bound `dot` of the doubled
     Laplacians, shared when both families have the same one.  Doubling is
-    exact, so (2 L) z equals 2 (L z) bit for bit."""
+    exact, so (2 L) z equals 2 (L z) bit for bit.  `stages` holds the RK4
+    stage state and k2, k3, k4 for states of the given size, reused by every
+    step of the run."""
 
-    def __init__(self, system):
+    def __init__(self, system, size=None):
         self.system = system
         self.n = system.n_vertices
         self.sign = system.sign.astype(float)
@@ -225,18 +235,20 @@ class _StepKernel:
         )
         self.blue_dot = self.two_blue.dot
         self.red_dot = self.two_red.dot
+        self.stages = tuple(np.empty((4, 2 * self.n if size is None else size)))
 
 
-def _velocity(kernel, y):
+def _velocity(kernel, y, out=None):
     """Descent velocity (negative energy gradient) of the stacked state y:
     2 L_B z_blue + sign/d^2 and 2 L_R z_red - sign/d^2, followed by the
-    planar velocity when y carries the planar coordinates."""
+    planar velocity when y carries the planar coordinates.  Written into
+    `out` when given."""
     n = kernel.n
     zb, zr = y[:n], y[n:2 * n]
     d2 = zb - zr
     d2 *= d2
     repulsion = np.divide(kernel.sign, d2, out=d2)
-    v = np.empty(y.size)
+    v = np.empty(y.size) if out is None else out
     blue, red = v[:n], v[n:2 * n]
     kernel.blue_dot(zb, blue)
     blue += repulsion
@@ -283,46 +295,82 @@ def stationarity_residual(system, config) -> float:
 
 def _guard_reason(kernel, y, gap_floor):
     """Why the state y is structurally unacceptable, as a string; when it
-    is acceptable, its absolute gaps |z_blue - z_red| instead."""
+    is acceptable, its absolute gaps |z_blue - z_red| and their minimum
+    instead."""
     n = kernel.n
     d = y[:n] - y[n:2 * n]
     gaps = d * kernel.sign
+    min_gap = np.minimum.reduce(gaps)
     # every signed gap at or above the floor (false for NaN) and a finite sum
     # (false for any inf or NaN entry) imply that all the checks below pass;
     # the signed gaps are then the absolute ones
-    if np.minimum.reduce(gaps) >= gap_floor and math.isfinite(np.add.reduce(y)):
-        return gaps
+    if min_gap >= gap_floor and math.isfinite(np.add.reduce(y)):
+        return gaps, min_gap
     if not np.all(np.isfinite(y)):
         return "non-finite heights"
     if np.any(np.sign(d) != kernel.sign):
         return "crossing sign flipped"
     if float(np.min(np.abs(d))) < gap_floor:
         return f"minimum gap fell below the floor {gap_floor:.3e}"
-    return gaps  # only the sum overflowed; the signs hold, so these are |d|
+    return gaps, min_gap  # only the sum overflowed; the signs hold, so these are |d|
 
 
-def _guarded_step(kernel, y, k1, dt, gap_floor, energy_cap, x_term):
-    """One Runge-Kutta step of size dt from the stacked state y, where k1 is
-    the velocity at y and x_term the planar term of a fixed layout.
+def _end_state(kernel, y, gap_floor, energy_cap, x_term):
+    """Evaluate the candidate end state y of a step: the guard, then, if it
+    passes, the velocity there, once.  Returns why y is rejected, as a
+    string, or (v, energy, grad_norm, min_gap): the velocity (the next
+    step's k1), the energy, the sup norm of v and the minimum gap.
 
-    Returns (y_new, energy, gaps, reason): reason is None when the step
-    passes the guard and its energy stays at or below energy_cap.
+    The energy comes from v through the identity y.v = R - 2 Q over the
+    heights, where Q = -z_blue L_B z_blue - z_red L_R z_red is the stretching
+    energy and R = sum 1/|d| the repulsion: E = x_term + 1.5 R - 0.5 y.v.
+    x_term is the planar term of a fixed layout, recomputed here when y
+    carries the planar coordinates.  The state is also rejected when its
+    energy is above energy_cap (or NaN).
     """
+    guard = _guard_reason(kernel, y, gap_floor)
+    if isinstance(guard, str):
+        return guard
+    gaps, min_gap = guard
+    v = _velocity(kernel, y)
+    n2 = 2 * kernel.n
+    if y.size > n2:
+        x_term = kernel.system.planar_term(y[n2:].reshape(kernel.n, 2))
+        y_dot_v = y[:n2].dot(v[:n2])
+    else:
+        y_dot_v = y.dot(v)
+    repulsion = np.add.reduce(np.reciprocal(gaps, out=gaps))
+    energy = x_term + float(1.5 * repulsion - 0.5 * y_dot_v)
+    if not energy <= energy_cap:
+        return "energy increased"
+    return v, energy, float(np.maximum.reduce(np.abs(v))), min_gap
+
+
+def _rk4_step(kernel, y, k1, dt, gap_floor, energy_cap, x_term):
+    """One Runge-Kutta step of size dt from the stacked state y, where k1 is
+    the velocity at y; the stages run in the kernel's buffers.  Returns the
+    new state and its `_end_state`."""
+    stage, k2, k3, k4 = kernel.stages
     half = 0.5 * dt
-    k2 = _velocity(kernel, y + half * k1)
-    k3 = _velocity(kernel, y + half * k2)
-    k4 = _velocity(kernel, y + dt * k3)
-    y_new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    gaps = _guard_reason(kernel, y_new, gap_floor)
-    if isinstance(gaps, str):
-        return y_new, None, None, gaps
-    n, system = kernel.n, kernel.system
-    if y.size > 2 * n:
-        x_term = system.planar_term(y_new[2 * n:].reshape(n, 2))
-    energy = _energy(system, y_new[:n], y_new[n:2 * n], gaps, x_term)
-    if energy > energy_cap:
-        return y_new, energy, gaps, "energy increased"
-    return y_new, energy, gaps, None
+    np.multiply(k1, half, out=stage)
+    stage += y
+    _velocity(kernel, stage, k2)
+    np.multiply(k2, half, out=stage)
+    stage += y
+    _velocity(kernel, stage, k3)
+    np.multiply(k3, dt, out=stage)
+    stage += y
+    _velocity(kernel, stage, k4)
+    # y + dt / 6 (k1 + 2 k2 + 2 k3 + k4), summed left to right; k + k is 2 k
+    # bit for bit
+    k2 += k2
+    k2 += k1
+    k3 += k3
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    y_new = k2 + y
+    return y_new, _end_state(kernel, y_new, gap_floor, energy_cap, x_term)
 
 
 def step(system, config, dt) -> Configuration:
@@ -338,33 +386,33 @@ def step(system, config, dt) -> Configuration:
     y = _stacked(config)
     kernel = _StepKernel(system)
     with np.errstate(**_QUIET):
-        y_new, _, _, reason = _guarded_step(
+        y_new, end = _rk4_step(
             kernel, y, _velocity(kernel, y), dt, FlowParams.gap_safety / energy,
             energy + _ENERGY_CUSHION * abs(energy), x_term,
         )
-    if reason is not None:
-        raise GapGuardTripped(f"step of size {dt!r} rejected: {reason}")
+    if isinstance(end, str):
+        raise GapGuardTripped(f"step of size {dt!r} rejected: {end}")
     n = system.n_vertices
     return Configuration(x=config.x, z_blue=y_new[:n], z_red=y_new[n:])
 
 
-def _rosenbrock_phase(kernel, y, v, t, h, energy, params, gap_floor, cushion, x_term, record):
-    """Continue the flow from time t at the stacked heights y (velocity v,
-    energy `energy`) with guarded ROS2 steps, starting at step size h.
+def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, record):
+    """Continue the flow from time t at the stacked heights y, whose
+    `_end_state` is `end`, with guarded ROS2 steps, starting at step size h.
 
     A step is rejected, and h halved, when its error estimate exceeds the
-    tolerance, it trips a structural guard, or its energy exceeds the last
-    accepted one by more than the cushion; rejection at dt_min raises
-    StepUnderflow.  h doubles after a step well inside the tolerance, and W
-    is refreshed (from the Jacobian at the current state) only when h
-    changes.  record(t, y, energy, grad_norm) is called on every accepted
-    step.  Returns (t, y, energy, grad_norm, status).
+    tolerance (before its end state is evaluated), it trips a structural
+    guard, or its energy exceeds the last accepted one by more than the
+    cushion; rejection at dt_min raises StepUnderflow.  h doubles after a
+    step well inside the tolerance, and W is refreshed (from the Jacobian at
+    the current state) only when h changes.  record(t, y, end) is called on
+    every accepted step.  Returns (t, y, end, status).
     """
-    system, size = kernel.system, y.size
+    size = y.size
     accepted = rejected = refreshes = 0
     h_w = None  # the step size W^-1 was built for
     k1, k2 = np.empty(size), np.empty(size)
-    grad_norm = float(np.maximum.reduce(np.abs(v)))
+    v, energy, grad_norm, _ = end
     while True:
         if grad_norm < params.grad_tol:
             status = "converged"
@@ -389,29 +437,27 @@ def _rosenbrock_phase(kernel, y, v, t, h, energy, params, gap_floor, cushion, x_
         k1 += k2
         error = 0.5 * h_eff * float(np.maximum.reduce(np.abs(k1)))
         error /= _ROS_TOL * max(1.0, float(np.maximum.reduce(np.abs(y))))
-        gaps = _guard_reason(kernel, y_new, gap_floor)
-        new_energy = None
-        if error <= 1.0 and not isinstance(gaps, str):  # a NaN error fails
-            new_energy = _energy(system, y_new[: kernel.n], y_new[kernel.n:], gaps, x_term)
-        if new_energy is None or new_energy > energy + cushion:
+        new_end = (  # a NaN error fails
+            _end_state(kernel, y_new, gap_floor, energy + cushion, x_term)
+            if error <= 1.0 else "error estimate above tolerance"
+        )
+        if isinstance(new_end, str):
             if h_eff <= params.dt_min:
                 raise StepUnderflow(t, h_eff)
             h = max(h_eff / 2.0, params.dt_min)
             rejected += 1
             continue
         t += h_eff
-        y = y_new
-        energy = new_energy
+        y, end = y_new, new_end
+        v, energy, grad_norm, _ = end
         accepted += 1
-        v = _velocity(kernel, y)
-        grad_norm = float(np.maximum.reduce(np.abs(v)))
-        record(t, y, energy, grad_norm)
+        record(t, y, end)
         h = 2.0 * h_eff if error < _ROS_GROW else h_eff
     _LOG.info(
         "Rosenbrock phase ended at t=%g: %d accepted, %d rejected steps, %d W refreshes",
         t, accepted, rejected, refreshes,
     )
-    return t, y, energy, grad_norm, status
+    return t, y, end, status
 
 
 def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: bool = False) -> Trajectory:
@@ -443,7 +489,7 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
 
     y = np.concatenate((z_blue, z_red, x0.ravel()) if flow_planar else (z_blue, z_red))
     x_term = system.planar_term(x0)
-    kernel = _StepKernel(system)
+    kernel = _StepKernel(system, y.size)
     with np.errstate(**_QUIET):
         e0 = _energy(system, z_blue, z_red, np.abs(d0), x_term)
         v = _velocity(kernel, y)
@@ -467,28 +513,28 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
         float(np.max(np.sum(np.abs(system.red_laplacian), axis=1))),
     )
 
-    def record(t, y, energy, grad_norm):
-        x = y[2 * n:].reshape(n, 2) if flow_planar else x0
-        config = Configuration(x=x, z_blue=y[:n], z_red=y[n:2 * n])
+    def record(t, y, end):
+        _, energy, grad_norm, min_gap = end
+        zb, zr = y[:n], y[n:2 * n]
         samples.append(Sample(
             t=t,
-            config=config,
+            config=Configuration(x=y[2 * n:].reshape(n, 2) if flow_planar else x0, z_blue=zb, z_red=zr),
             energy=energy,
             grad_norm=grad_norm,
-            min_gap=float(np.min(np.abs(config.z_blue - config.z_red))),
-            m_blue=float(np.mean(config.z_blue)),
-            m_red=float(np.mean(config.z_red)),
+            min_gap=float(min_gap),
+            m_blue=float(np.add.reduce(zb)) / n,
+            m_red=float(np.add.reduce(zr)) / n,
             m_components=tuple(
-                float(np.sum(config.z_blue[blue])) + float(np.sum(config.z_red[red]))
-                for blue, red in members
+                float(np.add.reduce(zb[blue])) + float(np.add.reduce(zr[red])) for blue, red in members
             ),
         ))
 
     t = 0.0
     dt = params.dt_init
     energy = e0
+    end = (v, energy, grad_norm, np.minimum.reduce(np.abs(d0)))
     samples = []
-    record(t, y, energy, grad_norm)
+    record(t, y, end)
     accepted = rejected = held = 0  # held: consecutive accepted steps with dt at its cap
     cushion = _ENERGY_CUSHION * abs(e0)
 
@@ -504,10 +550,8 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
                 status = None  # the run goes on with Rosenbrock steps
                 break
             dt_eff = min(dt, params.t_max - t)
-            y_new, new_energy, gaps, reason = _guarded_step(
-                kernel, y, v, dt_eff, gap_floor, energy + cushion, x_term
-            )
-            if reason is not None:
+            y_new, new_end = _rk4_step(kernel, y, v, dt_eff, gap_floor, energy + cushion, x_term)
+            if isinstance(new_end, str):
                 if dt_eff <= params.dt_min:
                     raise StepUnderflow(t, dt_eff)
                 dt = max(dt_eff / 2.0, params.dt_min)
@@ -515,28 +559,26 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
                 held = 0
                 continue
             t += dt_eff
-            y = y_new
-            energy = new_energy
+            y, end = y_new, new_end
+            v, energy, grad_norm, min_gap = end
             accepted += 1
             # an overflowing gap cube is an infinite one: no repulsion limit
-            stable_dt = _STABILITY_MARGIN / (quad_rate + 4.0 / float(np.minimum.reduce(gaps) ** 3))
+            stable_dt = _STABILITY_MARGIN / (quad_rate + 4.0 / float(min_gap ** 3))
             cap = min(params.dt_max, stable_dt)
             dt = max(params.dt_min, min(dt * 1.25, cap))
             held = held + 1 if dt == cap else 0
-            v = _velocity(kernel, y)
-            grad_norm = float(np.maximum.reduce(np.abs(v)))
             if accepted % params.record_stride == 0:
-                record(t, y, energy, grad_norm)
+                record(t, y, end)
 
         if status is None:
             _LOG.info(
                 "switching to Rosenbrock steps at t=%g after %d accepted, %d rejected RK4 steps",
                 t, accepted, rejected,
             )
-            t, y, energy, grad_norm, status = _rosenbrock_phase(
-                kernel, y, v, t, dt, energy, params, gap_floor, cushion, x_term, record
+            t, y, end, status = _rosenbrock_phase(
+                kernel, t, y, end, dt, params, gap_floor, cushion, x_term, record
             )
 
     if samples[-1].t < t:
-        record(t, y, energy, grad_norm)
+        record(t, y, end)
     return Trajectory(system=system, samples=tuple(samples), status=status)

@@ -11,6 +11,7 @@ import pytest
 
 import tangleflow
 from conftest import DESIGN_DIR
+from tangleflow import cli
 from tangleflow.cli import main
 
 
@@ -140,6 +141,33 @@ def test_verify_passes_on_bundled_designs(capsys):
         code, out, _ = run_cli(capsys, "verify", design(name), "--t-max", "5")
         assert code == 0
         assert "ok" in out
+
+
+@pytest.mark.parametrize(
+    "name, runs, unique_limit",
+    [
+        ("untangled_pair.graph", 1, "unique_limit skipped (no converged limit inside t_max)"),
+        ("entangled_pair.graph", 2, "unique_limit ok"),
+    ],
+)
+def test_verify_integrates_the_second_seed_only_after_convergence(capsys, monkeypatch, name, runs, unique_limit):
+    """The second seed's run is only compared with a converged first run,
+    so a truncated first run skips it; the printed report is the same."""
+    calls = []
+    integrate = cli.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate", counted)
+    code, out, err = run_cli(capsys, "verify", design(name))
+    assert (code, err) == (0, "")
+    assert len(calls) == runs
+    assert out == (
+        "energy_monotone ok\nbarycenter_conserved ok\ngap_floor ok\nsigns_preserved ok\n"
+        f"{unique_limit}\n"
+    )
 
 
 def test_bad_design_file_exits_2(capsys, tmp_path):

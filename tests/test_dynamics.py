@@ -1,6 +1,7 @@
 """Energy, gradient, and guarded adaptive integration of the descent flow."""
 from __future__ import annotations
 
+import logging
 import weakref
 
 import numpy as np
@@ -346,9 +347,107 @@ def test_step_sequence_is_pinned(name, seed, n_samples, t_final, energy):
     assert np.max(np.abs(stepped.z_red - first.config.z_red)) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "name, seed, rejected",
+    [("untangled_pair.graph", 11, 0), ("checker_4x4.weave", 3, 0), ("chained_4x4.weave", 9, 2)],
+)
+def test_step_hooks_count_attempts_and_evaluations(monkeypatch, name, seed, rejected):
+    """The benchmark's tracer derives its step counters from calls to the
+    module-level `_velocity` and `_guard_reason`: one guard call per
+    attempt, and 1 + 3 attempts + accepted + (energy-rejected attempts)
+    velocity evaluations per run, since only a state that passes the guard
+    has its velocity evaluated."""
+    counts = {"velocity": 0, "guard": 0, "guard_rejected": 0}
+    velocity, guard = dynamics._velocity, dynamics._guard_reason
+
+    def counted_velocity(*args, **kwargs):
+        counts["velocity"] += 1
+        return velocity(*args, **kwargs)
+
+    def counted_guard(*args, **kwargs):
+        counts["guard"] += 1
+        result = guard(*args, **kwargs)
+        counts["guard_rejected"] += isinstance(result, str)
+        return result
+
+    monkeypatch.setattr(dynamics, "_velocity", counted_velocity)
+    monkeypatch.setattr(dynamics, "_guard_reason", counted_guard)
+    system = load_system(name)
+    traj = integrate(system, random_initial_configuration(system, seed=seed), FlowParams(t_max=50.0, record_stride=1))
+    accepted = len(traj.samples) - 1
+    attempts = counts["guard"]
+    assert attempts == accepted + rejected
+    energy_rejected = attempts - accepted - counts["guard_rejected"]
+    assert counts["velocity"] == 1 + 3 * attempts + accepted + energy_rejected
+
+
+def acceptance_4_systems():
+    """The random (system, configuration) pairs of acceptance 4."""
+    rng = np.random.default_rng(77)
+    for trial in range(20):
+        if trial % 2 == 0:
+            system = random_graph_system(rng, max_vertices=10)
+        else:
+            system = random_weave_system(rng, max_threads=5)
+        yield system, random_initial_configuration(system, seed=int(rng.integers(1 << 30)))
+
+
+def test_sample_diagnostics_match_reference_formulas():
+    """Each sample's energy (from the end-state velocity through
+    y.v = R - 2 Q) equals `_energy` and the brute-force energy to rel 1e-13,
+    and its gap and barycenter diagnostics equal the plain numpy formulas
+    bit for bit, with the heights flowing alone and with the planar
+    coordinates."""
+    runs = []
+    for name in GRAPH_DESIGNS + WEAVE_DESIGNS:
+        system = load_system(name)
+        config = random_initial_configuration(system, seed=1)
+        runs.append((system, config, FlowParams(t_max=50.0, record_stride=10), False))
+        runs.append((system, config, FlowParams(t_max=5.0, record_stride=5), True))
+    for system, config in acceptance_4_systems():
+        for planar in (False, True):
+            runs.append((system, config, FlowParams(t_max=1.5, record_stride=1), planar))
+    for system, config, params, planar in runs:
+        if system.kind == "weave":
+            members = [system._component_vertices(c) for c in tangle_decomposition(system).components]
+        else:
+            members = []
+        traj = integrate(system, config, params, flow_planar=planar)
+        assert len(traj.samples) > 2
+        for s in traj.samples:
+            zb, zr = s.config.z_blue, s.config.z_red
+            gaps = np.abs(zb - zr)
+            reference = dynamics._energy(system, zb, zr, gaps, system.planar_term(s.config.x))
+            assert s.energy == pytest.approx(reference, rel=1e-13)
+            assert s.energy == pytest.approx(brute_force_energy(system, s.config), rel=1e-13)
+            assert s.min_gap == float(np.min(gaps))
+            assert s.m_blue == float(np.mean(zb)) and s.m_red == float(np.mean(zr))
+            assert s.m_components == tuple(
+                float(np.sum(zb[blue])) + float(np.sum(zr[red])) for blue, red in members
+            )
+
+
+@pytest.mark.parametrize(
+    "name, n_samples, energy",
+    [("untangled_pair.graph", 1126, 0.5510831598389871), ("three_blocks_6x6.weave", 1233, 96.96140696838637)],
+)
+def test_rosenbrock_phase_is_pinned(caplog, name, n_samples, energy):
+    """The ROS2 step sequence of an untangled run past the switch: its
+    sample count, final time and W refreshes exactly, and its final energy."""
+    caplog.set_level(logging.INFO, logger="tangleflow")
+    system = load_system(name)
+    traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=1e4))
+    assert (traj.status, len(traj.samples), traj.samples[-1].t) == ("truncated", n_samples, 1e4)
+    assert traj.samples[-1].energy == pytest.approx(energy, rel=1e-12)
+    assert [r.getMessage() for r in caplog.records] == [
+        "switching to Rosenbrock steps at t=100.33 after 1020 accepted, 0 rejected RK4 steps",
+        f"Rosenbrock phase ended at t=10000: {n_samples - 11} accepted, 0 rejected steps, 11 W refreshes",
+    ]
+
+
 def test_guard_reason_returns_gaps_or_reason():
-    """An acceptable state yields its absolute gaps, bit for bit; each kind
-    of unacceptable state yields its reason."""
+    """An acceptable state yields its absolute gaps and their minimum, bit
+    for bit; each kind of unacceptable state yields its reason."""
     system = load_system("entangled_pair.graph")  # signs (+1, -1)
     kernel = dynamics._StepKernel(system)
 
@@ -359,12 +458,12 @@ def test_guard_reason_returns_gaps_or_reason():
     rng = np.random.default_rng(5)
     for seed in range(20):
         config = random_initial_configuration(system, seed=seed, gap_scale=float(rng.uniform(1e-2, 1e2)))
-        gaps = guard(tuple(config.z_blue), tuple(config.z_red))
-        assert not isinstance(gaps, str)
+        gaps, min_gap = guard(tuple(config.z_blue), tuple(config.z_red))
         assert np.array_equal(gaps, np.abs(config.z_blue - config.z_red))
+        assert min_gap == np.min(np.abs(config.z_blue - config.z_red))
     # finite heights whose sum overflows take the slow path and still pass
-    gaps = guard((1e308, 1e308), (0.0, 1.5e308))
-    assert np.array_equal(gaps, [1e308, 0.5e308])
+    gaps, min_gap = guard((1e308, 1e308), (0.0, 1.5e308))
+    assert np.array_equal(gaps, [1e308, 0.5e308]) and min_gap == 0.5e308
     assert guard((float("nan"), -1.0), (-1.0, 1.0)) == "non-finite heights"
     assert guard((float("inf"), -1.0), (-1.0, 1.0)) == "non-finite heights"
     assert guard((-1.0, -1.0), (1.0, 1.0)) == "crossing sign flipped"

@@ -285,6 +285,18 @@ def test_harmonic_residual_on_random_graphs():
         assert np.max(np.abs(x.sum(axis=0))) <= 1e-9
 
 
+@pytest.mark.parametrize("scale", [1e5, 1e6, 1e7, 1e8, 1e10])
+def test_harmonic_layout_check_is_scale_free(scale):
+    """The layout residual is checked relative to the shift scale, so the
+    honeycomb builds at any lattice scale, with the scaled unit layout."""
+    unit = load_system("honeycomb.graph")
+    basis = tuple(tuple(scale * c for c in row) for row in unit.graph.lattice_basis)
+    graph = PeriodicQuotientGraph(n_vertices=unit.n_vertices, edges=unit.graph.edges, lattice_basis=basis)
+    scaled = build_entangled_system(graph, tuple(int(s) for s in unit.sign))
+    expected = scale * unit.planar_x
+    assert np.max(np.abs(scaled.planar_x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_weave_grid_coordinates():
     design = WeaveDesign(n_blue=2, n_red=2, sign=((1, 1), (1, 1)), spacing=1.0)
     system = build_weave_system(design)
