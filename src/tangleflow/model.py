@@ -11,6 +11,7 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -117,38 +118,35 @@ class _SystemBase:
     laplacian: np.ndarray
     blue_laplacian: np.ndarray  # per height family; both are `laplacian` for graphs
     red_laplacian: np.ndarray
+    planar_x: np.ndarray
+    planar_energy: float
+    _edge_arrays: tuple  # (u, v, shift): edge endpoints u -> v and planar shift vectors
 
-    def _finalize_geometry(self, u_idx, v_idx, counts):
-        """Store the edge arrays (endpoints u_idx -> v_idx, lattice-period
-        counts per edge) with their planar shift vectors, and the constant
-        term of the layout equation.  Requires self.lattice_basis.
-        """
+    def _frozen_edge_arrays(self, u_idx, v_idx, counts) -> tuple:
+        """The edge endpoint arrays u_idx -> v_idx with the planar shift
+        vector of each edge's lattice-period counts, all frozen.  Requires
+        self.lattice_basis."""
         B = np.asarray(self.lattice_basis, dtype=float)
         shifts = counts[:, :1] * B[0] + counts[:, 1:] * B[1]
-        self._edge_u = _freeze(u_idx)
-        self._edge_v = _freeze(v_idx)
-        self._edge_shift = _freeze(shifts)
-        # net shift flux per vertex: the constant term of the layout equation
-        rhs = np.zeros((self.n_vertices, 2))
-        np.add.at(rhs, u_idx, shifts)
-        np.add.at(rhs, v_idx, -shifts)
-        self._planar_rhs = _freeze(rhs)
+        return _freeze(u_idx), _freeze(v_idx), _freeze(shifts)
 
     def planar_term(self, x: np.ndarray) -> float:
         """Sum over edges of |x(v) + shift - x(u)|^2."""
-        if self._edge_u.size == 0:
+        u, v, shift = self._edge_arrays
+        if u.size == 0:
             return 0.0
-        d = x[self._edge_v] + self._edge_shift - x[self._edge_u]
+        d = x[v] + shift - x[u]
         return float(np.sum(d * d))
 
     def _edge_tension(self, x: np.ndarray) -> np.ndarray:
         """Net pull of the edges on each vertex of the layout x: the sum of
         x(v) + shift - x(u) over its out-edges minus over its in-edges (half
         the negative gradient of `planar_term`)."""
-        tension = x[self._edge_v] + self._edge_shift - x[self._edge_u]
+        u, v, shift = self._edge_arrays
+        tension = x[v] + shift - x[u]
         out = np.zeros_like(x)
-        np.add.at(out, self._edge_u, tension)
-        np.add.at(out, self._edge_v, -tension)
+        np.add.at(out, u, tension)
+        np.add.at(out, v, -tension)
         return out
 
 
@@ -167,12 +165,24 @@ class EntangledSystem(_SystemBase):
         # a shifted loop stretches in-plane but not in height
         self.laplacian = _freeze(_laplacian(table[:, 0], table[:, 1], self.n_vertices))
         self.blue_laplacian = self.red_laplacian = self.laplacian
-        self._finalize_geometry(table[:, 0], table[:, 1], table[:, 2:])
+        self._edge_arrays = self._frozen_edge_arrays(table[:, 0], table[:, 1], table[:, 2:])
         self.planar_x = _freeze(_solve_harmonic(self))
         self.planar_energy = self.planar_term(self.planar_x)
 
 
 class WeaveSystem(_SystemBase):
+    """Two thread families on a torus: blue thread i crosses red thread j at
+    vertex i * n_red + j, blue over red where design.sign[i][j] is +1.
+
+    Construction keeps only what `build_weave_system` validated: `design`,
+    the flattened `sign`, the vertex grid `_grid`, `n_vertices` and
+    `lattice_basis`.  The rest is built on first read and cached, frozen:
+    `blue_threads`, `red_threads`, `edges`, `blue_laplacian`,
+    `red_laplacian`, `laplacian`, `planar_x`, `planar_energy` and the edge
+    arrays behind `planar_term` and `_edge_tension`.  So classifying a weave,
+    which reads only `sign`, builds no n x n matrix.
+    """
+
     kind = "weave"
 
     def __init__(self, design: WeaveDesign):
@@ -180,27 +190,63 @@ class WeaveSystem(_SystemBase):
         nb, nr = design.n_blue, design.n_red
         self.n_vertices = n = nb * nr
         self.sign = _frozen_array(design.sign, dtype=int).reshape(n)
-        self._grid = grid = _freeze(np.arange(n).reshape(nb, nr))  # vertex i * nr + j: blue i over red j
-        self.blue_threads = tuple(map(tuple, grid.tolist()))
-        self.red_threads = tuple(map(tuple, grid.T.tolist()))
-        self.blue_laplacian = _freeze(_thread_laplacian(grid, n))
-        self.red_laplacian = _freeze(_thread_laplacian(grid.T, n))
-        self.laplacian = _freeze(self.blue_laplacian + self.red_laplacian)
-
+        self._grid = _freeze(np.arange(n).reshape(nb, nr))  # vertex i * nr + j: blue i over red j
         s = design.spacing
         self.lattice_basis = ((nr * s, 0.0), (0.0, nb * s))
-        # per vertex, in vertex order: the edge to its right neighbor, wrapping
-        # one period in x, then the edge to its lower neighbor, wrapping in y
+
+    @cached_property
+    def blue_threads(self) -> tuple:
+        return tuple(map(tuple, self._grid.tolist()))
+
+    @cached_property
+    def red_threads(self) -> tuple:
+        return tuple(map(tuple, self._grid.T.tolist()))
+
+    @cached_property
+    def blue_laplacian(self) -> np.ndarray:
+        return _freeze(_thread_laplacian(self._grid, self.n_vertices))
+
+    @cached_property
+    def red_laplacian(self) -> np.ndarray:
+        return _freeze(_thread_laplacian(self._grid.T, self.n_vertices))
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        return _freeze(self.blue_laplacian + self.red_laplacian)
+
+    def _edge_index(self):
+        """Per vertex, in vertex order: the edge to its right neighbor, wrapping
+        one period in x, then the edge to its lower neighbor, wrapping in y;
+        as endpoint arrays u -> v and lattice-period counts per edge."""
+        nb, nr = self._grid.shape
+        n = self.n_vertices
         i, j = np.divmod(np.arange(n), nr)
         u_idx = np.repeat(np.arange(n), 2)
         v_idx = np.stack((i * nr + (j + 1) % nr, (i + 1) % nb * nr + j), axis=1).reshape(-1)
         counts = np.zeros((2 * n, 2), dtype=int)
         counts[0::2, 0] = j == nr - 1
         counts[1::2, 1] = i == nb - 1
-        self.edges = tuple(zip(u_idx.tolist(), v_idx.tolist(), map(tuple, counts.tolist())))
-        self._finalize_geometry(u_idx, v_idx, counts)
-        self.planar_x = _freeze(np.stack(((j - (nr - 1) / 2) * s, (i - (nb - 1) / 2) * s), axis=1))
-        self.planar_energy = self.planar_term(self.planar_x)
+        return u_idx, v_idx, counts
+
+    @cached_property
+    def edges(self) -> tuple:
+        u_idx, v_idx, counts = self._edge_index()
+        return tuple(zip(u_idx.tolist(), v_idx.tolist(), map(tuple, counts.tolist())))
+
+    @cached_property
+    def _edge_arrays(self) -> tuple:
+        return self._frozen_edge_arrays(*self._edge_index())
+
+    @cached_property
+    def planar_x(self) -> np.ndarray:
+        nb, nr = self._grid.shape
+        i, j = np.divmod(np.arange(self.n_vertices), nr)
+        s = self.design.spacing
+        return _freeze(np.stack(((j - (nr - 1) / 2) * s, (i - (nb - 1) / 2) * s), axis=1))
+
+    @cached_property
+    def planar_energy(self) -> float:
+        return self.planar_term(self.planar_x)
 
     def _component_vertices(self, component):
         """The vertex indices of a tangle component's blue threads and of its
@@ -234,7 +280,8 @@ def _solve_harmonic(system: _SystemBase) -> np.ndarray:
     neighbors, with the barycenter pinned at the origin."""
     n = system.n_vertices
     M = np.array(system.laplacian)
-    b = -np.array(system._planar_rhs)
+    # the layout equation _edge_tension(x) = L x + _edge_tension(0) = 0
+    b = -system._edge_tension(np.zeros((n, 2)))
     # replace the redundant last equation (rows of L sum to zero) with the pin
     M[n - 1, :] = 1.0
     b[n - 1] = 0.0
@@ -245,7 +292,7 @@ def _solve_harmonic(system: _SystemBase) -> np.ndarray:
     x = x - x.mean(axis=0)
     # verify the layout equation on the original system (NaN fails too); the
     # layout scales with the edge shifts, and so does the residual's rounding
-    bound = 1e-10 * float(np.max(np.abs(system._edge_shift), initial=0.0))
+    bound = 1e-10 * float(np.max(np.abs(system._edge_arrays[2]), initial=0.0))
     resid = float(np.max(np.abs(system._edge_tension(x))))
     if not resid <= bound:
         raise SingularSystem(f"harmonic layout residual {resid:.3e} exceeds {bound:.3e}")
@@ -369,8 +416,9 @@ def build_weave_system(design: WeaveDesign) -> WeaveSystem:
 
 
 def harmonic_planar_coordinates(system) -> np.ndarray:
-    """The unique periodic planar layout with zero barycenter (precomputed at
-    build time; weaves use their regular grid of line intersections)."""
+    """The unique periodic planar layout with zero barycenter (solved at build
+    time for graphs; weaves use their regular grid of line intersections,
+    built on first read)."""
     return system.planar_x
 
 
@@ -384,10 +432,10 @@ def make_configuration(system, z_blue, z_red) -> Configuration:
         raise MismatchedVertexSet(
             f"height arrays must have shape ({n},), got {zb.shape} and {zr.shape}"
         )
-    gaps = zb - zr
-    for v in range(n):
-        if gaps[v] == 0.0 or np.sign(gaps[v]) != system.sign[v]:
-            raise SignViolation(v)
+    # a zero or NaN gap has no sign of +1 or -1, so it fails too
+    wrong = np.flatnonzero(np.sign(zb - zr) != system.sign)
+    if wrong.size:
+        raise SignViolation(int(wrong[0]))
     return Configuration(x=system.planar_x, z_blue=zb, z_red=zr)
 
 

@@ -1,10 +1,16 @@
 """Model construction: Laplacians, harmonic coordinates, configurations."""
 from __future__ import annotations
 
+import contextlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import WEAVE_DESIGNS, load_system, random_graph_system, random_weave_system
+from tangleflow.cli import main
+from tangleflow.designio import design_to_system, load_design, serialize_design
 from tangleflow.errors import (
     DegenerateSize,
     DisconnectedGraph,
@@ -23,6 +29,7 @@ from tangleflow.model import (
     make_configuration,
     random_initial_configuration,
 )
+from tangleflow.topology import tangle_decomposition
 
 SQUARE_BASIS = ((1.0, 0.0), (0.0, 1.0))
 
@@ -219,15 +226,20 @@ def test_weave_thread_structure():
 
 def test_weave_assembly_matches_loop_reference():
     """The array-built weave structure equals a per-vertex loop construction
-    exactly (all arithmetic is integer-valued or identical per entry)."""
+    exactly (all arithmetic is integer-valued or identical per entry), is
+    built only on first read, and does not depend on the order of reads."""
     rng = np.random.default_rng(8)
     shapes = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 5)] + [
         tuple(int(k) for k in rng.integers(1, 8, size=2)) for _ in range(15)
     ]
+    lazy = (
+        "blue_threads", "red_threads", "edges", "blue_laplacian", "red_laplacian",
+        "laplacian", "planar_x", "planar_energy", "_edge_arrays",
+    )
     for nb, nr in shapes:
         sign = tuple(tuple(int(s) for s in rng.choice([-1, 1], size=nr)) for _ in range(nb))
         spacing = float(rng.choice([1.0, 0.7, 2.5]))
-        system = build_weave_system(WeaveDesign(n_blue=nb, n_red=nr, sign=sign, spacing=spacing))
+        design = WeaveDesign(n_blue=nb, n_red=nr, sign=sign, spacing=spacing)
         n = nb * nr
         laplacians = {"blue": np.zeros((n, n)), "red": np.zeros((n, n))}
         edges = []
@@ -245,12 +257,65 @@ def test_weave_assembly_matches_loop_reference():
                 edges.append((v, i * nr + (j + 1) % nr, (1, 0) if j == nr - 1 else (0, 0)))
                 edges.append((v, (i + 1) % nb * nr + j, (0, 1) if i == nb - 1 else (0, 0)))
                 grid[v] = ((j - (nr - 1) / 2) * spacing, (i - (nb - 1) / 2) * spacing)
-        assert np.array_equal(system.blue_laplacian, laplacians["blue"])
-        assert np.array_equal(system.red_laplacian, laplacians["red"])
-        assert system.edges == tuple(edges)
-        assert np.array_equal(system.planar_x, grid)
-        assert np.array_equal(system.sign, np.array(sign).reshape(n))
-        assert not system.laplacian.flags.writeable
+        blue_threads = tuple(tuple(i * nr + j for j in range(nr)) for i in range(nb))
+        red_threads = tuple(tuple(i * nr + j for i in range(nb)) for j in range(nr))
+        period = np.array([nr * spacing, nb * spacing])
+        energy = 0.0
+        for u, v, shift in edges:
+            d = grid[v] + np.array(shift) * period - grid[u]
+            energy += float(d @ d)
+
+        # the second pass reads the edge arrays (planar_term's geometry)
+        # before planar_x and laplacian before the family Laplacians
+        for order in (lazy, lazy[::-1]):
+            system = build_weave_system(design)
+            assert set(vars(system)) == {"design", "sign", "_grid", "n_vertices", "lattice_basis"}
+            first = {name: getattr(system, name) for name in order}
+            assert all(getattr(system, name) is value for name, value in first.items())
+            assert all(not a.flags.writeable for a in (
+                system.blue_laplacian, system.red_laplacian, system.laplacian,
+                system.planar_x, *system._edge_arrays,
+            ))
+            assert np.array_equal(system.blue_laplacian, laplacians["blue"])
+            assert np.array_equal(system.red_laplacian, laplacians["red"])
+            assert np.array_equal(system.laplacian, laplacians["blue"] + laplacians["red"])
+            assert system.blue_threads == blue_threads
+            assert system.red_threads == red_threads
+            assert system.edges == tuple(edges)
+            assert np.array_equal(system.planar_x, grid)
+            assert system.planar_energy == pytest.approx(energy, rel=1e-12)
+            assert system.planar_term(grid) == system.planar_energy
+            assert np.array_equal(system.sign, np.array(sign).reshape(n))
+
+
+def test_classifying_a_large_weave_builds_no_dense_matrix(tmp_path):
+    """Classifying a 64x64 weave (n = 4096) reads only its signs: the traced
+    peak stays far below one n x n float matrix (134 MB).  The decomposition
+    and the CLI run each peak near 1 MB."""
+    # sixteen 4x4 checkerboard blocks on the diagonal, each strictly above
+    # the ones after it: untangled, one tangle component per block
+    sign = tuple(
+        tuple(
+            (1 if (i + j) % 2 == 0 else -1) if i // 4 == j // 4 else (1 if i < j else -1)
+            for j in range(64)
+        )
+        for i in range(64)
+    )
+    path = tmp_path / "stacked_64x64.weave"
+    path.write_text(serialize_design(WeaveDesign(n_blue=64, n_red=64, sign=sign)))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        system = design_to_system(load_design(path))
+        assert tangle_decomposition(system).k == 16
+        del system
+        with contextlib.redirect_stdout(out):
+            assert main(["classify", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue().startswith("untangled, K=16: W1={b1,b2,b3,b4|r1,r2,r3,r4}, ")
+    assert peak < 16e6
 
 
 def test_harmonic_pair_positions():
@@ -316,6 +381,17 @@ def test_make_configuration_valid_and_invalid():
     # zero gap is a violation even when the other vertices are fine
     with pytest.raises(SignViolation):
         make_configuration(system, (1.0, 0.5), (-1.0, 0.5))
+    # only later vertices are wrong: the first offending one is reported,
+    # whether its gap has the wrong sign, is zero or is NaN
+    weave = load_system("checker_4x4.weave")
+    good = random_initial_configuration(weave, seed=5)
+    for bad in (-1.0, 0.0, float("nan")):
+        zb, zr = np.array(good.z_blue), np.array(good.z_red)
+        zb[[9, 13]] = zr[[9, 13]] + bad * weave.sign[[9, 13]]
+        zb[14] = zr[14] - weave.sign[14]
+        with pytest.raises(SignViolation) as err:
+            make_configuration(weave, zb, zr)
+        assert err.value.vertex == 9
 
 
 def test_random_initial_configuration_contract():
