@@ -138,7 +138,7 @@ def fit_power_law(series: Series, window) -> ScalingReport:
     )
 
 
-def separation_series(trajectory, decomposition=None):
+def separation_series(trajectory):
     """Separation curves of an untangled run.
 
     One series |M_B - M_R| for quotient graphs; for weaves, one series per
@@ -153,8 +153,7 @@ def separation_series(trajectory, decomposition=None):
         values = np.array([abs(s.m_blue - s.m_red) for s in trajectory.samples])
         return [Series("separation", times, values)]
 
-    decomp = decomposition if decomposition is not None else tangle_decomposition(system)
-    k_total = decomp.k
+    k_total = tangle_decomposition(system).k
     if k_total == 1:
         raise EntangledInput("separation is undefined for an entangled weave run")
     out = []

@@ -28,6 +28,7 @@ from .errors import (
     DesignSemanticError,
     DesignSyntaxError,
     EntangledInput,
+    InsufficientSamples,
     InvalidParameter,
     IoError,
     TangleflowError,
@@ -133,7 +134,12 @@ def _cmd_scaling(args) -> int:
     trajectory = integrate(system, config, params)
     window = (params.t_max / 10.0, params.t_max)
     for series in separation_series(trajectory):
-        report = fit_power_law(series, window)
+        # the steps taken set the sample count, so it is known only now; all
+        # series share the sample times, so only the first fit can raise
+        try:
+            report = fit_power_law(series, window)
+        except InsufficientSamples as exc:
+            raise UsageError(f"{exc}; use a longer --t-max") from None
         print(
             f"{series.name} slope={_g17(report.slope)} "
             f"intercept={_g17(report.intercept)} "

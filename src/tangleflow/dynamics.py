@@ -3,8 +3,8 @@
 The heights follow the steepest-descent flow of the energy: a quadratic
 stretching term along edges (per thread family for weaves) plus a 1/|gap|
 repulsion between the two copies at every vertex.  Graphs and weaves share
-one path: the state is the stacked heights z = [z_blue; z_red] (then the
-flattened planar coordinates, if they flow), with one Laplacian per family.
+one path: the state is the stacked heights z = [z_blue; z_red], with one
+Laplacian per family; the planar layout stays fixed.
 `step` and `integrate` take the same guarded step: classical fourth-order
 Runge-Kutta, rejected when the end state breaks a structural guard
 (finiteness, crossing signs, gap floor) or raises the energy; `integrate`
@@ -18,8 +18,8 @@ Rosenbrock-W method (Verwer, Spee, Blom and Hundsdorfer 1999) with step-size
 control from its embedded first-order estimate, in the manner of LSODA's
 nonstiff-to-stiff switch.  W = I - gamma h J is inverted once per step size
 and reused while h is unchanged; ROS2 is second order for any W.  Every
-Rosenbrock step passes the same guards as an RK4 step.  Entangled runs,
-planar-flow runs and runs shorter than the switch stay on RK4 throughout.
+Rosenbrock step passes the same guards as an RK4 step.  Entangled runs and
+runs shorter than the switch stay on RK4 throughout.
 
 Both phases evaluate a candidate end state in one place, `_end_state`: the
 guard, then the velocity there, once.  That velocity gives the energy,
@@ -222,11 +222,9 @@ class _StepKernel:
     floats (so sign / d^2 casts nothing) and the bound `dot` of the doubled
     Laplacians, shared when both families have the same one.  Doubling is
     exact, so (2 L) z equals 2 (L z) bit for bit.  `stages` holds the RK4
-    stage state and k2, k3, k4 for states of the given size, reused by every
-    step of the run."""
+    stage state and k2, k3, k4, reused by every step of the run."""
 
-    def __init__(self, system, size=None):
-        self.system = system
+    def __init__(self, system):
         self.n = system.n_vertices
         self.sign = system.sign.astype(float)
         self.two_blue = 2.0 * system.blue_laplacian
@@ -235,27 +233,24 @@ class _StepKernel:
         )
         self.blue_dot = self.two_blue.dot
         self.red_dot = self.two_red.dot
-        self.stages = tuple(np.empty((4, 2 * self.n if size is None else size)))
+        self.stages = tuple(np.empty((4, 2 * self.n)))
 
 
 def _velocity(kernel, y, out=None):
-    """Descent velocity (negative energy gradient) of the stacked state y:
-    2 L_B z_blue + sign/d^2 and 2 L_R z_red - sign/d^2, followed by the
-    planar velocity when y carries the planar coordinates.  Written into
-    `out` when given."""
+    """Descent velocity (negative energy gradient) of the stacked heights y:
+    2 L_B z_blue + sign/d^2 and 2 L_R z_red - sign/d^2.  Written into `out`
+    when given."""
     n = kernel.n
-    zb, zr = y[:n], y[n:2 * n]
+    zb, zr = y[:n], y[n:]
     d2 = zb - zr
     d2 *= d2
     repulsion = np.divide(kernel.sign, d2, out=d2)
     v = np.empty(y.size) if out is None else out
-    blue, red = v[:n], v[n:2 * n]
+    blue, red = v[:n], v[n:]
     kernel.blue_dot(zb, blue)
     blue += repulsion
     kernel.red_dot(zr, red)
     red -= repulsion
-    if y.size > 2 * n:
-        v[2 * n:] = 2.0 * kernel.system._edge_tension(y[2 * n:].reshape(n, 2)).ravel()
     return v
 
 
@@ -266,7 +261,7 @@ def _jacobian(kernel, y):
     columns sum to zero (so 1^T J = 0), and it is minus the Hessian of the
     height energy."""
     n = kernel.n
-    d = np.abs(y[:n] - y[n:2 * n])
+    d = np.abs(y[:n] - y[n:])
     D = 2.0 / (d * d * d)
     J = np.zeros((2 * n, 2 * n))
     J[:n, :n] = kernel.two_blue
@@ -298,7 +293,7 @@ def _guard_reason(kernel, y, gap_floor):
     is acceptable, its absolute gaps |z_blue - z_red| and their minimum
     instead."""
     n = kernel.n
-    d = y[:n] - y[n:2 * n]
+    d = y[:n] - y[n:]
     gaps = d * kernel.sign
     min_gap = np.minimum.reduce(gaps)
     # every signed gap at or above the floor (false for NaN) and a finite sum
@@ -323,24 +318,17 @@ def _end_state(kernel, y, gap_floor, energy_cap, x_term):
 
     The energy comes from v through the identity y.v = R - 2 Q over the
     heights, where Q = -z_blue L_B z_blue - z_red L_R z_red is the stretching
-    energy and R = sum 1/|d| the repulsion: E = x_term + 1.5 R - 0.5 y.v.
-    x_term is the planar term of a fixed layout, recomputed here when y
-    carries the planar coordinates.  The state is also rejected when its
-    energy is above energy_cap (or NaN).
+    energy and R = sum 1/|d| the repulsion: E = x_term + 1.5 R - 0.5 y.v,
+    with x_term the planar term of the run's fixed layout.  The state is
+    also rejected when its energy is above energy_cap (or NaN).
     """
     guard = _guard_reason(kernel, y, gap_floor)
     if isinstance(guard, str):
         return guard
     gaps, min_gap = guard
     v = _velocity(kernel, y)
-    n2 = 2 * kernel.n
-    if y.size > n2:
-        x_term = kernel.system.planar_term(y[n2:].reshape(kernel.n, 2))
-        y_dot_v = y[:n2].dot(v[:n2])
-    else:
-        y_dot_v = y.dot(v)
     repulsion = np.add.reduce(np.reciprocal(gaps, out=gaps))
-    energy = x_term + float(1.5 * repulsion - 0.5 * y_dot_v)
+    energy = x_term + float(1.5 * repulsion - 0.5 * y.dot(v))
     if not energy <= energy_cap:
         return "energy increased"
     return v, energy, float(np.maximum.reduce(np.abs(v))), min_gap
@@ -460,7 +448,7 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
     return t, y, end, status
 
 
-def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: bool = False) -> Trajectory:
+def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     """Run the guarded descent flow from config0.
 
     Stops with status "converged" when the sup-norm velocity drops below
@@ -469,12 +457,12 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
     step, and at the final state, and a step is rejected (and dt halved)
     when it trips a structural guard or raises the energy; rejection at
     dt_min raises StepUnderflow.  An untangled system (a graph with one
-    crossing sign, or a weave with two or more tangle components) whose
-    heights alone flow switches, once dt has stayed at its cap for
-    `_SWITCH_STEPS` consecutive accepted steps, to error-controlled ROS2
-    steps under the same guards, each recorded as a sample.  Initial states
-    with misshapen or non-finite coordinates, violated crossing signs, or a
-    non-finite energy or velocity raise InvalidInitial.
+    crossing sign, or a weave with two or more tangle components) switches,
+    once dt has stayed at its cap for `_SWITCH_STEPS` consecutive accepted
+    steps, to error-controlled ROS2 steps under the same guards, each
+    recorded as a sample.  Every sample keeps the planar layout config0.x.
+    Initial states with misshapen or non-finite coordinates, violated
+    crossing signs, or a non-finite energy or velocity raise InvalidInitial.
     """
     n = system.n_vertices
     z_blue, z_red, x0 = config0.z_blue, config0.z_red, config0.x
@@ -487,9 +475,9 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
     if flipped.size:
         raise InvalidInitial(f"initial heights violate the crossing sign at vertex {flipped[0]}")
 
-    y = np.concatenate((z_blue, z_red, x0.ravel()) if flow_planar else (z_blue, z_red))
+    y = np.concatenate((z_blue, z_red))
     x_term = system.planar_term(x0)
-    kernel = _StepKernel(system, y.size)
+    kernel = _StepKernel(system)
     with np.errstate(**_QUIET):
         e0 = _energy(system, z_blue, z_red, np.abs(d0), x_term)
         v = _velocity(kernel, y)
@@ -505,7 +493,6 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
     else:
         members = ()
         untangled = classify_entangled_graph(system) is Classification.UNTANGLED
-    switches = untangled and not flow_planar
     # Gershgorin bound on the stretching part of the flow Jacobian; the gap
     # repulsion adds at most 4/min_gap^3 on top of it
     quad_rate = 2.0 * max(
@@ -515,10 +502,10 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
 
     def record(t, y, end):
         _, energy, grad_norm, min_gap = end
-        zb, zr = y[:n], y[n:2 * n]
+        zb, zr = y[:n], y[n:]
         samples.append(Sample(
             t=t,
-            config=Configuration(x=y[2 * n:].reshape(n, 2) if flow_planar else x0, z_blue=zb, z_red=zr),
+            config=Configuration(x=x0, z_blue=zb, z_red=zr),
             energy=energy,
             grad_norm=grad_norm,
             min_gap=float(min_gap),
@@ -546,7 +533,7 @@ def integrate(system, config0, params: FlowParams = FlowParams(), flow_planar: b
             if t >= params.t_max:
                 status = "truncated"
                 break
-            if switches and held >= _SWITCH_STEPS:
+            if untangled and held >= _SWITCH_STEPS:
                 status = None  # the run goes on with Rosenbrock steps
                 break
             dt_eff = min(dt, params.t_max - t)

@@ -432,8 +432,9 @@ def make_configuration(system, z_blue, z_red) -> Configuration:
         raise MismatchedVertexSet(
             f"height arrays must have shape ({n},), got {zb.shape} and {zr.shape}"
         )
-    # a zero or NaN gap has no sign of +1 or -1, so it fails too
-    wrong = np.flatnonzero(np.sign(zb - zr) != system.sign)
+    # a zero gap has no sign of +1 or -1, so it fails; a non-finite height leaves it 0
+    gap = np.subtract(zb, zr, out=np.zeros(n), where=np.isfinite(zb) & np.isfinite(zr))
+    wrong = np.flatnonzero(np.sign(gap) != system.sign)
     if wrong.size:
         raise SignViolation(int(wrong[0]))
     return Configuration(x=system.planar_x, z_blue=zb, z_red=zr)

@@ -121,13 +121,14 @@ def weavely_connected_components(system):
         raise TypeError(f"expected a weave system, got kind={system.kind!r}")
     S = _sign_matrix(system)
     nb, nr = S.shape
-    # blue rows i1, i2 interlock exactly when row i1 takes both signs on the
-    # columns where the two rows differ; each such column is a red thread of
-    # some block through i1 and i2
-    differ = S[:, None, :] != S[None, :, :]
-    over = S[:, None, :] > 0
-    interlock = np.any(differ & over, axis=2) & np.any(differ & ~over, axis=2)
-    adjacency = np.any(interlock[:, :, None] & differ, axis=1)
+    # blue rows i1, i2 interlock exactly when i1 is over i2 in some column
+    # (A counts them) and under it in another; each column where two
+    # interlocked rows differ is a red thread of some block through both
+    over, under = S > 0, S < 0
+    P, N = over.astype(float), under.astype(float)
+    A = P @ N.T
+    interlock = ((A > 0) & (A.T > 0)).astype(float)
+    adjacency = over & (interlock @ N > 0) | under & (interlock @ P > 0)
 
     # connected thread slots: 0..nb-1 blue, nb..nb+nr-1 red
     i, j = np.nonzero(adjacency)

@@ -222,6 +222,15 @@ def test_scaling_infinite_t_max_exits_2(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_scaling_short_t_max_exits_2(capsys):
+    # the fit window [10.5, 105] holds too few samples: a usage error, found
+    # after the run, with nothing printed
+    code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--t-max", "105")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 17 samples in window [10.5, 105.0], need at least 20; use a longer --t-max\n"
+
+
 def test_scaling_negative_seed_exits_2(capsys):
     code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--seed", "-1", "--t-max", "5")
     assert code == 2

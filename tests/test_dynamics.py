@@ -396,23 +396,19 @@ def test_sample_diagnostics_match_reference_formulas():
     """Each sample's energy (from the end-state velocity through
     y.v = R - 2 Q) equals `_energy` and the brute-force energy to rel 1e-13,
     and its gap and barycenter diagnostics equal the plain numpy formulas
-    bit for bit, with the heights flowing alone and with the planar
-    coordinates."""
+    bit for bit."""
     runs = []
     for name in GRAPH_DESIGNS + WEAVE_DESIGNS:
         system = load_system(name)
-        config = random_initial_configuration(system, seed=1)
-        runs.append((system, config, FlowParams(t_max=50.0, record_stride=10), False))
-        runs.append((system, config, FlowParams(t_max=5.0, record_stride=5), True))
+        runs.append((system, random_initial_configuration(system, seed=1), FlowParams(t_max=50.0, record_stride=10)))
     for system, config in acceptance_4_systems():
-        for planar in (False, True):
-            runs.append((system, config, FlowParams(t_max=1.5, record_stride=1), planar))
-    for system, config, params, planar in runs:
+        runs.append((system, config, FlowParams(t_max=1.5, record_stride=1)))
+    for system, config, params in runs:
         if system.kind == "weave":
             members = [system._component_vertices(c) for c in tangle_decomposition(system).components]
         else:
             members = []
-        traj = integrate(system, config, params, flow_planar=planar)
+        traj = integrate(system, config, params)
         assert len(traj.samples) > 2
         for s in traj.samples:
             zb, zr = s.config.z_blue, s.config.z_red
@@ -480,7 +476,6 @@ def test_step_kernel_matches_reference_arithmetic():
     systems = [load_system(name) for name in ("untangled_pair.graph", "honeycomb.graph", "three_blocks_6x6.weave")]
     systems += [random_graph_system(rng) for _ in range(4)] + [random_weave_system(rng) for _ in range(4)]
     for system in systems:
-        n = system.n_vertices
         kernel = dynamics._StepKernel(system)
         for trial in range(10):
             scale = 10.0 ** rng.uniform(-2, 2)
@@ -492,10 +487,6 @@ def test_step_kernel_matches_reference_arithmetic():
                 (2.0 * (system.blue_laplacian @ zb) + repulsion, 2.0 * (system.red_laplacian @ zr) - repulsion)
             )
             assert np.array_equal(dynamics._velocity(kernel, np.concatenate((zb, zr))), expected)
-            x = system.planar_x + rng.normal(size=(n, 2))
-            planar = dynamics._velocity(kernel, np.concatenate((zb, zr, x.ravel())))
-            assert np.array_equal(planar[:2 * n], expected)
-            assert np.array_equal(planar[2 * n:], 2.0 * system._edge_tension(x).ravel())
             energy = (
                 1.5
                 + float(-(zb @ system.blue_laplacian @ zb) - (zr @ system.red_laplacian @ zr))
@@ -661,25 +652,6 @@ def test_translation_symmetry_of_converged_checkerboard():
     perm = [((i + 1) % n) * n + ((j + 1) % n) for i in range(n) for j in range(n)]
     assert np.max(np.abs(final.z_blue[perm] - final.z_blue)) <= 1e-6
     assert np.max(np.abs(final.z_red[perm] - final.z_red)) <= 1e-6
-
-
-def test_planar_flow_relaxes_to_harmonic_positions():
-    from tangleflow.model import build_entangled_system, harmonic_planar_coordinates
-    from tangleflow.model import PeriodicQuotientGraph
-
-    graph = PeriodicQuotientGraph(
-        n_vertices=2,
-        edges=((0, 1, (0, 0)), (1, 0, (1, 0))),
-        lattice_basis=((1.0, 0.0), (0.0, 1.0)),
-    )
-    system = build_entangled_system(graph, (1, -1))
-    x0 = np.array([[0.3, 0.4], [-0.3, -0.4]])
-    config = Configuration(x=x0, z_blue=np.array([1.0, -1.0]), z_red=np.array([-1.0, 1.0]))
-    traj = integrate(system, config, FlowParams(t_max=50.0), flow_planar=True)
-    final_x = traj.samples[-1].config.x
-    target = harmonic_planar_coordinates(system)
-    shift = final_x.mean(axis=0) - target.mean(axis=0)
-    assert np.max(np.abs(final_x - shift - target)) <= 1e-6
 
 
 @pytest.mark.parametrize(

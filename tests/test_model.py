@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -288,21 +289,25 @@ def test_weave_assembly_matches_loop_reference():
             assert np.array_equal(system.sign, np.array(sign).reshape(n))
 
 
+def stacked_blocks_sign(m):
+    """Signs of an m x m weave of 4x4 checkerboard blocks on the diagonal,
+    each strictly above the ones after it: untangled, one tangle component
+    per block."""
+    return tuple(
+        tuple(
+            (1 if (i + j) % 2 == 0 else -1) if i // 4 == j // 4 else (1 if i < j else -1)
+            for j in range(m)
+        )
+        for i in range(m)
+    )
+
+
 def test_classifying_a_large_weave_builds_no_dense_matrix(tmp_path):
     """Classifying a 64x64 weave (n = 4096) reads only its signs: the traced
     peak stays far below one n x n float matrix (134 MB).  The decomposition
     and the CLI run each peak near 1 MB."""
-    # sixteen 4x4 checkerboard blocks on the diagonal, each strictly above
-    # the ones after it: untangled, one tangle component per block
-    sign = tuple(
-        tuple(
-            (1 if (i + j) % 2 == 0 else -1) if i // 4 == j // 4 else (1 if i < j else -1)
-            for j in range(64)
-        )
-        for i in range(64)
-    )
     path = tmp_path / "stacked_64x64.weave"
-    path.write_text(serialize_design(WeaveDesign(n_blue=64, n_red=64, sign=sign)))
+    path.write_text(serialize_design(WeaveDesign(n_blue=64, n_red=64, sign=stacked_blocks_sign(64))))
     out = io.StringIO()
     tracemalloc.start()
     try:
@@ -316,6 +321,23 @@ def test_classifying_a_large_weave_builds_no_dense_matrix(tmp_path):
         tracemalloc.stop()
     assert out.getvalue().startswith("untangled, K=16: W1={b1,b2,b3,b4|r1,r2,r3,r4}, ")
     assert peak < 16e6
+
+
+def test_decomposing_a_large_weave_builds_no_cubic_temporary():
+    """The tangle decomposition of a 256x256 stacked-block weave compares
+    blue rows through matrix products, not (n_blue, n_blue, n_red)
+    temporaries: its traced peak stays near 3 MB, where three such boolean
+    arrays alone would take 50 MB."""
+    system = build_weave_system(WeaveDesign(n_blue=256, n_red=256, sign=stacked_blocks_sign(256)))
+    tracemalloc.start()
+    try:
+        decomposition = tangle_decomposition(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decomposition.k == 64
+    assert decomposition.components[0].blue == (1, 2, 3, 4)
+    assert peak < 8e6
 
 
 def test_harmonic_pair_positions():
@@ -381,6 +403,15 @@ def test_make_configuration_valid_and_invalid():
     # zero gap is a violation even when the other vertices are fine
     with pytest.raises(SignViolation):
         make_configuration(system, (1.0, 0.5), (-1.0, 0.5))
+    # an infinite height is a violation at its vertex, whatever the sign of
+    # its gap, and raises no numpy warning on the way (inf - inf)
+    inf = float("inf")
+    for zb, zr in (((inf, -1.0), (-1.0, 1.0)), ((inf, -1.0), (inf, 1.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SignViolation) as err:
+                make_configuration(system, zb, zr)
+        assert err.value.vertex == 0
     # only later vertices are wrong: the first offending one is reported,
     # whether its gap has the wrong sign, is zero or is NaN
     weave = load_system("checker_4x4.weave")
