@@ -133,6 +133,14 @@ def _cmd_scaling(args) -> int:
     _LOG.info("integrating to t_max=%g", params.t_max)
     trajectory = integrate(system, config, params)
     window = (params.t_max / 10.0, params.t_max)
+    t_final = trajectory.samples[-1].t
+    if trajectory.status == "converged" and t_final < window[0]:
+        # the flow stops once its velocity is below grad_tol, so no longer
+        # horizon puts a sample in this window
+        raise UsageError(
+            f"the flow converged at t={_g17(t_final)}, before the fit window "
+            f"[{window[0]!r}, {window[1]!r}]; use a shorter --t-max"
+        )
     for series in separation_series(trajectory):
         # the steps taken set the sample count, so it is known only now; all
         # series share the sample times, so only the first fit can raise

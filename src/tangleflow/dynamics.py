@@ -13,21 +13,25 @@ adapts dt between the configured bounds.
 `integrate` runs in two phases.  Untangled systems never converge: their
 components drift apart like t^(1/3), and RK4 would crawl along that smooth
 tail at dt_max.  So once an untangled run has held dt at its cap for
-`_SWITCH_STEPS` consecutive accepted steps, it switches to the L-stable ROS2
-Rosenbrock-W method (Verwer, Spee, Blom and Hundsdorfer 1999) with step-size
-control from its embedded first-order estimate, in the manner of LSODA's
+`_SWITCH_STEPS` consecutive accepted steps, it switches to the L-stable
+Rosenbrock-W method ROS34PW2 (Rang and Angermann 2005) with step-size
+control from its embedded second-order estimate, in the manner of LSODA's
 nonstiff-to-stiff switch.  W = I - gamma h J is inverted once per step size
-and reused while h is unchanged; ROS2 is second order for any W.  Every
-Rosenbrock step passes the same guards as an RK4 step.  Entangled runs and
-runs shorter than the switch stay on RK4 throughout.
+and reused while h is unchanged; ROS34PW2 is third order for any W.  Every
+Rosenbrock step passes the same guards as an RK4 step, and since its steps
+grow to thousands in t, the phase also records the flow on a log grid of t
+(`_GRID_PER_DECADE` times per decade) from each step's cubic Hermite dense
+output.  Entangled runs and runs shorter than the switch stay on RK4
+throughout.
 
 Both phases evaluate a candidate end state in one place, `_end_state`: the
 guard, then the velocity there, once.  That velocity gives the energy,
 through the exact identity y.v = R - 2 Q over the heights (Q the stretching
 energy, R = sum 1/|d| the repulsion, so E = x_term + 1.5 R - 0.5 y.v), the
-sup-norm convergence test, and the next step's first stage (RK4's k1, ROS2's
-v), as in the "first same as last" Runge-Kutta pairs of Dormand and Prince
-(1980).  The guard's minimum gap sets the RK4 stability cap on dt.
+sup-norm convergence test, and the next step's first stage (RK4's k1, the
+Rosenbrock step's v), as in the "first same as last" Runge-Kutta pairs of
+Dormand and Prince (1980).  The guard's minimum gap sets the RK4 stability
+cap on dt.  Grid samples are evaluated by `_end_state` too.
 
 Only recorded samples carry a `Configuration`.  The step loop reads
 per-system constants (float signs, doubled Laplacians) and runs the RK4
@@ -70,6 +74,10 @@ __all__ = [
 # initial energy (absorbs rounding noise near stationarity)
 _ENERGY_CUSHION = 1e-13
 
+# `_end_state`'s reason for a state that passed the guard, whose velocity
+# was therefore evaluated, but whose energy is above the cap
+_ENERGY_INCREASED = "energy increased"
+
 # the classical RK4 stability interval on the negative real axis ends near
 # 2.785; keep lambda*dt under this margin so stiff gap modes stay damped
 # instead of cycling between growth and energy-guard rejection
@@ -85,17 +93,50 @@ _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 _SWITCH_STEPS = 1000
 
 # the Rosenbrock phase keeps its embedded error estimate below this fraction
-# of the largest height (or of 1, if no height is larger); looser tolerances
-# move the fitted separation prefactors off their law (2.8e-4 at 1e-4),
-# tighter ones no longer bring them closer (~1e-4 at 3e-5 and at 1e-6)
-_ROS_TOL = 3e-5
+# of the largest height (or of 1, if no height is larger); at 1e-5 the fitted
+# separation prefactors stay within 1.6e-4 of their law, about the fit's own
+# finite-horizon bias
+_ROS_TOL = 1e-5
 
 # h doubles after a step whose error is below this fraction of the
-# tolerance: the estimate is O(h^2), so the doubled step still passes
-_ROS_GROW = 0.2
+# tolerance: the local error is O(h^3), so doubling multiplies it by ~8
+_ROS_GROW = 0.1
 
-# ROS2's gamma, which makes the method L-stable
-_ROS_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
+# ROS34PW2 (Rang and Angermann, BIT 45, 2005): a stiffly accurate,
+# L-stable Rosenbrock-W method of order 3 for any W, with an embedded
+# second-order solution.  Its (alpha, gamma) form, with gamma on the
+# diagonal of the lower triangular Gamma:
+_ROS_GAMMA = 0.435866521508459
+_ROS_ALPHA = np.array([
+    [0.0, 0.0, 0.0, 0.0],
+    [0.87173304301691801, 0.0, 0.0, 0.0],
+    [0.84457060015369423, -0.11299064236484185, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+])
+_ROS_GAMMAS = np.array([
+    [_ROS_GAMMA, 0.0, 0.0, 0.0],
+    [-0.87173304301691801, _ROS_GAMMA, 0.0, 0.0],
+    [-0.90338057013044082, 0.054180672388095326, _ROS_GAMMA, 0.0],
+    [0.24212380706095346, -1.2232505839045147, 0.54526025533510214, _ROS_GAMMA],
+])
+_ROS_B = np.array([0.24212380706095346, -1.2232505839045147, 1.5452602553351020, _ROS_GAMMA])
+_ROS_B_HAT = np.array([0.37810903145819369, -0.096042292212423178, 0.5, 0.2179332607542295])
+
+# the same method in the variables u_i = sum_j gamma_ij k_j, which need no
+# Jacobian-vector products: W u_i = gamma h v(y + sum_j a_ij u_j)
+# + sum_j gamma c_ij u_j, and y_1 = y + sum_j m_j u_j; _ROS_ERROR holds the
+# weights of the embedded error, m - m_hat
+_ROS_GAMMAS_INV = np.linalg.inv(_ROS_GAMMAS)
+_ROS_A = _ROS_ALPHA @ _ROS_GAMMAS_INV
+_ROS_GC = -_ROS_GAMMA * np.tril(_ROS_GAMMAS_INV, -1)
+_ROS_M = _ROS_B @ _ROS_GAMMAS_INV
+_ROS_ERROR = (_ROS_B - _ROS_B_HAT) @ _ROS_GAMMAS_INV
+
+# the Rosenbrock phase also records the flow at t = 10^(k / N) for every
+# integer k, from the dense output of the step that spans it, so that a
+# power-law fit window [t_max / 10, t_max] holds enough samples however
+# long the steps grow
+_GRID_PER_DECADE = 150
 
 _LOG = logging.getLogger("tangleflow")
 
@@ -108,7 +149,8 @@ class FlowParams:
     recorded every record_stride accepted RK4 steps.  dt_max and
     record_stride govern the RK4 phase only: the Rosenbrock phase of an
     untangled run chooses its own step size (still at least dt_min) and
-    records every accepted step."""
+    records every accepted step and, between steps, the interpolated flow
+    at the times 10^(k / 150)."""
 
     dt_init: float = 1e-3
     dt_min: float = 1e-9
@@ -330,7 +372,7 @@ def _end_state(kernel, y, gap_floor, energy_cap, x_term):
     repulsion = np.add.reduce(np.reciprocal(gaps, out=gaps))
     energy = x_term + float(1.5 * repulsion - 0.5 * y.dot(v))
     if not energy <= energy_cap:
-        return "energy increased"
+        return _ENERGY_INCREASED
     return v, energy, float(np.maximum.reduce(np.abs(v))), min_gap
 
 
@@ -384,9 +426,32 @@ def step(system, config, dt) -> Configuration:
     return Configuration(x=config.x, z_blue=y_new[:n], z_red=y_new[n:])
 
 
+def _ros_step(kernel, y, v, h, w_inv, u):
+    """One ROS34PW2 step of size h from the stacked state y, where v is the
+    velocity at y and w_inv is W^-1 = (I - gamma h J)^-1 for some
+    approximation J of the Jacobian; the stages u_1..u_4 run in the rows of
+    u, and only u_2..u_4 evaluate the velocity.  Returns the new state and
+    the embedded error estimate, a vector."""
+    gamma_h = _ROS_GAMMA * h
+    np.dot(w_inv, gamma_h * v, out=u[0])
+    for i in range(1, 4):
+        f = _velocity(kernel, y + _ROS_A[i, :i].dot(u[:i]))
+        f *= gamma_h
+        f += _ROS_GC[i, :i].dot(u[:i])
+        np.dot(w_inv, f, out=u[i])
+    return y + _ROS_M.dot(u), _ROS_ERROR.dot(u)
+
+
+def _evaluated(end) -> bool:
+    """Whether `_end_state` evaluated the velocity at the state it returned
+    `end` for: it does unless the guard rejected the state."""
+    return not isinstance(end, str) or end is _ENERGY_INCREASED
+
+
 def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, record):
     """Continue the flow from time t at the stacked heights y, whose
-    `_end_state` is `end`, with guarded ROS2 steps, starting at step size h.
+    `_end_state` is `end`, with guarded ROS34PW2 steps, starting at step
+    size h.
 
     A step is rejected, and h halved, when its error estimate exceeds the
     tolerance (before its end state is evaluated), it trips a structural
@@ -394,12 +459,19 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
     cushion; rejection at dt_min raises StepUnderflow.  h doubles after a
     step well inside the tolerance, and W is refreshed (from the Jacobian at
     the current state) only when h changes.  record(t, y, end) is called on
-    every accepted step.  Returns (t, y, end, status).
+    every accepted step and, before it, at each grid time
+    10^(k / _GRID_PER_DECADE) strictly inside the step, on the cubic Hermite
+    interpolant of the step's end states and velocities.  A grid state is skipped, not recorded, when it
+    trips a guard, its energy exceeds the previous state's by more than the
+    cushion, or it lies more than the cushion below the step end's.
+    Returns (t, y, end, status).
     """
     size = y.size
-    accepted = rejected = refreshes = 0
+    accepted = rejected = refreshes = evaluations = on_grid = skipped = 0
     h_w = None  # the step size W^-1 was built for
-    k1, k2 = np.empty(size), np.empty(size)
+    u = np.empty((4, size))
+    # an index below every grid time after t, whatever the rounding of log10
+    grid = math.floor(_GRID_PER_DECADE * math.log10(t)) - 1
     v, energy, grad_norm, _ = end
     while True:
         if grad_norm < params.grad_tol:
@@ -414,36 +486,62 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
             W *= -_ROS_GAMMA * h_eff
             W.flat[:: size + 1] += 1.0
             w_inv = np.linalg.inv(W)
+            # 1^T J = 0 gives 1^T W^-1 = 1^T, and every right-hand side below
+            # sums to zero but for the rounding of its velocity, which a long
+            # step would carry into the barycenter: project each u onto the
+            # zero-sum states by giving every column of W^-1 zero mean
+            w_inv -= w_inv.mean(axis=0)
             h_w = h_eff
             refreshes += 1
-        np.dot(w_inv, v, out=k1)
-        f = _velocity(kernel, y + h_eff * k1)
-        f -= 2.0 * k1
-        np.dot(w_inv, f, out=k2)
-        y_new = y + (1.5 * h_eff) * k1 + (0.5 * h_eff) * k2
-        # the embedded first-order solution is y + h k1
-        k1 += k2
-        error = 0.5 * h_eff * float(np.maximum.reduce(np.abs(k1)))
+        y_new, error = _ros_step(kernel, y, v, h_eff, w_inv, u)
+        evaluations += 3
+        # a non-finite stage makes the error NaN, which fails the test below
+        error = float(np.maximum.reduce(np.abs(error)))
         error /= _ROS_TOL * max(1.0, float(np.maximum.reduce(np.abs(y))))
-        new_end = (  # a NaN error fails
+        new_end = (
             _end_state(kernel, y_new, gap_floor, energy + cushion, x_term)
             if error <= 1.0 else "error estimate above tolerance"
         )
+        evaluations += _evaluated(new_end)
         if isinstance(new_end, str):
             if h_eff <= params.dt_min:
                 raise StepUnderflow(t, h_eff)
             h = max(h_eff / 2.0, params.dt_min)
             rejected += 1
             continue
-        t += h_eff
+        t_new = t + h_eff
+        v_new, energy_new, _, _ = new_end
+        last = energy
+        while (t_grid := 10.0 ** ((grid + 1) / _GRID_PER_DECADE)) < t_new:
+            grid += 1
+            if t_grid <= t:
+                continue
+            theta = (t_grid - t) / h_eff
+            # cubic Hermite: the weights on y and y_new sum to 1 and the
+            # velocity term sums to zero (its mean is only rounding, which
+            # h would amplify), so the barycenter holds
+            y_grid = y + (theta * theta * (3.0 - 2.0 * theta)) * (y_new - y)
+            slope = (1.0 - theta) * v - theta * v_new
+            slope -= slope.mean()
+            y_grid += (h_eff * theta * (1.0 - theta)) * slope
+            sample = _end_state(kernel, y_grid, gap_floor, last + cushion, x_term)
+            evaluations += _evaluated(sample)
+            if isinstance(sample, str) or sample[1] < energy_new - cushion:
+                skipped += 1
+                continue
+            record(t_grid, y_grid, sample)
+            last = sample[1]
+            on_grid += 1
+        t = t_new
         y, end = y_new, new_end
         v, energy, grad_norm, _ = end
         accepted += 1
         record(t, y, end)
         h = 2.0 * h_eff if error < _ROS_GROW else h_eff
     _LOG.info(
-        "Rosenbrock phase ended at t=%g: %d accepted, %d rejected steps, %d W refreshes",
-        t, accepted, rejected, refreshes,
+        "Rosenbrock phase ended at t=%g: %d accepted, %d rejected steps, %d W refreshes, "
+        "%d velocity evaluations, %d grid samples recorded, %d skipped",
+        t, accepted, rejected, refreshes, evaluations, on_grid, skipped,
     )
     return t, y, end, status
 
@@ -459,8 +557,10 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     dt_min raises StepUnderflow.  An untangled system (a graph with one
     crossing sign, or a weave with two or more tangle components) switches,
     once dt has stayed at its cap for `_SWITCH_STEPS` consecutive accepted
-    steps, to error-controlled ROS2 steps under the same guards, each
-    recorded as a sample.  Every sample keeps the planar layout config0.x.
+    steps, to error-controlled ROS34PW2 steps under the same guards, each
+    recorded as a sample, with samples of the interpolated flow at the
+    times 10^(k / 150) between them.  Every sample keeps the planar layout
+    config0.x.
     Initial states with misshapen or non-finite coordinates, violated
     crossing signs, or a non-finite energy or velocity raise InvalidInitial.
     """

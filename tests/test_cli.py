@@ -228,7 +228,28 @@ def test_scaling_short_t_max_exits_2(capsys):
     code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--t-max", "105")
     assert code == 2
     assert out == ""
-    assert err == "error: 17 samples in window [10.5, 105.0], need at least 20; use a longer --t-max\n"
+    assert err == "error: 18 samples in window [10.5, 105.0], need at least 20; use a longer --t-max\n"
+
+
+@pytest.mark.parametrize("t_max", ["107", "108"])
+def test_scaling_shortest_t_max_succeeds(capsys, t_max):
+    # 107 is the shortest integer horizon whose fit window holds the 20
+    # samples the fit needs; a change of stepping or sampling must not raise it
+    code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--t-max", t_max)
+    assert code == 0
+    assert out.startswith("separation slope=") and out.count("\n") == 1
+    assert err == ""
+
+
+def test_scaling_converged_before_window_exits_2(capsys):
+    # the pair converges at t ~ 1.7e14, so no longer horizon can help
+    code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--t-max", "1e300")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the flow converged at t=171230610832311.56, before the fit window "
+        "[1e+299, 1e+300]; use a shorter --t-max\n"
+    )
 
 
 def test_scaling_negative_seed_exits_2(capsys):

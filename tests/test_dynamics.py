@@ -225,26 +225,39 @@ def test_integrate_untangled_pair_follows_cube_root_growth(t_max):
     assert all(b > a for a, b in zip(seps, seps[1:]))
 
 
-@pytest.mark.parametrize("name", ["untangled_pair.graph", "three_blocks_6x6.weave"])
-def test_invariants_hold_across_the_rosenbrock_switch(name):
-    """Every accepted step of a run that switches from RK4 to Rosenbrock
-    steps keeps the flow's invariants; steps far longer than dt_max show
-    that the switch happened (RK4 steps differ from dt_max only by
-    rounding)."""
+@pytest.mark.parametrize(
+    "name, t_max",
+    [
+        pytest.param("untangled_pair.graph", 1e4, id="untangled_pair.graph"),
+        pytest.param("three_blocks_6x6.weave", 1e4, id="three_blocks_6x6.weave"),
+        pytest.param("three_blocks_6x6.weave", 1e5, id="three_blocks_6x6.weave-1e5"),
+        pytest.param("mixed_stack_6x6.weave", 1e5, id="mixed_stack_6x6.weave-1e5"),
+    ],
+)
+def test_invariants_hold_across_the_rosenbrock_switch(name, t_max):
+    """Every sample of a run that switches from RK4 to Rosenbrock steps,
+    every accepted step and every grid sample, keeps the flow's invariants:
+    times increase, the energy never rises beyond the cushion, and the
+    height sum (2n times the barycenter) holds to 1e-12, which needs the
+    Rosenbrock stages and the dense output projected onto zero-sum moves.
+    Steps far longer than dt_max show that the switch happened (RK4 steps
+    differ from dt_max only by rounding)."""
     system = load_system(name)
     config = random_initial_configuration(system, seed=11)
     e0 = dynamics._total_energy(system, config)
     m0 = float(np.sum(config.z_blue + config.z_red))
-    params = FlowParams(t_max=1e4, record_stride=1)
+    params = FlowParams(t_max=t_max, record_stride=1)
     traj = integrate(system, config, params)
     assert traj.samples[-1].t == params.t_max
+    times = [s.t for s in traj.samples]
+    assert all(b > a for a, b in zip(times, times[1:]))
     energies = [s.energy for s in traj.samples]
     assert all(b <= a + 1e-12 * abs(e0) for a, b in zip(energies, energies[1:]))
     for s in traj.samples:
-        assert abs(float(np.sum(s.config.z_blue + s.config.z_red)) - m0) <= 1e-8
+        assert abs(float(np.sum(s.config.z_blue + s.config.z_red)) - m0) <= 1e-12
         assert np.all(np.sign(s.config.z_blue - s.config.z_red) == system.sign)
         assert s.min_gap >= params.gap_safety / e0
-    assert np.max(np.diff([s.t for s in traj.samples])) > 10 * params.dt_max
+    assert np.max(np.diff(times)) > 10 * params.dt_max
 
 
 # ROADMAP item 1's law A_k for the separation series of each cut between
@@ -265,7 +278,7 @@ SEPARATION_LAW = {
 def test_separation_prefactor_matches_the_law(name):
     """A stepper-independent oracle for long runs: the fit of s^3 = A t + B
     on [500, 1e5] gives the law's A within 2e-4 (the worst measured at this
-    horizon is 1.1e-4, on mixed_stack_6x6)."""
+    horizon is 1.55e-4, on three_blocks_6x6)."""
     system = load_system(name)
     traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=1e5))
     series = separation_series(traj)
@@ -396,13 +409,17 @@ def test_sample_diagnostics_match_reference_formulas():
     """Each sample's energy (from the end-state velocity through
     y.v = R - 2 Q) equals `_energy` and the brute-force energy to rel 1e-13,
     and its gap and barycenter diagnostics equal the plain numpy formulas
-    bit for bit."""
+    bit for bit, on RK4 samples and, on one untangled run past the switch,
+    on Rosenbrock steps and grid samples."""
     runs = []
     for name in GRAPH_DESIGNS + WEAVE_DESIGNS:
         system = load_system(name)
         runs.append((system, random_initial_configuration(system, seed=1), FlowParams(t_max=50.0, record_stride=10)))
     for system, config in acceptance_4_systems():
         runs.append((system, config, FlowParams(t_max=1.5, record_stride=1)))
+    # past the Rosenbrock switch: accepted steps and grid samples
+    system = load_system("three_blocks_6x6.weave")
+    runs.append((system, random_initial_configuration(system, seed=1), FlowParams(t_max=1e4)))
     for system, config, params in runs:
         if system.kind == "weave":
             members = [system._component_vertices(c) for c in tangle_decomposition(system).components]
@@ -424,12 +441,17 @@ def test_sample_diagnostics_match_reference_formulas():
 
 
 @pytest.mark.parametrize(
-    "name, n_samples, energy",
-    [("untangled_pair.graph", 1126, 0.5510831598389871), ("three_blocks_6x6.weave", 1233, 96.96140696838637)],
+    "name, n_samples, energy, counts",
+    [
+        ("untangled_pair.graph", 395, 0.5510819135067531, "85 accepted, 3 rejected steps, 20 W refreshes, 648"),
+        ("three_blocks_6x6.weave", 396, 96.96138379105672, "86 accepted, 3 rejected steps, 20 W refreshes, 652"),
+    ],
+    ids=["untangled_pair.graph", "three_blocks_6x6.weave"],
 )
-def test_rosenbrock_phase_is_pinned(caplog, name, n_samples, energy):
-    """The ROS2 step sequence of an untangled run past the switch: its
-    sample count, final time and W refreshes exactly, and its final energy."""
+def test_rosenbrock_phase_is_pinned(caplog, name, n_samples, energy, counts):
+    """The ROS34PW2 step sequence of an untangled run past the switch: its
+    sample count, final time, step and evaluation counts exactly, and its
+    final energy.  11 samples come from the RK4 phase, 299 from the grid."""
     caplog.set_level(logging.INFO, logger="tangleflow")
     system = load_system(name)
     traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=1e4))
@@ -437,8 +459,82 @@ def test_rosenbrock_phase_is_pinned(caplog, name, n_samples, energy):
     assert traj.samples[-1].energy == pytest.approx(energy, rel=1e-12)
     assert [r.getMessage() for r in caplog.records] == [
         "switching to Rosenbrock steps at t=100.33 after 1020 accepted, 0 rejected RK4 steps",
-        f"Rosenbrock phase ended at t=10000: {n_samples - 11} accepted, 0 rejected steps, 11 W refreshes",
+        f"Rosenbrock phase ended at t=10000: {counts} velocity evaluations, "
+        "299 grid samples recorded, 0 skipped",
     ]
+
+
+def test_skipped_grid_samples_leave_the_steps_unchanged(caplog, monkeypatch):
+    """Grid samples are read off accepted steps and never steer them: when
+    every grid state fails the guard, each is skipped (counted, not
+    recorded), and the run records exactly the other samples of the
+    unpatched run, bit for bit."""
+    system = load_system("untangled_pair.graph")
+    config = random_initial_configuration(system, seed=11)
+    params = FlowParams(t_max=1e3)
+    caplog.set_level(logging.INFO, logger="tangleflow")
+    full = integrate(system, config, params)
+    recorded = caplog.records[-1].getMessage()
+    assert recorded.endswith(" grid samples recorded, 0 skipped")
+    n_grid = int(recorded.split(" velocity evaluations, ")[1].split()[0])
+
+    ros_step, end_state = dynamics._ros_step, dynamics._end_state
+    ends = []  # the end state of each Rosenbrock step
+
+    def remembered_step(*args):
+        y_new, error = ros_step(*args)
+        ends.append(y_new)
+        return y_new, error
+
+    def failing_grid_state(kernel, y, *args):
+        if ends and y is not ends[-1]:
+            return "minimum gap fell below the floor"
+        return end_state(kernel, y, *args)
+
+    monkeypatch.setattr(dynamics, "_ros_step", remembered_step)
+    monkeypatch.setattr(dynamics, "_end_state", failing_grid_state)
+    caplog.clear()
+    patched = integrate(system, config, params)
+    assert caplog.records[-1].getMessage().endswith(f" 0 grid samples recorded, {n_grid} skipped")
+    energies = {s.t: s.energy for s in full.samples}
+    assert len(patched.samples) == len(full.samples) - n_grid
+    assert all(energies[s.t] == s.energy for s in patched.samples)
+
+
+@pytest.mark.parametrize("exact_jacobian", [True, False], ids=["exact J", "fixed wrong W"])
+def test_rosenbrock_step_is_third_order(monkeypatch, exact_jacobian):
+    """`_ros_step`, with the tableau as coded, is third order on the stiff
+    nonlinear Kaps problem y1' = -(1/eps + 2) y1 + y2^2 / eps,
+    y2' = y1 - y2 - y2^2 with eps = 0.1 (stiffness ratio ~12), whose
+    solution from (1, 1) is (e^-2t, e^-t): halving h cuts the error at t = 1
+    by 2^p with p >= 2.8, with W from the exact Jacobian at every step and,
+    since a W-method needs no exact Jacobian, with one W built from half the
+    initial Jacobian and held for the whole run (measured: p = 2.91 and 2.96
+    with the exact J, 3.01 and 3.00 with the wrong W)."""
+    eps = 0.1
+
+    def f(y):
+        return np.array([-(1.0 / eps + 2.0) * y[0] + y[1] ** 2 / eps, y[0] - y[1] - y[1] ** 2])
+
+    def jacobian(y):
+        return np.array([[-(1.0 / eps + 2.0), 2.0 * y[1] / eps], [1.0, -1.0 - 2.0 * y[1]]])
+
+    monkeypatch.setattr(dynamics, "_velocity", lambda kernel, y, out=None: f(y))
+    u = np.empty((4, 2))
+
+    def error_at_1(n):
+        h = 1.0 / n
+        y = np.array([1.0, 1.0])
+        held = 0.5 * jacobian(y)
+        for _ in range(n):
+            J = jacobian(y) if exact_jacobian else held
+            w_inv = np.linalg.inv(np.eye(2) - dynamics._ROS_GAMMA * h * J)
+            y, _ = dynamics._ros_step(None, y, f(y), h, w_inv, u)
+        return float(np.max(np.abs(y - np.exp([-2.0, -1.0]))))
+
+    errors = [error_at_1(n) for n in (80, 160, 320)]
+    orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(orders) >= 2.8, orders
 
 
 def test_guard_reason_returns_gaps_or_reason():
