@@ -25,18 +25,16 @@ output.  Entangled runs and runs shorter than the switch stay on RK4
 throughout.
 
 Both phases evaluate a candidate end state in one place, `_end_state`: the
-guard, then the velocity there, once.  That velocity gives the energy,
-through the exact identity y.v = R - 2 Q over the heights (Q the stretching
-energy, R = sum 1/|d| the repulsion, so E = x_term + 1.5 R - 0.5 y.v), the
-sup-norm convergence test, and the next step's first stage (RK4's k1, the
-Rosenbrock step's v), as in the "first same as last" Runge-Kutta pairs of
-Dormand and Prince (1980).  The guard's minimum gap sets the RK4 stability
-cap on dt.  Grid samples are evaluated by `_end_state` too.
+guard, then the velocity there, once, which gives the sup-norm convergence
+test and the next step's first stage (RK4's k1, the Rosenbrock step's v), as
+in the "first same as last" Runge-Kutta pairs of Dormand and Prince (1980),
+then the energy, from `_energy` as everywhere.  The guard's minimum gap sets
+the RK4 stability cap on dt.  Grid samples are evaluated by `_end_state` too.
 
 Only recorded samples carry a `Configuration`.  The step loop reads
-per-system constants (float signs, doubled Laplacians) and runs the RK4
-stages in buffers that each `integrate`, `step` or `gradient` call builds
-for itself and drops when it returns.
+per-system constants (float signs, doubled Laplacians, edges) and runs the
+RK4 stages in buffers that each `integrate`, `step`, `gradient` or energy
+call builds for itself and drops when it returns.
 """
 from __future__ import annotations
 
@@ -208,13 +206,9 @@ class Trajectory:
     status: str  # "converged" or "truncated"
 
 
-def _stacked(config) -> np.ndarray:
-    return np.concatenate((config.z_blue, config.z_red))
-
-
-def _checked_gaps(system, config) -> np.ndarray:
-    """The gaps z_blue - z_red of heights that fit the system, are finite and
-    nowhere touch."""
+def _checked_heights(system, config) -> tuple:
+    """The stacked heights [z_blue; z_red] and absolute gaps |z_blue - z_red|
+    of heights that fit the system, are finite and nowhere touch."""
     n = system.n_vertices
     zb, zr = config.z_blue, config.z_red
     if zb.shape != (n,) or zr.shape != (n,):
@@ -227,22 +221,12 @@ def _checked_gaps(system, config) -> np.ndarray:
     zero = np.nonzero(d == 0.0)[0]
     if zero.size:
         raise ZeroGap(int(zero[0]))
-    return d
-
-
-def _energy(system, zb, zr, gaps, x_term) -> float:
-    """Energy of the heights zb, zr, given their nonzero absolute gaps and
-    the planar term x_term."""
-    return (
-        x_term
-        + float(-(zb.dot(system.blue_laplacian).dot(zb)) - zr.dot(system.red_laplacian).dot(zr))
-        + float(np.add.reduce(1.0 / gaps))
-    )
+    return np.concatenate((zb, zr)), np.abs(d)
 
 
 def _total_energy(system, config) -> float:
-    gaps = np.abs(_checked_gaps(system, config))
-    return _energy(system, config.z_blue, config.z_red, gaps, system.planar_term(config.x))
+    y, gaps = _checked_heights(system, config)
+    return _energy(_StepKernel(system), y, gaps, system.planar_term(config.x))
 
 
 def energy_entangled(system, config) -> float:
@@ -261,13 +245,15 @@ def energy_weave(system, config) -> float:
 
 class _StepKernel:
     """The constants of the step loop of one system: the crossing signs as
-    floats (so sign / d^2 casts nothing) and the bound `dot` of the doubled
-    Laplacians, shared when both families have the same one.  Doubling is
-    exact, so (2 L) z equals 2 (L z) bit for bit.  `stages` holds the RK4
-    stage state and k2, k3, k4, reused by every step of the run."""
+    floats (so sign / d^2 casts nothing), the bound `dot` of the doubled
+    Laplacians, shared when both families have the same one, and the edge
+    endpoints `edge_u`, `edge_v` in the stacked heights (red ones offset by
+    n, an edge of multiplicity m listed m times).  Doubling is exact, so
+    (2 L) z equals 2 (L z) bit for bit.  `stages` holds the RK4 stage state
+    and k2, k3, k4, reused by every step of the run."""
 
     def __init__(self, system):
-        self.n = system.n_vertices
+        self.n = n = system.n_vertices
         self.sign = system.sign.astype(float)
         self.two_blue = 2.0 * system.blue_laplacian
         self.two_red = (
@@ -275,7 +261,25 @@ class _StepKernel:
         )
         self.blue_dot = self.two_blue.dot
         self.red_dot = self.two_red.dot
-        self.stages = tuple(np.empty((4, 2 * self.n)))
+        ends = []
+        for laplacian, offset in ((system.blue_laplacian, 0), (system.red_laplacian, n)):
+            # the positive entries are the off-diagonal edge counts; a flat
+            # index is far cheaper to find than a 2-D one
+            u, v = np.divmod(np.flatnonzero(laplacian > 0), n)
+            u, v = u[u < v], v[u < v]
+            ends.append(np.repeat(np.stack((u, v)) + offset, laplacian[u, v].astype(int), axis=1))
+        self.edge_u, self.edge_v = np.concatenate(ends, axis=1)
+        self.stages = tuple(np.empty((4, 2 * n)))
+
+
+def _energy(kernel, y, gaps, x_term) -> float:
+    """Energy of the stacked heights y: x_term plus the squared height
+    difference along every edge plus the sum of 1 / |d| over the absolute
+    gaps, which are overwritten with their reciprocals.  No term is
+    negative, so no shift of the heights makes the sum cancel."""
+    d = y[kernel.edge_u]
+    d -= y[kernel.edge_v]
+    return x_term + float(d.dot(d)) + float(np.add.reduce(np.reciprocal(gaps, out=gaps)))
 
 
 def _velocity(kernel, y, out=None):
@@ -319,9 +323,9 @@ def _jacobian(kernel, y):
 
 def gradient(system, config):
     """Descent direction (v_blue, v_red) of the height flow at config."""
-    _checked_gaps(system, config)
+    y, _ = _checked_heights(system, config)
     with np.errstate(**_QUIET):
-        v = _velocity(_StepKernel(system), _stacked(config))
+        v = _velocity(_StepKernel(system), y)
     return v[: system.n_vertices], v[system.n_vertices:]
 
 
@@ -335,8 +339,8 @@ def _guard_reason(kernel, y, gap_floor):
     is acceptable, its absolute gaps |z_blue - z_red| and their minimum
     instead."""
     n = kernel.n
-    d = y[:n] - y[n:]
-    gaps = d * kernel.sign
+    gaps = y[:n] - y[n:]
+    gaps *= kernel.sign  # signed: positive exactly where the crossing sign holds
     min_gap = np.minimum.reduce(gaps)
     # every signed gap at or above the floor (false for NaN) and a finite sum
     # (false for any inf or NaN entry) imply that all the checks below pass;
@@ -345,9 +349,9 @@ def _guard_reason(kernel, y, gap_floor):
         return gaps, min_gap
     if not np.all(np.isfinite(y)):
         return "non-finite heights"
-    if np.any(np.sign(d) != kernel.sign):
+    if not min_gap > 0.0:  # finite heights have no NaN gap
         return "crossing sign flipped"
-    if float(np.min(np.abs(d))) < gap_floor:
+    if min_gap < gap_floor:
         return f"minimum gap fell below the floor {gap_floor:.3e}"
     return gaps, min_gap  # only the sum overflowed; the signs hold, so these are |d|
 
@@ -356,21 +360,16 @@ def _end_state(kernel, y, gap_floor, energy_cap, x_term):
     """Evaluate the candidate end state y of a step: the guard, then, if it
     passes, the velocity there, once.  Returns why y is rejected, as a
     string, or (v, energy, grad_norm, min_gap): the velocity (the next
-    step's k1), the energy, the sup norm of v and the minimum gap.
-
-    The energy comes from v through the identity y.v = R - 2 Q over the
-    heights, where Q = -z_blue L_B z_blue - z_red L_R z_red is the stretching
-    energy and R = sum 1/|d| the repulsion: E = x_term + 1.5 R - 0.5 y.v,
-    with x_term the planar term of the run's fixed layout.  The state is
-    also rejected when its energy is above energy_cap (or NaN).
+    step's k1), the energy (`_energy`, with x_term the planar term of the
+    run's fixed layout), the sup norm of v and the minimum gap.  The state
+    is also rejected when its energy is above energy_cap (or NaN).
     """
     guard = _guard_reason(kernel, y, gap_floor)
     if isinstance(guard, str):
         return guard
     gaps, min_gap = guard
     v = _velocity(kernel, y)
-    repulsion = np.add.reduce(np.reciprocal(gaps, out=gaps))
-    energy = x_term + float(1.5 * repulsion - 0.5 * y.dot(v))
+    energy = _energy(kernel, y, gaps, x_term)
     if not energy <= energy_cap:
         return _ENERGY_INCREASED
     return v, energy, float(np.maximum.reduce(np.abs(v))), min_gap
@@ -412,9 +411,9 @@ def step(system, config, dt) -> Configuration:
     rounding cushion.  Otherwise GapGuardTripped is raised.
     """
     x_term = system.planar_term(config.x)
-    energy = _energy(system, config.z_blue, config.z_red, np.abs(_checked_gaps(system, config)), x_term)
-    y = _stacked(config)
+    y, gaps = _checked_heights(system, config)
     kernel = _StepKernel(system)
+    energy = _energy(kernel, y, gaps, x_term)
     with np.errstate(**_QUIET):
         y_new, end = _rk4_step(
             kernel, y, _velocity(kernel, y), dt, FlowParams.gap_safety / energy,
@@ -579,7 +578,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     x_term = system.planar_term(x0)
     kernel = _StepKernel(system)
     with np.errstate(**_QUIET):
-        e0 = _energy(system, z_blue, z_red, np.abs(d0), x_term)
+        e0 = _energy(kernel, y, np.abs(d0), x_term)
         v = _velocity(kernel, y)
     grad_norm = float(np.maximum.reduce(np.abs(v)))
     if not (math.isfinite(e0) and math.isfinite(grad_norm)):

@@ -74,6 +74,19 @@ def brute_force_energy(system, config) -> float:
     return total
 
 
+def energy_of(system):
+    """The public energy function of the system's kind."""
+    return energy_weave if system.kind == "weave" else energy_entangled
+
+
+def end_state_energy(system, config) -> float:
+    """The energy `_end_state` gives config, as recorded on a sample."""
+    y = np.concatenate((config.z_blue, config.z_red))
+    with np.errstate(**dynamics._QUIET):
+        end = dynamics._end_state(dynamics._StepKernel(system), y, 0.0, np.inf, system.planar_term(config.x))
+    return end[1]
+
+
 def test_pair_energy_closed_form():
     system, config = pair_config(0.3)
     # planar term 0.5 (two half-period edges), quadratic 16 a^2, repulsion 1/a
@@ -82,6 +95,11 @@ def test_pair_energy_closed_form():
 
 
 def test_energy_matches_brute_force_summation():
+    """On random systems, and on every bundled design with all heights
+    shifted by 1e4, where a formula that cancels (the quadratic form z L z,
+    or the identity y.v = R - 2 Q) is off by up to 6.2e-9 while squared edge
+    differences stay within rounding of the oracle: both the public energy
+    and the energy `_end_state` records."""
     rng = np.random.default_rng(5)
     for _ in range(6):
         system = random_graph_system(rng, max_vertices=8)
@@ -95,6 +113,14 @@ def test_energy_matches_brute_force_summation():
         assert energy_weave(system, config) == pytest.approx(
             brute_force_energy(system, config), rel=1e-12
         )
+    for name in GRAPH_DESIGNS + WEAVE_DESIGNS:
+        system = load_system(name)
+        for seed in range(5):
+            config = random_initial_configuration(system, seed=seed)
+            shifted = Configuration(x=config.x, z_blue=config.z_blue + 1e4, z_red=config.z_red + 1e4)
+            reference = brute_force_energy(system, shifted)
+            assert energy_of(system)(system, shifted) == pytest.approx(reference, rel=1e-13)
+            assert end_state_energy(system, shifted) == pytest.approx(reference, rel=1e-13)
 
 
 def test_energy_kind_dispatch_and_zero_gap():
@@ -406,11 +432,11 @@ def acceptance_4_systems():
 
 
 def test_sample_diagnostics_match_reference_formulas():
-    """Each sample's energy (from the end-state velocity through
-    y.v = R - 2 Q) equals `_energy` and the brute-force energy to rel 1e-13,
-    and its gap and barycenter diagnostics equal the plain numpy formulas
-    bit for bit, on RK4 samples and, on one untangled run past the switch,
-    on Rosenbrock steps and grid samples."""
+    """Each sample's energy equals `energy_entangled`/`energy_weave` on its
+    configuration bit for bit (one energy formula) and the brute-force
+    energy to rel 1e-13, and its gap and barycenter diagnostics equal the
+    plain numpy formulas bit for bit, on RK4 samples and, on one untangled
+    run past the switch, on Rosenbrock steps and grid samples."""
     runs = []
     for name in GRAPH_DESIGNS + WEAVE_DESIGNS:
         system = load_system(name)
@@ -425,13 +451,13 @@ def test_sample_diagnostics_match_reference_formulas():
             members = [system._component_vertices(c) for c in tangle_decomposition(system).components]
         else:
             members = []
+        energy = energy_of(system)
         traj = integrate(system, config, params)
         assert len(traj.samples) > 2
         for s in traj.samples:
             zb, zr = s.config.z_blue, s.config.z_red
             gaps = np.abs(zb - zr)
-            reference = dynamics._energy(system, zb, zr, gaps, system.planar_term(s.config.x))
-            assert s.energy == pytest.approx(reference, rel=1e-13)
+            assert s.energy == energy(system, s.config)
             assert s.energy == pytest.approx(brute_force_energy(system, s.config), rel=1e-13)
             assert s.min_gap == float(np.min(gaps))
             assert s.m_blue == float(np.mean(zb)) and s.m_red == float(np.mean(zr))
@@ -462,6 +488,28 @@ def test_rosenbrock_phase_is_pinned(caplog, name, n_samples, energy, counts):
         f"Rosenbrock phase ended at t=10000: {counts} velocity evaluations, "
         "299 grid samples recorded, 0 skipped",
     ]
+
+
+def test_long_untangled_run_ends_without_a_rejection_storm(monkeypatch):
+    """Heights of ~1e4 and more make an energy formula that cancels round
+    above the energy cushion; then about half the end states are rejected,
+    the steps stay short and a run to 1e20 never ends.  With squared edge
+    differences the run to 1e14 ends truncated, after ~4,500 `_end_state`
+    calls (2,915 samples); the budget of 30,000 calls makes a storm fail
+    fast instead of hanging."""
+    calls = 0
+    end_state = dynamics._end_state
+
+    def budgeted_end_state(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= 30_000, "end-state evaluation budget exceeded"
+        return end_state(*args)
+
+    monkeypatch.setattr(dynamics, "_end_state", budgeted_end_state)
+    system = load_system("three_blocks_6x6.weave")
+    traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=1e14))
+    assert (traj.status, traj.samples[-1].t) == ("truncated", 1e14)
 
 
 def test_skipped_grid_samples_leave_the_steps_unchanged(caplog, monkeypatch):
@@ -565,14 +613,15 @@ def test_guard_reason_returns_gaps_or_reason():
 
 
 def test_step_kernel_matches_reference_arithmetic():
-    """The velocity and energy of the step loop equal, bit for bit, the
-    plain formulas: 2 (L z) +- sign / d^2 with matmul and an integer sign,
-    and -(z L z) summed with `@`."""
+    """The velocity of the step loop equals, bit for bit, the plain formula
+    2 (L z) +- sign / d^2 with matmul and an integer sign, and its end-state
+    energy equals `energy_entangled`/`energy_weave` bit for bit."""
     rng = np.random.default_rng(17)
     systems = [load_system(name) for name in ("untangled_pair.graph", "honeycomb.graph", "three_blocks_6x6.weave")]
     systems += [random_graph_system(rng) for _ in range(4)] + [random_weave_system(rng) for _ in range(4)]
     for system in systems:
         kernel = dynamics._StepKernel(system)
+        energy = energy_of(system)
         for trial in range(10):
             scale = 10.0 ** rng.uniform(-2, 2)
             config = random_initial_configuration(system, seed=trial, gap_scale=scale)
@@ -583,12 +632,7 @@ def test_step_kernel_matches_reference_arithmetic():
                 (2.0 * (system.blue_laplacian @ zb) + repulsion, 2.0 * (system.red_laplacian @ zr) - repulsion)
             )
             assert np.array_equal(dynamics._velocity(kernel, np.concatenate((zb, zr))), expected)
-            energy = (
-                1.5
-                + float(-(zb @ system.blue_laplacian @ zb) - (zr @ system.red_laplacian @ zr))
-                + float((1.0 / np.abs(d)).sum())
-            )
-            assert dynamics._energy(system, zb, zr, np.abs(d), 1.5) == energy
+            assert end_state_energy(system, config) == energy(system, config)
 
 
 def test_component_barycenters_are_pinned():
@@ -764,7 +808,7 @@ def test_translation_symmetry_of_converged_checkerboard():
 def test_energy_and_gradient_reject_unusable_heights(z_blue, z_red, expected):
     system = load_system("entangled_pair.graph")
     config = Configuration(x=system.planar_x, z_blue=z_blue, z_red=z_red)
-    for fn in (energy_entangled, gradient, stationarity_residual):
+    for fn in (energy_entangled, gradient, stationarity_residual, lambda s, c: step(s, c, 1e-3)):
         with pytest.raises(expected):
             fn(system, config)
     weave = load_system("split_2x2.weave")
