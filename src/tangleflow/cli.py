@@ -23,7 +23,7 @@ from .designio import (
     write_configuration_json,
     write_trajectory_csv,
 )
-from .dynamics import FlowParams, energy_entangled, energy_weave, integrate
+from .dynamics import FlowParams, integrate
 from .errors import (
     DesignSemanticError,
     DesignSyntaxError,
@@ -170,13 +170,11 @@ def _cmd_spectrum(args) -> int:
 def _cmd_verify(args) -> int:
     system = _load_system(args.design)
     params = _flow_params(args, default_t_max=50.0)
-    energy_fn = energy_entangled if system.kind == "entangled-graph" else energy_weave
-
-    config = random_initial_configuration(system, seed=1)
-    e0 = energy_fn(system, config)
-    m0 = float(np.sum(config.z_blue + config.z_red))
-    trajectory = integrate(system, config, params)
+    trajectory = integrate(system, random_initial_configuration(system, seed=1), params)
     samples = trajectory.samples
+    # the first sample holds the initial heights and their energy
+    e0 = samples[0].energy
+    m0 = float(np.sum(samples[0].config.z_blue + samples[0].config.z_red))
 
     failures = []
 

@@ -3,8 +3,10 @@
 The heights follow the steepest-descent flow of the energy: a quadratic
 stretching term along edges (per thread family for weaves) plus a 1/|gap|
 repulsion between the two copies at every vertex.  Graphs and weaves share
-one path: the state is the stacked heights z = [z_blue; z_red], with one
-Laplacian per family; the planar layout stays fixed.
+one path: the state is the stacked heights z = [z_blue; z_red], with the
+system's height edges and Laplacian per family; the planar layout stays
+fixed.  The energy sums over the edges; the velocity multiplies by the
+dense Laplacians, which is faster.
 `step` and `integrate` take the same guarded step: classical fourth-order
 Runge-Kutta, rejected when the end state breaks a structural guard
 (finiteness, crossing signs, gap floor) or raises the energy; `integrate`
@@ -33,8 +35,8 @@ the RK4 stability cap on dt.  Grid samples are evaluated by `_end_state` too.
 
 Only recorded samples carry a `Configuration`.  The step loop reads
 per-system constants (float signs, doubled Laplacians, edges) and runs the
-RK4 stages in buffers that each `integrate`, `step`, `gradient` or energy
-call builds for itself and drops when it returns.
+RK4 stages in buffers that each `integrate`, `step` or `gradient` call
+builds for itself and drops when it returns; energy calls read only edges.
 """
 from __future__ import annotations
 
@@ -226,7 +228,7 @@ def _checked_heights(system, config) -> tuple:
 
 def _total_energy(system, config) -> float:
     y, gaps = _checked_heights(system, config)
-    return _energy(_StepKernel(system), y, gaps, system.planar_term(config.x))
+    return _energy(_stacked_edges(system), y, gaps, system.planar_term(config.x))
 
 
 def energy_entangled(system, config) -> float:
@@ -243,14 +245,20 @@ def energy_weave(system, config) -> float:
     return _total_energy(system, config)
 
 
+def _stacked_edges(system) -> tuple:
+    """The system's height edges as endpoint arrays (u, v) in the stacked
+    heights: the blue edges, then the red ones offset by n."""
+    blue, red = system._height_edges
+    return tuple(np.concatenate((blue, red + system.n_vertices), axis=1))
+
+
 class _StepKernel:
     """The constants of the step loop of one system: the crossing signs as
     floats (so sign / d^2 casts nothing), the bound `dot` of the doubled
-    Laplacians, shared when both families have the same one, and the edge
-    endpoints `edge_u`, `edge_v` in the stacked heights (red ones offset by
-    n, an edge of multiplicity m listed m times).  Doubling is exact, so
-    (2 L) z equals 2 (L z) bit for bit.  `stages` holds the RK4 stage state
-    and k2, k3, k4, reused by every step of the run."""
+    Laplacians, shared when both families have the same one, and the
+    `_stacked_edges`.  Doubling is exact, so (2 L) z equals 2 (L z) bit for
+    bit.  `stages` holds the RK4 stage state and k2, k3, k4, reused by every
+    step of the run."""
 
     def __init__(self, system):
         self.n = n = system.n_vertices
@@ -261,24 +269,19 @@ class _StepKernel:
         )
         self.blue_dot = self.two_blue.dot
         self.red_dot = self.two_red.dot
-        ends = []
-        for laplacian, offset in ((system.blue_laplacian, 0), (system.red_laplacian, n)):
-            # the positive entries are the off-diagonal edge counts; a flat
-            # index is far cheaper to find than a 2-D one
-            u, v = np.divmod(np.flatnonzero(laplacian > 0), n)
-            u, v = u[u < v], v[u < v]
-            ends.append(np.repeat(np.stack((u, v)) + offset, laplacian[u, v].astype(int), axis=1))
-        self.edge_u, self.edge_v = np.concatenate(ends, axis=1)
+        self.edges = _stacked_edges(system)
         self.stages = tuple(np.empty((4, 2 * n)))
 
 
-def _energy(kernel, y, gaps, x_term) -> float:
+def _energy(edges, y, gaps, x_term) -> float:
     """Energy of the stacked heights y: x_term plus the squared height
-    difference along every edge plus the sum of 1 / |d| over the absolute
-    gaps, which are overwritten with their reciprocals.  No term is
-    negative, so no shift of the heights makes the sum cancel."""
-    d = y[kernel.edge_u]
-    d -= y[kernel.edge_v]
+    difference along every edge (the `_stacked_edges`, in their order) plus
+    the sum of 1 / |d| over the absolute gaps, which are overwritten with
+    their reciprocals.  No term is negative, so no shift of the heights
+    makes the sum cancel."""
+    u, v = edges
+    d = y[u]
+    d -= y[v]
     return x_term + float(d.dot(d)) + float(np.add.reduce(np.reciprocal(gaps, out=gaps)))
 
 
@@ -369,7 +372,7 @@ def _end_state(kernel, y, gap_floor, energy_cap, x_term):
         return guard
     gaps, min_gap = guard
     v = _velocity(kernel, y)
-    energy = _energy(kernel, y, gaps, x_term)
+    energy = _energy(kernel.edges, y, gaps, x_term)
     if not energy <= energy_cap:
         return _ENERGY_INCREASED
     return v, energy, float(np.maximum.reduce(np.abs(v))), min_gap
@@ -413,7 +416,7 @@ def step(system, config, dt) -> Configuration:
     x_term = system.planar_term(config.x)
     y, gaps = _checked_heights(system, config)
     kernel = _StepKernel(system)
-    energy = _energy(kernel, y, gaps, x_term)
+    energy = _energy(kernel.edges, y, gaps, x_term)
     with np.errstate(**_QUIET):
         y_new, end = _rk4_step(
             kernel, y, _velocity(kernel, y), dt, FlowParams.gap_safety / energy,
@@ -578,7 +581,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     x_term = system.planar_term(x0)
     kernel = _StepKernel(system)
     with np.errstate(**_QUIET):
-        e0 = _energy(kernel, y, np.abs(d0), x_term)
+        e0 = _energy(kernel.edges, y, np.abs(d0), x_term)
         v = _velocity(kernel, y)
     grad_norm = float(np.maximum.reduce(np.abs(v)))
     if not (math.isfinite(e0) and math.isfinite(grad_norm)):
@@ -592,12 +595,10 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     else:
         members = ()
         untangled = classify_entangled_graph(system) is Classification.UNTANGLED
-    # Gershgorin bound on the stretching part of the flow Jacobian; the gap
-    # repulsion adds at most 4/min_gap^3 on top of it
-    quad_rate = 2.0 * max(
-        float(np.max(np.sum(np.abs(system.blue_laplacian), axis=1))),
-        float(np.max(np.sum(np.abs(system.red_laplacian), axis=1))),
-    )
+    # Gershgorin bound on the stretching part 2 L of the flow Jacobian: a row
+    # of 2 |L| sums to four times its vertex's degree in the family (a 1x1
+    # weave has no edges); the gap repulsion adds at most 4/min_gap^3 on top
+    quad_rate = 4.0 * int(np.max(np.bincount(np.concatenate(kernel.edges), minlength=2 * n)))
 
     def record(t, y, end):
         _, energy, grad_norm, min_gap = end

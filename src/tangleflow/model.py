@@ -2,8 +2,9 @@
 
 A system couples a combinatorial object (a quotient graph with lattice-shift
 edges, or a two-family weave) with per-vertex crossing signs and the derived
-numerical structure: Laplacian matrices, harmonic planar coordinates, and the
-constant planar energy.  Configurations assign the two height functions.
+numerical structure: the height edges of each family, the Laplacian matrices
+built from them, harmonic planar coordinates, and the constant planar energy.
+Configurations assign the two height functions.
 """
 from __future__ import annotations
 
@@ -118,6 +119,7 @@ class _SystemBase:
     laplacian: np.ndarray
     blue_laplacian: np.ndarray  # per height family; both are `laplacian` for graphs
     red_laplacian: np.ndarray
+    _height_edges: tuple  # (blue, red) `_sorted_edges`, the source of the family Laplacians
     planar_x: np.ndarray
     planar_energy: float
     _edge_arrays: tuple  # (u, v, shift): edge endpoints u -> v and planar shift vectors
@@ -162,8 +164,9 @@ class EntangledSystem(_SystemBase):
         table = np.array(
             [(u, v, sx, sy) for u, v, (sx, sy) in graph.edges], dtype=int
         ).reshape(-1, 4)
-        # a shifted loop stretches in-plane but not in height
-        self.laplacian = _freeze(_laplacian(table[:, 0], table[:, 1], self.n_vertices))
+        edges = _sorted_edges(table[:, 0], table[:, 1])
+        self._height_edges = (edges, edges)
+        self.laplacian = _freeze(_laplacian(*edges, self.n_vertices))
         self.blue_laplacian = self.red_laplacian = self.laplacian
         self._edge_arrays = self._frozen_edge_arrays(table[:, 0], table[:, 1], table[:, 2:])
         self.planar_x = _freeze(_solve_harmonic(self))
@@ -177,10 +180,11 @@ class WeaveSystem(_SystemBase):
     Construction keeps only what `build_weave_system` validated: `design`,
     the flattened `sign`, the vertex grid `_grid`, `n_vertices` and
     `lattice_basis`.  The rest is built on first read and cached, frozen:
-    `blue_threads`, `red_threads`, `edges`, `blue_laplacian`,
-    `red_laplacian`, `laplacian`, `planar_x`, `planar_energy` and the edge
-    arrays behind `planar_term` and `_edge_tension`.  So classifying a weave,
-    which reads only `sign`, builds no n x n matrix.
+    `blue_threads`, `red_threads`, `edges`, `_height_edges`,
+    `blue_laplacian`, `red_laplacian`, `laplacian`, `planar_x`,
+    `planar_energy` and the edge arrays behind `planar_term` and
+    `_edge_tension`.  So classifying a weave, which reads only `sign`, builds
+    no n x n matrix, and neither does its energy, which reads only the edges.
     """
 
     kind = "weave"
@@ -203,12 +207,19 @@ class WeaveSystem(_SystemBase):
         return tuple(map(tuple, self._grid.T.tolist()))
 
     @cached_property
+    def _height_edges(self) -> tuple:
+        # each vertex's right edge runs along its blue thread, its lower edge
+        # along its red thread
+        u_idx, v_idx, _ = self._edge_index()
+        return _sorted_edges(u_idx[0::2], v_idx[0::2]), _sorted_edges(u_idx[1::2], v_idx[1::2])
+
+    @cached_property
     def blue_laplacian(self) -> np.ndarray:
-        return _freeze(_thread_laplacian(self._grid, self.n_vertices))
+        return _freeze(_laplacian(*self._height_edges[0], self.n_vertices))
 
     @cached_property
     def red_laplacian(self) -> np.ndarray:
-        return _freeze(_thread_laplacian(self._grid.T, self.n_vertices))
+        return _freeze(_laplacian(*self._height_edges[1], self.n_vertices))
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -256,23 +267,25 @@ class WeaveSystem(_SystemBase):
         return blue, red
 
 
-def _laplacian(u, v, n: int) -> np.ndarray:
-    """Adjacency-minus-degree matrix of the multigraph with edges u[e]-v[e];
-    loops (u[e] == v[e]) are dropped."""
+def _sorted_edges(u, v) -> np.ndarray:
+    """The edges u[e]-v[e] as a frozen, sorted 2 x m array of (min, max)
+    endpoints, an edge of multiplicity k listed k times.  Loops are dropped:
+    a shifted loop, or a one-crossing thread's, stretches nothing in height."""
     keep = u != v
-    u, v = u[keep], v[keep]
+    lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+    order = np.lexsort((hi, lo))
+    return _freeze(np.stack((lo[order], hi[order])))
+
+
+def _laplacian(u, v, n: int) -> np.ndarray:
+    """Adjacency-minus-degree matrix of the loop-free multigraph with edges
+    u[e]-v[e]."""
     L = np.zeros((n, n))
     np.add.at(L, (u, v), 1.0)
     np.add.at(L, (v, u), 1.0)
     np.add.at(L, (u, u), -1.0)
     np.add.at(L, (v, v), -1.0)
     return L
-
-
-def _thread_laplacian(threads: np.ndarray, n: int) -> np.ndarray:
-    """Adjacency-minus-degree matrix of the disjoint thread cycles, one per
-    row of vertex indices (a single crossing has no in-thread neighbor)."""
-    return _laplacian(threads.reshape(-1), np.roll(threads, -1, axis=1).reshape(-1), n)
 
 
 def _solve_harmonic(system: _SystemBase) -> np.ndarray:

@@ -8,6 +8,7 @@ leftover single threads grouped by identical crossing profiles.
 from __future__ import annotations
 
 import enum
+import graphlib
 import itertools
 from dataclasses import dataclass
 
@@ -150,45 +151,28 @@ def weavely_connected_components(system):
 
 
 def _order_nodes(nodes, edges):
-    """Topologically sort node indices under "a above b" edges.
+    """Topologically sort node indices under "a above b" edges, always taking
+    the smallest available node next.
 
     Returns (order, ambiguous) where ambiguous records whether more than one
     node was available at any step (the order is then not forced).  Raises
     InconsistentHeightOrder if the relation is cyclic; the offending cycle of
     node indices is attached to the error.
     """
-    n = len(nodes)
-    edge_list = sorted(set(edges))
-    indegree = [0] * n
-    out = [[] for _ in range(n)]
-    for a, b in edge_list:
-        out[a].append(b)
-        indegree[b] += 1
-    ready = sorted(i for i in range(n) if indegree[i] == 0)
-    order = []
-    ambiguous = False
-    while ready:
-        if len(ready) > 1:
-            ambiguous = True
+    sorter = graphlib.TopologicalSorter({node: () for node in range(len(nodes))})
+    for a, b in edges:
+        sorter.add(b, a)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        raise InconsistentHeightOrder(exc.args[1][:-1]) from None  # its last node repeats its first
+    order, ready, ambiguous = [], [], False
+    while sorter.is_active():
+        ready = sorted(ready + list(sorter.get_ready()))
+        ambiguous = ambiguous or len(ready) > 1
         node = ready.pop(0)
         order.append(node)
-        for b in out[node]:
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                ready.append(b)
-        ready.sort()
-    if len(order) != n:
-        placed = set(order)
-        remaining = [i for i in range(n) if i not in placed]
-        # every remaining node keeps an unconsumed predecessor, so walking
-        # backwards must revisit a node and exposes a cycle
-        seen = []
-        node = remaining[0]
-        while node not in seen:
-            seen.append(node)
-            node = min(a for a, b in edge_list if b == node and a not in placed)
-        cycle = tuple(reversed(seen[seen.index(node):]))
-        raise InconsistentHeightOrder(cycle)
+        sorter.done(node)
     return order, ambiguous
 
 

@@ -1,22 +1,28 @@
-"""Property tests on generated designs: the design text round-trips, and the
+"""Property tests on generated designs: the design text round-trips, the
 tangle decomposition partitions the threads with K == 1 exactly for
-entangled weaves."""
+entangled weaves, its component order is the smallest-first topological
+order, and the flow keeps its invariants on small weaves and graphs."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import random_graph_system  # noqa: E402
 from tangleflow.designio import parse_design, serialize_design  # noqa: E402
+from tangleflow.dynamics import FlowParams, integrate  # noqa: E402
+from tangleflow.errors import InconsistentHeightOrder  # noqa: E402
 from tangleflow.model import (  # noqa: E402
     GraphDesign,
     PeriodicQuotientGraph,
     WeaveDesign,
     build_weave_system,
+    random_initial_configuration,
 )
-from tangleflow.topology import is_entangled, tangle_decomposition  # noqa: E402
+from tangleflow.topology import _order_nodes, is_entangled, tangle_decomposition  # noqa: E402
 
 SIGNS = st.sampled_from((1, -1))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -65,3 +71,70 @@ def test_decomposition_partitions_threads_and_k1_means_entangled(sign):
     assert sorted(red) == list(range(1, n_red + 1))
     assert all(comp.blue or comp.red for comp in decomposition.components)
     assert is_entangled(system) == (decomposition.k == 1)
+
+
+@st.composite
+def dags(draw, max_nodes=9):
+    """A node count and "a above b" edges, each oriented down a random
+    ranking of the nodes, so the relation has no cycle."""
+    n = draw(st.integers(1, max_nodes))
+    rank = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    return n, {(a, b) if rank[a] < rank[b] else (b, a) for a, b in pairs if a != b}
+
+
+def smallest_first_order(n, edges):
+    """Reference sort: repeatedly place the smallest node whose predecessors
+    are all placed, noting whether more than one was available."""
+    order, ambiguous = [], False
+    while len(order) < n:
+        ready = [k for k in range(n) if k not in order and all(a in order for a, b in edges if b == k)]
+        ambiguous = ambiguous or len(ready) > 1
+        order.append(min(ready))
+    return order, ambiguous
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(dags(), st.data())
+def test_component_order_is_smallest_first(dag, data):
+    n, edges = dag
+    assert _order_nodes([None] * n, edges) == smallest_first_order(n, edges)
+    if edges:  # reversing one edge closes a cycle, which the error names
+        a, b = data.draw(st.sampled_from(sorted(edges)))
+        cyclic = edges | {(b, a)}
+        with pytest.raises(InconsistentHeightOrder) as err:
+            _order_nodes([None] * n, cyclic)
+        cycle = err.value.cycle
+        assert len(set(cycle)) == len(cycle) >= 2
+        assert all((c, cycle[(k + 1) % len(cycle)]) in cyclic for k, c in enumerate(cycle))
+
+
+def small_weaves():
+    return sign_matrices(max_threads=4).map(
+        lambda sign: build_weave_system(WeaveDesign(n_blue=len(sign), n_red=len(sign[0]), sign=sign))
+    )
+
+
+def small_graphs():
+    return st.integers(0, 2**32 - 1).map(
+        lambda seed: random_graph_system(np.random.default_rng(seed), max_vertices=6)
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(small_weaves(), small_graphs()), st.integers(0, 2**16))
+def test_flow_keeps_its_invariants_on_generated_systems(system, seed):
+    """At every recorded step the energy has not risen beyond the rounding
+    cushion, the height sum holds, every crossing sign holds, and no gap is
+    below the guard's floor."""
+    config = random_initial_configuration(system, seed=seed)
+    params = FlowParams(t_max=1.5, record_stride=1)
+    samples = integrate(system, config, params).samples
+    e0 = samples[0].energy
+    m0 = float(np.sum(config.z_blue + config.z_red))
+    for before, after in zip(samples, samples[1:]):
+        assert after.energy <= before.energy + 1e-12 * abs(e0)
+    for s in samples:
+        assert abs(float(np.sum(s.config.z_blue + s.config.z_red)) - m0) <= 1e-8
+        assert np.all(np.sign(s.config.z_blue - s.config.z_red) == system.sign)
+        assert s.min_gap >= params.gap_safety / e0

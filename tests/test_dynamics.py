@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,6 +30,8 @@ from tangleflow.errors import (
 )
 from tangleflow.model import (
     Configuration,
+    WeaveDesign,
+    build_weave_system,
     make_configuration,
     random_initial_configuration,
 )
@@ -142,6 +145,25 @@ def test_uniform_gap_repulsion_value():
     assert energy_weave(system, config) == pytest.approx(
         system.planar_energy + 4.0 / 1.0, rel=1e-14
     )
+
+
+def test_weave_energy_builds_no_dense_matrix():
+    """The energy of a 48x48 checkerboard (n = 2304) reads only the height
+    edges: no family Laplacian is built, and the traced peak stays far below
+    one n x n float matrix (42 MB)."""
+    n = 48
+    sign = tuple(tuple(1 if (i + j) % 2 == 0 else -1 for j in range(n)) for i in range(n))
+    system = build_weave_system(WeaveDesign(n_blue=n, n_red=n, sign=sign))
+    config = random_initial_configuration(system, seed=0)
+    tracemalloc.start()
+    try:
+        energy = energy_weave(system, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert not {"blue_laplacian", "red_laplacian", "laplacian"} & set(vars(system))
+    assert energy == pytest.approx(brute_force_energy(system, config), rel=1e-13)
 
 
 def test_gradient_at_closed_form_stationary_point():

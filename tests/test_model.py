@@ -24,6 +24,7 @@ from tangleflow.errors import (
 from tangleflow.model import (
     PeriodicQuotientGraph,
     WeaveDesign,
+    _laplacian,
     build_entangled_system,
     build_weave_system,
     harmonic_planar_coordinates,
@@ -58,6 +59,21 @@ def test_laplacian_rows_sum_to_zero_and_symmetric():
         assert np.max(np.abs(L.sum(axis=1))) == 0.0
         off = L - np.diag(np.diag(L))
         assert np.all(off >= 0)
+    # the height edges are the graph's edges without its shifted loops, as
+    # sorted (min, max) pairs with parallel edges repeated; both families
+    # share them, and the Laplacian is built from them
+    loops = parallel = 0
+    for _ in range(40):
+        system = random_graph_system(rng, max_vertices=5)
+        pairs = [(min(u, v), max(u, v)) for u, v, _ in system.edges]
+        loops += sum(u == v for u, v in pairs)
+        parallel += len(set(pairs)) < len(pairs)
+        expected = np.array(sorted(p for p in pairs if p[0] != p[1]), dtype=int).reshape(-1, 2).T
+        blue, red = system._height_edges
+        assert red is blue and not blue.flags.writeable
+        assert blue.shape == expected.shape and np.array_equal(blue, expected)
+        assert np.array_equal(_laplacian(*blue, system.n_vertices), system.laplacian)
+    assert loops and parallel
 
 
 def test_crossing_map_accepts_mapping_keyed_by_vertices():
@@ -113,6 +129,7 @@ def test_self_loop_with_shift_allowed_and_cancels_in_laplacian():
     system = build_entangled_system(graph, (1,))
     assert system.laplacian.shape == (1, 1)
     assert system.laplacian[0, 0] == 0.0
+    assert all(edges.shape == (2, 0) for edges in system._height_edges)
 
 
 def test_invalid_sign_values_rejected():
@@ -234,7 +251,7 @@ def test_weave_assembly_matches_loop_reference():
         tuple(int(k) for k in rng.integers(1, 8, size=2)) for _ in range(15)
     ]
     lazy = (
-        "blue_threads", "red_threads", "edges", "blue_laplacian", "red_laplacian",
+        "blue_threads", "red_threads", "edges", "_height_edges", "blue_laplacian", "red_laplacian",
         "laplacian", "planar_x", "planar_energy", "_edge_arrays",
     )
     for nb, nr in shapes:
@@ -243,6 +260,7 @@ def test_weave_assembly_matches_loop_reference():
         design = WeaveDesign(n_blue=nb, n_red=nr, sign=sign, spacing=spacing)
         n = nb * nr
         laplacians = {"blue": np.zeros((n, n)), "red": np.zeros((n, n))}
+        height_edges = {"blue": [], "red": []}
         edges = []
         grid = np.zeros((n, 2))
         for i in range(nb):
@@ -250,6 +268,7 @@ def test_weave_assembly_matches_loop_reference():
                 v = i * nr + j
                 for family, w in (("blue", i * nr + (j + 1) % nr), ("red", (i + 1) % nb * nr + j)):
                     if w != v:
+                        height_edges[family].append((min(v, w), max(v, w)))
                         L = laplacians[family]
                         L[v, w] += 1.0
                         L[w, v] += 1.0
@@ -275,8 +294,13 @@ def test_weave_assembly_matches_loop_reference():
             assert all(getattr(system, name) is value for name, value in first.items())
             assert all(not a.flags.writeable for a in (
                 system.blue_laplacian, system.red_laplacian, system.laplacian,
-                system.planar_x, *system._edge_arrays,
+                system.planar_x, *system._edge_arrays, *system._height_edges,
             ))
+            # loop-free and sorted, with a two-thread cycle's edge listed twice
+            for family, got in zip(("blue", "red"), system._height_edges):
+                expected = np.array(sorted(height_edges[family]), dtype=int).reshape(-1, 2).T
+                assert got.shape == expected.shape and np.array_equal(got, expected)
+                assert np.array_equal(_laplacian(*got, n), laplacians[family])
             assert np.array_equal(system.blue_laplacian, laplacians["blue"])
             assert np.array_equal(system.red_laplacian, laplacians["red"])
             assert np.array_equal(system.laplacian, laplacians["blue"] + laplacians["red"])
