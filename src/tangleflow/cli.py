@@ -9,6 +9,7 @@ stdout carries only the results.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -227,7 +228,10 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing fills a new
+    namespace on every call, so no value carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="tangleflow",
         description="Relax and classify periodic entangled graphs and weaves.",

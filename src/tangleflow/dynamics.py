@@ -18,13 +18,15 @@ tail at dt_max.  So once an untangled run has held dt at its cap for
 `_SWITCH_STEPS` consecutive accepted steps, it switches to the L-stable
 Rosenbrock-W method ROS34PW2 (Rang and Angermann 2005) with step-size
 control from its embedded second-order estimate, in the manner of LSODA's
-nonstiff-to-stiff switch.  W = I - gamma h J is inverted once per step size
-and reused while h is unchanged; ROS34PW2 is third order for any W.  Every
-Rosenbrock step passes the same guards as an RK4 step, and since its steps
-grow to thousands in t, the phase also records the flow on a log grid of t
-(`_GRID_PER_DECADE` times per decade) from each step's cubic Hermite dense
-output.  Entangled runs and runs shorter than the switch stay on RK4
-throughout.
+nonstiff-to-stiff switch.  ROS34PW2 is third order for any W, but its error
+estimate is only as good as W = I - gamma h J is close to the current
+Jacobian.  So W is inverted anew when h changes or t has doubled since it
+was built (the coupling between components fades like 1/t), and reused
+otherwise.  Every Rosenbrock step passes the same guards as an RK4 step,
+and since its steps grow to thousands in t, the phase also records the flow
+on a log grid of t (`_GRID_PER_DECADE` times per decade) from each step's
+cubic Hermite dense output.  Entangled runs and runs that end before the
+switch (t ~ 10 on the bundled designs) stay on RK4 throughout.
 
 Both phases evaluate a candidate end state in one place, `_end_state`: the
 guard, then the velocity there, once, which gives the sup-norm convergence
@@ -88,9 +90,10 @@ _STABILITY_MARGIN = 2.5
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 # an untangled run switches to the Rosenbrock phase after this many
-# consecutive accepted RK4 steps at the dt cap (t ~ 100 on the bundled
-# designs); far more than the ~500 steps of a t_max=50 run, which stays RK4
-_SWITCH_STEPS = 1000
+# consecutive accepted RK4 steps at the dt cap: t = 10.33 on the bundled
+# designs, once the transient has settled (dt reaches its cap after ~20
+# steps); a t_max=10 run stays RK4
+_SWITCH_STEPS = 100
 
 # the Rosenbrock phase keeps its embedded error estimate below this fraction
 # of the largest height (or of 1, if no height is larger); at 1e-5 the fitted
@@ -147,10 +150,11 @@ class FlowParams:
     down to dt_min, and grow by 25% per accepted step up to dt_max (never
     beyond the stability estimate for the current minimum gap); a sample is
     recorded every record_stride accepted RK4 steps.  dt_max and
-    record_stride govern the RK4 phase only: the Rosenbrock phase of an
-    untangled run chooses its own step size (still at least dt_min) and
-    records every accepted step and, between steps, the interpolated flow
-    at the times 10^(k / 150)."""
+    record_stride govern the RK4 phase only: after 100 accepted steps at
+    the dt cap (t ~ 10), an untangled run switches to the Rosenbrock phase,
+    which chooses its own step size (still at least dt_min) and records
+    every accepted step and, between steps, the interpolated flow at the
+    times 10^(k / 150)."""
 
     dt_init: float = 1e-3
     dt_min: float = 1e-9
@@ -226,9 +230,17 @@ def _checked_heights(system, config) -> tuple:
     return np.concatenate((zb, zr)), np.abs(d)
 
 
+def _planar_term(system, x) -> float:
+    """The planar energy of the layout x: the system's cached
+    `planar_energy` when x is its own layout, the same value bit for bit."""
+    if np.array_equal(x, system.planar_x):
+        return system.planar_energy
+    return system.planar_term(x)
+
+
 def _total_energy(system, config) -> float:
     y, gaps = _checked_heights(system, config)
-    return _energy(_stacked_edges(system), y, gaps, system.planar_term(config.x))
+    return _energy(_stacked_edges(system), y, gaps, _planar_term(system, config.x))
 
 
 def energy_entangled(system, config) -> float:
@@ -413,7 +425,7 @@ def step(system, config, dt) -> Configuration:
     configuration, and the energy may not rise beyond the integrator's
     rounding cushion.  Otherwise GapGuardTripped is raised.
     """
-    x_term = system.planar_term(config.x)
+    x_term = _planar_term(system, config.x)
     y, gaps = _checked_heights(system, config)
     kernel = _StepKernel(system)
     energy = _energy(kernel.edges, y, gaps, x_term)
@@ -459,18 +471,21 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
     tolerance (before its end state is evaluated), it trips a structural
     guard, or its energy exceeds the last accepted one by more than the
     cushion; rejection at dt_min raises StepUnderflow.  h doubles after a
-    step well inside the tolerance, and W is refreshed (from the Jacobian at
-    the current state) only when h changes.  record(t, y, end) is called on
-    every accepted step and, before it, at each grid time
+    step well inside the tolerance.  W is refreshed, from the Jacobian at
+    the current state, when h changes or t has doubled since the last
+    refresh; the doubling keeps W near the Jacobian as the coupling between
+    components fades like 1/t, for O(log t) refreshes.  record(t, y, end) is
+    called on every accepted step and, before it, at each grid time
     10^(k / _GRID_PER_DECADE) strictly inside the step, on the cubic Hermite
-    interpolant of the step's end states and velocities.  A grid state is skipped, not recorded, when it
-    trips a guard, its energy exceeds the previous state's by more than the
-    cushion, or it lies more than the cushion below the step end's.
+    interpolant of the step's end states and velocities.  A grid state is
+    skipped, not recorded, when it trips a guard, its energy exceeds the
+    previous state's by more than the cushion, or it lies more than the
+    cushion below the step end's.
     Returns (t, y, end, status).
     """
     size = y.size
     accepted = rejected = refreshes = evaluations = on_grid = skipped = 0
-    h_w = None  # the step size W^-1 was built for
+    h_w = t_w = None  # the step size and the time W^-1 was built for
     u = np.empty((4, size))
     # an index below every grid time after t, whatever the rounding of log10
     grid = math.floor(_GRID_PER_DECADE * math.log10(t)) - 1
@@ -483,7 +498,7 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
             status = "truncated"
             break
         h_eff = min(h, params.t_max - t)
-        if h_eff != h_w:
+        if h_eff != h_w or t >= 2.0 * t_w:
             W = _jacobian(kernel, y)
             W *= -_ROS_GAMMA * h_eff
             W.flat[:: size + 1] += 1.0
@@ -493,7 +508,7 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
             # step would carry into the barycenter: project each u onto the
             # zero-sum states by giving every column of W^-1 zero mean
             w_inv -= w_inv.mean(axis=0)
-            h_w = h_eff
+            h_w, t_w = h_eff, t
             refreshes += 1
         y_new, error = _ros_step(kernel, y, v, h_eff, w_inv, u)
         evaluations += 3
@@ -578,7 +593,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
         raise InvalidInitial(f"initial heights violate the crossing sign at vertex {flipped[0]}")
 
     y = np.concatenate((z_blue, z_red))
-    x_term = system.planar_term(x0)
+    x_term = _planar_term(system, x0)
     kernel = _StepKernel(system)
     with np.errstate(**_QUIET):
         e0 = _energy(kernel.edges, y, np.abs(d0), x_term)

@@ -215,6 +215,22 @@ def test_out_of_range_flow_flag_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_parser_is_built_once_and_keeps_no_values(capsys, tmp_path):
+    """`main` reuses one parser per process.  Each call parses into a new
+    namespace, so a flag given to one call never becomes a later call's
+    default."""
+    assert cli._build_parser() is cli._build_parser()
+    argv = ("relax", design("entangled_pair.graph"), "--t-max", "1")
+    default = run_cli(capsys, *argv)
+    traj = tmp_path / "traj.csv"
+    seeded = run_cli(capsys, *argv, "--seed", "5", "--grad-tol", "1e-3", "--out-traj", str(traj))
+    assert seeded[0] == 0 and seeded[1] != default[1]
+    traj.unlink()
+    assert run_cli(capsys, *argv) == default
+    assert run_cli(capsys, *argv, "--seed", "0") == default
+    assert not traj.exists()
+
+
 def test_scaling_infinite_t_max_exits_2(capsys):
     code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--t-max", "inf")
     assert code == 2
@@ -223,17 +239,17 @@ def test_scaling_infinite_t_max_exits_2(capsys):
 
 
 def test_scaling_short_t_max_exits_2(capsys):
-    # the fit window [10.5, 105] holds too few samples: a usage error, found
+    # the fit window [1.2, 12] holds too few samples: a usage error, found
     # after the run, with nothing printed
-    code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--t-max", "105")
+    code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--t-max", "12")
     assert code == 2
     assert out == ""
-    assert err == "error: 18 samples in window [10.5, 105.0], need at least 20; use a longer --t-max\n"
+    assert err == "error: 15 samples in window [1.2, 12.0], need at least 20; use a longer --t-max\n"
 
 
-@pytest.mark.parametrize("t_max", ["107", "108"])
+@pytest.mark.parametrize("t_max", ["13", "14"])
 def test_scaling_shortest_t_max_succeeds(capsys, t_max):
-    # 107 is the shortest integer horizon whose fit window holds the 20
+    # 13 is the shortest integer horizon whose fit window holds the 20
     # samples the fit needs; a change of stepping or sampling must not raise it
     code, out, err = run_cli(capsys, "scaling", design("untangled_pair.graph"), "--t-max", t_max)
     assert code == 0
@@ -247,7 +263,7 @@ def test_scaling_converged_before_window_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err == (
-        "error: the flow converged at t=171230610832311.56, before the fit window "
+        "error: the flow converged at t=171817017033793.56, before the fit window "
         "[1e+299, 1e+300]; use a shorter --t-max\n"
     )
 

@@ -1,8 +1,16 @@
 """Property tests on generated designs: the design text round-trips, the
 tangle decomposition partitions the threads with K == 1 exactly for
 entangled weaves, its component order is the smallest-first topological
-order, and the flow keeps its invariants on small weaves and graphs."""
+order, every crossing agrees with the component order `classify` prints,
+component weights count the crossings with the other components, and the
+flow keeps its invariants on small weaves and graphs."""
 from __future__ import annotations
+
+import contextlib
+import io
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +20,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import random_graph_system  # noqa: E402
+from tangleflow.cli import main  # noqa: E402
 from tangleflow.designio import parse_design, serialize_design  # noqa: E402
 from tangleflow.dynamics import FlowParams, integrate  # noqa: E402
 from tangleflow.errors import InconsistentHeightOrder  # noqa: E402
@@ -22,7 +31,12 @@ from tangleflow.model import (  # noqa: E402
     build_weave_system,
     random_initial_configuration,
 )
-from tangleflow.topology import _order_nodes, is_entangled, tangle_decomposition  # noqa: E402
+from tangleflow.topology import (  # noqa: E402
+    _order_nodes,
+    boundary_weight,
+    is_entangled,
+    tangle_decomposition,
+)
 
 SIGNS = st.sampled_from((1, -1))
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -71,6 +85,66 @@ def test_decomposition_partitions_threads_and_k1_means_entangled(sign):
     assert sorted(red) == list(range(1, n_red + 1))
     assert all(comp.blue or comp.red for comp in decomposition.components)
     assert is_entangled(system) == (decomposition.k == 1)
+
+
+def printed_components(sign):
+    """The components `tangleflow classify` prints for the weave, top to
+    bottom, as (blue threads, red threads) sets, 1-indexed."""
+    design = WeaveDesign(n_blue=len(sign), n_red=len(sign[0]), sign=sign)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generated.weave"
+        path.write_text(serialize_design(design))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["classify", str(path)]) == 0
+    components = []
+    for blue, red in re.findall(r"W\d+=\{([^|]*)\|([^}]*)\}", out.getvalue()):
+        components.append((
+            {int(b[1:]) for b in blue.split(",") if b != "-"},
+            {int(r[1:]) for r in red.split(",") if r != "-"},
+        ))
+    return components
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(sign_matrices())
+def test_crossings_agree_with_the_printed_component_order(sign):
+    """Wherever blue thread i crosses red thread j of another component,
+    blue over red (+1) exactly when i's component is printed first (higher
+    up)."""
+    components = printed_components(sign)
+    level_blue = {i: k for k, (blue, _) in enumerate(components) for i in blue}
+    level_red = {j: k for k, (_, red) in enumerate(components) for j in red}
+    assert sorted(level_blue) == list(range(1, len(sign) + 1))
+    assert sorted(level_red) == list(range(1, len(sign[0]) + 1))
+    for i, row in enumerate(sign, 1):
+        for j, s in enumerate(row, 1):
+            if level_blue[i] != level_red[j]:
+                assert (s == 1) == (level_blue[i] < level_red[j]), (i, j)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(sign_matrices())
+def test_component_weight_counts_its_crossings_with_the_rest(sign):
+    """`TangleComponent.weight` of component k is its row sum of
+    w_kl = |B_k| |R_l| + |R_k| |B_l| over the other components l, which is
+    the number of crossings between k's threads and everyone else's."""
+    n_blue, n_red = len(sign), len(sign[0])
+    decomposition = tangle_decomposition(
+        build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign))
+    )
+    components = decomposition.components
+    for k, comp in enumerate(components):
+        row_sum = sum(
+            len(comp.blue) * len(other.red) + len(comp.red) * len(other.blue)
+            for l, other in enumerate(components) if l != k
+        )
+        crossings = sum(
+            (i in comp.blue) != (j in comp.red)
+            for i in range(1, n_blue + 1) for j in range(1, n_red + 1)
+        )
+        assert comp.weight == row_sum == crossings
+        assert boundary_weight(decomposition, k + 1) == comp.weight
 
 
 @st.composite

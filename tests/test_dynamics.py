@@ -166,6 +166,35 @@ def test_weave_energy_builds_no_dense_matrix():
     assert energy == pytest.approx(brute_force_energy(system, config), rel=1e-13)
 
 
+def test_energy_at_the_systems_own_layout_reads_its_cached_planar_energy(monkeypatch):
+    """Configurations on the system's own planar layout, which every
+    configuration the program builds carries, take the cached
+    `planar_energy`: `energy_weave`, `step` and `integrate` never call
+    `planar_term` on them, and the energy is the same bit for bit.  Any
+    other layout still gets its own planar term."""
+    n = 8
+    sign = tuple(tuple(1 if (i + j) % 2 == 0 else -1 for j in range(n)) for i in range(n))
+    system = build_weave_system(WeaveDesign(n_blue=n, n_red=n, sign=sign))
+    config = random_initial_configuration(system, seed=0)
+    y = np.concatenate((config.z_blue, config.z_red))
+    expected = dynamics._energy(
+        dynamics._stacked_edges(system), y, np.abs(config.z_blue - config.z_red), system.planar_term(config.x)
+    )
+    assert system.planar_energy == system.planar_term(system.planar_x)
+    calls = []
+    planar_term = system.planar_term
+    monkeypatch.setattr(system, "planar_term", lambda x: calls.append(x) or planar_term(x))
+    assert energy_weave(system, config) == expected
+    copied = Configuration(x=system.planar_x.copy(), z_blue=config.z_blue, z_red=config.z_red)
+    assert energy_weave(system, copied) == expected
+    step(system, config, 1e-4)
+    integrate(system, config, FlowParams(t_max=0.01))
+    assert calls == []
+    moved = Configuration(x=config.x + 0.5, z_blue=config.z_blue, z_red=config.z_red)
+    assert energy_weave(system, moved) == pytest.approx(brute_force_energy(system, moved), rel=1e-13)
+    assert len(calls) == 1
+
+
 def test_gradient_at_closed_form_stationary_point():
     system, config = pair_config(A_STAR)
     g_blue, g_red = gradient(system, config)
@@ -386,7 +415,7 @@ def test_trajectory_sampling_and_monotonicity():
 @pytest.mark.parametrize(
     "name, seed, n_samples, t_final, energy",
     [
-        ("untangled_pair.graph", 11, 518, 50.0, 0.7929604794788951),
+        ("untangled_pair.graph", 11, 249, 50.0, 0.7929593948117976),
         ("checker_4x4.weave", 3, 141, 12.319119304451943, 70.09762524723679),
         # this run rejects two steps
         ("chained_4x4.weave", 9, 367, 20.381040993106726, 60.58244255215241),
@@ -409,15 +438,20 @@ def test_step_sequence_is_pinned(name, seed, n_samples, t_final, energy):
 
 
 @pytest.mark.parametrize(
-    "name, seed, rejected",
-    [("untangled_pair.graph", 11, 0), ("checker_4x4.weave", 3, 0), ("chained_4x4.weave", 9, 2)],
+    "name, seed, rejected, t_max",
+    [
+        # the untangled pair switches to Rosenbrock steps at t=10.33
+        pytest.param("untangled_pair.graph", 11, 0, 10.0, id="untangled_pair.graph-11-0"),
+        pytest.param("checker_4x4.weave", 3, 0, 50.0, id="checker_4x4.weave-3-0"),
+        pytest.param("chained_4x4.weave", 9, 2, 50.0, id="chained_4x4.weave-9-2"),
+    ],
 )
-def test_step_hooks_count_attempts_and_evaluations(monkeypatch, name, seed, rejected):
+def test_step_hooks_count_attempts_and_evaluations(monkeypatch, name, seed, rejected, t_max):
     """The benchmark's tracer derives its step counters from calls to the
     module-level `_velocity` and `_guard_reason`: one guard call per
     attempt, and 1 + 3 attempts + accepted + (energy-rejected attempts)
-    velocity evaluations per run, since only a state that passes the guard
-    has its velocity evaluated."""
+    velocity evaluations per run of RK4 steps, since only a state that
+    passes the guard has its velocity evaluated."""
     counts = {"velocity": 0, "guard": 0, "guard_rejected": 0}
     velocity, guard = dynamics._velocity, dynamics._guard_reason
 
@@ -434,7 +468,7 @@ def test_step_hooks_count_attempts_and_evaluations(monkeypatch, name, seed, reje
     monkeypatch.setattr(dynamics, "_velocity", counted_velocity)
     monkeypatch.setattr(dynamics, "_guard_reason", counted_guard)
     system = load_system(name)
-    traj = integrate(system, random_initial_configuration(system, seed=seed), FlowParams(t_max=50.0, record_stride=1))
+    traj = integrate(system, random_initial_configuration(system, seed=seed), FlowParams(t_max=t_max, record_stride=1))
     accepted = len(traj.samples) - 1
     attempts = counts["guard"]
     assert attempts == accepted + rejected
@@ -491,25 +525,73 @@ def test_sample_diagnostics_match_reference_formulas():
 @pytest.mark.parametrize(
     "name, n_samples, energy, counts",
     [
-        ("untangled_pair.graph", 395, 0.5510819135067531, "85 accepted, 3 rejected steps, 20 W refreshes, 648"),
-        ("three_blocks_6x6.weave", 396, 96.96138379105672, "86 accepted, 3 rejected steps, 20 W refreshes, 652"),
+        ("untangled_pair.graph", 566, 0.5510819178102914, "117 accepted, 4 rejected steps, 22 W refreshes, 927"),
+        ("three_blocks_6x6.weave", 580, 96.96138374903938, "131 accepted, 3 rejected steps, 23 W refreshes, 980"),
     ],
     ids=["untangled_pair.graph", "three_blocks_6x6.weave"],
 )
 def test_rosenbrock_phase_is_pinned(caplog, name, n_samples, energy, counts):
     """The ROS34PW2 step sequence of an untangled run past the switch: its
     sample count, final time, step and evaluation counts exactly, and its
-    final energy.  11 samples come from the RK4 phase, 299 from the grid."""
+    final energy.  2 samples come from the RK4 phase, 447 from the grid."""
     caplog.set_level(logging.INFO, logger="tangleflow")
     system = load_system(name)
     traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=1e4))
     assert (traj.status, len(traj.samples), traj.samples[-1].t) == ("truncated", n_samples, 1e4)
     assert traj.samples[-1].energy == pytest.approx(energy, rel=1e-12)
     assert [r.getMessage() for r in caplog.records] == [
-        "switching to Rosenbrock steps at t=100.33 after 1020 accepted, 0 rejected RK4 steps",
+        "switching to Rosenbrock steps at t=10.3297 after 120 accepted, 0 rejected RK4 steps",
         f"Rosenbrock phase ended at t=10000: {counts} velocity evaluations, "
-        "299 grid samples recorded, 0 skipped",
+        "447 grid samples recorded, 0 skipped",
     ]
+
+
+@pytest.mark.parametrize("name", ["three_blocks_6x6.weave", "mixed_stack_6x6.weave"])
+def test_rosenbrock_w_is_rebuilt_once_t_has_doubled(monkeypatch, name):
+    """ROS34PW2 is third order for any W, but its error estimate needs W
+    near the current Jacobian, and the coupling between components fades
+    like 1/t: no Rosenbrock step may use a W built before half its start
+    time.  (With W refreshed only when h changes, a mixed_stack_6x6 step
+    used a W built at 1/20.8 of its start time.)  Every step start is a
+    recorded sample (record_stride=1), which gives the time of each
+    `_jacobian` call and `_ros_step`."""
+    events = []
+    jacobian, ros_step = dynamics._jacobian, dynamics._ros_step
+
+    def remembered_jacobian(kernel, y):
+        events.append(("W", y.tobytes()))
+        return jacobian(kernel, y)
+
+    def remembered_step(kernel, y, *args):
+        events.append(("step", y.tobytes()))
+        return ros_step(kernel, y, *args)
+
+    monkeypatch.setattr(dynamics, "_jacobian", remembered_jacobian)
+    monkeypatch.setattr(dynamics, "_ros_step", remembered_step)
+    system = load_system(name)
+    traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=1e5, record_stride=1))
+    time_of = {np.concatenate((s.config.z_blue, s.config.z_red)).tobytes(): s.t for s in traj.samples}
+    assert events[0][0] == "W" and len(events) > 50
+    for kind, y in events:
+        if kind == "W":
+            t_w = time_of[y]
+        else:
+            assert time_of[y] <= 2.0 * t_w
+
+
+def test_rosenbrock_tail_to_1e5_takes_few_steps(caplog):
+    """With W kept near the Jacobian, the error estimate no longer stalls
+    h: mixed_stack_6x6 reaches t=1e5 in 183 accepted Rosenbrock steps.
+    With W refreshed only when h changes it took 919 from the same switch
+    at t=10.33, and 404 from a switch at t=100.33."""
+    caplog.set_level(logging.INFO, logger="tangleflow")
+    system = load_system("mixed_stack_6x6.weave")
+    traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=1e5))
+    assert traj.samples[-1].t == 1e5
+    summary = caplog.records[-1].getMessage()
+    assert summary.startswith("Rosenbrock phase ended at t=100000: ")
+    accepted = int(summary.split(": ")[1].split()[0])
+    assert accepted <= 250
 
 
 def test_long_untangled_run_ends_without_a_rejection_storm(monkeypatch):
@@ -672,7 +754,7 @@ def test_component_barycenters_are_pinned():
             expected.append(float(np.sum(s.config.z_blue[blue])) + float(np.sum(s.config.z_red[red])))
         assert s.m_components == tuple(expected)
     assert traj.samples[-1].m_components == pytest.approx(
-        (102.30750569423567, 12.361971896577348, -0.045767557082182407, -12.376241049255464, -102.24746898447538),
+        (102.30766956614085, 12.361992886971262, -0.04576948032657101, -12.3762615548008, -102.24763141798473),
         rel=1e-12,
     )
 
