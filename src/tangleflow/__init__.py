@@ -27,6 +27,7 @@ from .analysis import (
     fit_power_law,
     flatness_series,
     separation_series,
+    weave_spectrum,
 )
 from .designio import (
     design_to_system,
@@ -118,6 +119,7 @@ __all__ = [
     "serialize_design",
     "step",
     "tangle_decomposition",
+    "weave_spectrum",
     "weavely_connected_components",
     "write_configuration_json",
     "write_trajectory_csv",

@@ -1,9 +1,14 @@
 """Post-hoc analysis: spectra, commutation, power-law fits, flatness,
 separation growth, and limit comparison.
 
-Spectra come from LAPACK through `numpy.linalg.eigh`; they are reported for
-the negated input in ascending order, so connectivity Laplacians (which are
-negative semidefinite) yield the familiar nonnegative values.
+Spectra are reported for the negated Laplacian in ascending order, so
+connectivity Laplacians (which are negative semidefinite) yield the familiar
+nonnegative values.  A matrix's spectrum comes from LAPACK through
+`numpy.linalg.eigh` (`eigendecompose`), which is how a graph's is computed.
+A weave's Laplacian is the Kronecker sum I ⊗ C_{n_red} + C_{n_blue} ⊗ I of
+two thread-cycle Laplacians, so `weave_spectrum` adds the cycles'
+closed-form spectra and `commutation_check` multiplies the two families'
+edge lists; neither builds an n x n matrix.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ __all__ = [
     "EigenData",
     "ScalingReport",
     "eigendecompose",
+    "weave_spectrum",
     "commutation_check",
     "fit_power_law",
     "separation_series",
@@ -94,13 +100,72 @@ def eigendecompose(matrix) -> EigenData:
     return EigenData(eigenvalues=values, eigenvectors=vectors)
 
 
-def commutation_check(system) -> float:
-    """Elementwise sup norm of the commutator of the two family Laplacians
-    (exactly zero for every weave)."""
+def _cycle_spectrum(m: int) -> np.ndarray:
+    """Eigenvalues 4 sin²(πk/m), k = 0..m-1, of one negated thread-cycle
+    Laplacian C_m, with k and m - k given the same value.  A 1-crossing
+    thread's loop is dropped (0) and a 2-crossing thread keeps its double
+    edge (0, 4), as `_sorted_edges` builds them."""
+    k = np.arange(m)
+    return 4.0 * np.sin(np.pi * np.minimum(k, m - k) / m) ** 2
+
+
+def weave_spectrum(system) -> np.ndarray:
+    """Ascending eigenvalues of a weave's negated Laplacian, in closed form.
+
+    The blue Laplacian is I ⊗ C_{n_red} and the red one C_{n_blue} ⊗ I, so
+    their sum is a Kronecker sum, whose eigenvalues are every sum of one
+    eigenvalue of each cycle (Horn and Johnson, *Topics in Matrix Analysis*,
+    §4.4).  No n x n matrix is built.
+    """
     if system.kind != "weave":
         raise TypeError(f"expected a weave system, got kind={system.kind!r}")
-    b, r = system.blue_laplacian, system.red_laplacian
-    return float(np.max(np.abs(b @ r - r @ b)))
+    n_blue, n_red = system._grid.shape
+    return np.sort(np.add.outer(_cycle_spectrum(n_blue), _cycle_spectrum(n_red)), axis=None)
+
+
+def _laplacian_entries(edges):
+    """The Laplacian of the loop-free edges edges[0][e]-edges[1][e] as
+    unsummed (row, column, weight) entries, weights ±1."""
+    u, v = edges
+    rows = np.concatenate((u, v, u, v))
+    cols = np.concatenate((v, u, u, v))
+    weights = np.repeat(np.array([1, 1, -1, -1]), len(u))
+    return rows, cols, weights
+
+
+def _commutator_norm(blue_edges, red_edges, n: int) -> float:
+    """Elementwise sup norm of L_B L_R - L_R L_B for the Laplacians on n
+    vertices of two loop-free edge lists (2 x m arrays).
+
+    P = L_B L_R is formed as a sparse product with exact integer weights.
+    Both Laplacians are symmetric, so L_R L_B = Pᵀ and the commutator is
+    P - Pᵀ.
+    """
+    bi, bj, bw = _laplacian_entries(blue_edges)
+    rj, rk, rw = _laplacian_entries(red_edges)
+    order = np.argsort(rj, kind="stable")
+    rj, rk, rw = rj[order], rk[order], rw[order]
+    # pair each blue entry (i, j) with every red entry in row j
+    start = np.searchsorted(rj, bj, side="left")
+    count = np.searchsorted(rj, bj, side="right") - start
+    b = np.repeat(np.arange(bj.size), count)
+    r = np.arange(b.size) + np.repeat(start - (np.cumsum(count) - count), count)
+    keys, slot = np.unique(bi[b] * n + rk[r], return_inverse=True)
+    P = np.bincount(slot, weights=bw[b] * rw[r])
+    # the entry of P at the transposed position, 0 where P has none
+    transposed = keys % n * n + keys // n
+    at = np.minimum(np.searchsorted(keys, transposed), keys.size - 1)
+    PT = np.where(keys[at] == transposed, P[at], 0.0)
+    return float(np.max(np.abs(P - PT), initial=0.0))
+
+
+def commutation_check(system) -> float:
+    """Elementwise sup norm of the commutator of the two family Laplacians
+    (exactly zero for every weave), from the height edges: no n x n matrix
+    is built."""
+    if system.kind != "weave":
+        raise TypeError(f"expected a weave system, got kind={system.kind!r}")
+    return _commutator_norm(*system._height_edges, system.n_vertices)
 
 
 def fit_power_law(series: Series, window) -> ScalingReport:

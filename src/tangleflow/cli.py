@@ -16,7 +16,14 @@ import sys
 
 import numpy as np
 
-from .analysis import commutation_check, compare_limits, eigendecompose, fit_power_law, separation_series
+from .analysis import (
+    commutation_check,
+    compare_limits,
+    eigendecompose,
+    fit_power_law,
+    separation_series,
+    weave_spectrum,
+)
 from .designio import (
     _g17,
     design_to_system,
@@ -160,11 +167,15 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     system = _load_system(args.design)
-    data = eigendecompose(system.laplacian)
-    for value in data.eigenvalues:
-        print(f"eigenvalue {_g17(value)}")
     if system.kind == "weave":
-        print(f"commutator_norm {_g17(commutation_check(system))}")
+        # a Kronecker sum of two thread cycles: neither the closed-form
+        # spectrum nor the edge-list commutator builds an n x n matrix
+        values = weave_spectrum(system)
+        tail = [f"commutator_norm {_g17(commutation_check(system))}"]
+    else:
+        values, tail = eigendecompose(system.laplacian).eigenvalues, []
+    lines = [f"eigenvalue {_g17(value)}" for value in values] + tail
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

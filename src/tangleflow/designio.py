@@ -17,6 +17,7 @@ error.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -42,6 +43,7 @@ __all__ = [
 
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?\d+\Z")
+_SIGNS = {"+": 1, "-": -1}
 
 _KNOWN_DIRECTIVES = {"kind", "vertices", "lattice", "edge", "sign", "threads", "spacing"}
 _GRAPH_ONLY = {"vertices", "lattice", "edge"}
@@ -49,46 +51,53 @@ _WEAVE_ONLY = {"threads", "spacing"}
 
 
 def _tokenize(text):
+    """Per line with tokens: (line number, the text before any '#', its
+    whitespace-separated tokens)."""
     rows = []
     for line_no, raw in enumerate(text.splitlines(), 1):
-        hash_pos = raw.find("#")
-        content = raw if hash_pos < 0 else raw[:hash_pos]
-        tokens = [(m.start() + 1, m.group()) for m in _TOKEN.finditer(content)]
+        content = raw.split("#", 1)[0]
+        tokens = content.split()
         if tokens:
-            rows.append((line_no, tokens))
+            rows.append((line_no, content, tokens))
     return rows
 
 
-def _parse_int(line_no, token):
-    col, text = token
+def _syntax_error(row, index, message):
+    """A DesignSyntaxError at the row's index-th token.  `str.split` and
+    `\\S+` split alike, so the token's column is found again only here."""
+    line_no, content, _ = row
+    match = next(itertools.islice(_TOKEN.finditer(content), index, None))
+    return DesignSyntaxError(line_no, match.start() + 1, message)
+
+
+def _parse_int(row, index):
+    text = row[2][index]
     if not _INT.match(text):
-        raise DesignSyntaxError(line_no, col, f"expected an integer, got {text!r}")
+        raise _syntax_error(row, index, f"expected an integer, got {text!r}")
     return int(text)
 
 
-def _parse_float(line_no, token):
-    col, text = token
+def _parse_float(row, index):
+    text = row[2][index]
     try:
         value = float(text)
     except ValueError:
-        raise DesignSyntaxError(line_no, col, f"expected a number, got {text!r}") from None
+        raise _syntax_error(row, index, f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
-        raise DesignSyntaxError(line_no, col, f"expected a finite number, got {text!r}")
+        raise _syntax_error(row, index, f"expected a finite number, got {text!r}")
     return value
 
 
-def _parse_sign(line_no, token):
-    col, text = token
-    if text == "+":
-        return 1
-    if text == "-":
-        return -1
+def _parse_sign(row, index):
+    text = row[2][index]
+    if text in _SIGNS:
+        return _SIGNS[text]
     if _INT.match(text):
         value = int(text)
         if value in (1, -1):
             return value
         raise DesignSemanticError(f"sign entries must be + or -, got {text!r}")
-    raise DesignSyntaxError(line_no, col, f"expected a sign entry (+ or -), got {text!r}")
+    raise _syntax_error(row, index, f"expected a sign entry (+ or -), got {text!r}")
 
 
 def parse_design(text):
@@ -102,30 +111,30 @@ def parse_design(text):
     edges = []
     sign_rows = []
 
-    for index, (line_no, tokens) in enumerate(rows):
-        col0, directive = tokens[0]
+    for position, row in enumerate(rows):
+        tokens = row[2]
+        directive = tokens[0]
         if directive not in _KNOWN_DIRECTIVES:
-            raise DesignSyntaxError(line_no, col0, f"unknown directive {directive!r}")
-        if index == 0 and directive != "kind":
+            raise _syntax_error(row, 0, f"unknown directive {directive!r}")
+        if position == 0 and directive != "kind":
             raise DesignSemanticError("the first directive must be kind")
-        args = tokens[1:]
+        # the directive's values are tokens 1..count
+        count = len(tokens) - 1
 
-        def need(count):
-            if len(args) != count:
-                raise DesignSyntaxError(
-                    line_no,
-                    col0,
-                    f"directive {directive!r} takes {count} value(s), got {len(args)}",
+        def need(expected):
+            if count != expected:
+                raise _syntax_error(
+                    row, 0, f"directive {directive!r} takes {expected} value(s), got {count}"
                 )
 
         if directive == "kind":
             need(1)
             if kind is not None:
                 raise DesignSemanticError("duplicate kind directive")
-            col, value = args[0]
+            value = tokens[1]
             if value not in ("entangled-graph", "weave"):
-                raise DesignSyntaxError(
-                    line_no, col, f"kind must be entangled-graph or weave, got {value!r}"
+                raise _syntax_error(
+                    row, 1, f"kind must be entangled-graph or weave, got {value!r}"
                 )
             kind = value
             continue
@@ -141,33 +150,34 @@ def parse_design(text):
             need(1)
             if "vertices" in scalars:
                 raise DesignSemanticError("duplicate vertices directive")
-            scalars["vertices"] = _parse_int(line_no, args[0])
+            scalars["vertices"] = _parse_int(row, 1)
         elif directive == "lattice":
             need(4)
             if "lattice" in scalars:
                 raise DesignSemanticError("duplicate lattice directive")
-            a, b, c, d = (_parse_float(line_no, t) for t in args)
+            a, b, c, d = (_parse_float(row, k) for k in range(1, 5))
             scalars["lattice"] = ((a, b), (c, d))
         elif directive == "edge":
             need(4)
-            u, v, sx, sy = (_parse_int(line_no, t) for t in args)
+            u, v, sx, sy = (_parse_int(row, k) for k in range(1, 5))
             edges.append((u, v, (sx, sy)))
         elif directive == "threads":
             need(2)
             if "threads" in scalars:
                 raise DesignSemanticError("duplicate threads directive")
-            scalars["threads"] = tuple(_parse_int(line_no, t) for t in args)
+            scalars["threads"] = (_parse_int(row, 1), _parse_int(row, 2))
         elif directive == "spacing":
             need(1)
             if "spacing" in scalars:
                 raise DesignSemanticError("duplicate spacing directive")
-            scalars["spacing"] = _parse_float(line_no, args[0])
+            scalars["spacing"] = _parse_float(row, 1)
         elif directive == "sign":
-            if not args:
-                raise DesignSyntaxError(
-                    line_no, col0, "directive 'sign' needs at least one entry"
-                )
-            sign_rows.append(tuple(_parse_sign(line_no, t) for t in args))
+            if not count:
+                raise _syntax_error(row, 0, "directive 'sign' needs at least one entry")
+            signs = [_SIGNS.get(text) for text in tokens[1:]]
+            if None in signs:  # an entry other than + or -: parse each in order
+                signs = [_parse_sign(row, k) for k in range(1, len(tokens))]
+            sign_rows.append(tuple(signs))
 
     if kind == "entangled-graph":
         return _assemble_graph(scalars, edges, sign_rows)
@@ -268,8 +278,8 @@ def serialize_design(design) -> str:
 def load_design(path):
     """Read and parse a design file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read design file {path}: {exc}") from None
     return parse_design(text)
 

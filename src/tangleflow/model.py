@@ -184,7 +184,8 @@ class WeaveSystem(_SystemBase):
     `blue_laplacian`, `red_laplacian`, `laplacian`, `planar_x`,
     `planar_energy` and the edge arrays behind `planar_term` and
     `_edge_tension`.  So classifying a weave, which reads only `sign`, builds
-    no n x n matrix, and neither does its energy, which reads only the edges.
+    no n x n matrix, and neither do its energy and commutator, which read only
+    the edges, nor its spectrum, which reads only the thread counts.
     """
 
     kind = "weave"

@@ -1,18 +1,22 @@
 """Spectral checks, power-law fits, flatness, and limit comparison."""
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import WEAVE_DESIGNS, load_system, random_weave_system
 from tangleflow.analysis import (
     Series,
+    _commutator_norm,
     commutation_check,
     compare_limits,
     eigendecompose,
     fit_power_law,
     flatness_series,
     separation_series,
+    weave_spectrum,
 )
 from tangleflow.dynamics import FlowParams, integrate
 from tangleflow.errors import (
@@ -25,6 +29,8 @@ from tangleflow.errors import (
 )
 from tangleflow.model import (
     PeriodicQuotientGraph,
+    _laplacian,
+    _sorted_edges,
     build_entangled_system,
     make_configuration,
     random_initial_configuration,
@@ -99,11 +105,41 @@ def test_commutation_check_bundled_and_negative_control():
     for _ in range(4):
         system = random_weave_system(rng)
         assert commutation_check(system) == 0.0
-    # generic symmetric matrices do not commute
-    A = rng.normal(size=(5, 5))
-    B = rng.normal(size=(5, 5))
-    A, B = (A + A.T) / 2, (B + B.T) / 2
-    assert np.max(np.abs(A @ B - B @ A)) > 0.0
+    # a stand-in whose blue path 0-1 and red path 1-2 do not commute
+    stand_in = SimpleNamespace(
+        kind="weave", n_vertices=3, _height_edges=(np.array([[0], [1]]), np.array([[1], [2]]))
+    )
+    assert commutation_check(stand_in) == 1.0
+
+
+def test_edge_list_commutator_matches_the_dense_one():
+    """The sparse product over the edge lists gives the dense commutator's
+    sup norm exactly, on random loop-free multigraph pairs on n vertices."""
+    rng = np.random.default_rng(31)
+    nonzero = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        blue, red = (
+            _sorted_edges(rng.integers(0, n, m), rng.integers(0, n, m))
+            for m in rng.integers(1, 2 * n, size=2)
+        )
+        LB, LR = _laplacian(*blue, n), _laplacian(*red, n)
+        dense = float(np.max(np.abs(LB @ LR - LR @ LB)))
+        assert _commutator_norm(blue, red, n) == dense
+        nonzero += dense > 0.0
+    assert nonzero >= 40
+
+
+def test_weave_spectrum_matches_the_dense_eigensolve():
+    for name in WEAVE_DESIGNS:
+        system = load_system(name)
+        want = np.linalg.eigvalsh(-system.laplacian)
+        got = weave_spectrum(system)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+    assert weave_spectrum(load_system("split_2x2.weave")).tolist() == [0.0, 4.0, 4.0, 8.0]
+    with pytest.raises(TypeError):
+        weave_spectrum(load_system("entangled_pair.graph"))
 
 
 def test_fit_power_law_exact_data():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -129,11 +130,38 @@ def test_spectrum_graph(capsys):
 def test_spectrum_weave(capsys):
     code, out, _ = run_cli(capsys, "spectrum", design("split_2x2.weave"))
     assert code == 0
+    # the closed-form Kronecker sum of two 2-thread cycles, {0, 4} + {0, 4}
+    assert out == "eigenvalue 0\neigenvalue 4\neigenvalue 4\neigenvalue 8\ncommutator_norm 0\n"
+
+
+def test_spectrum_of_a_large_weave_builds_no_dense_matrix(capsys, monkeypatch, tmp_path):
+    """`spectrum` on a 48x48 checkerboard (n = 2304) reads only the thread
+    counts and the height edges: no family Laplacian is built, and the
+    traced peak stays far below one n x n float matrix (42 MB)."""
+    n = 48
+    path = tmp_path / "checker.weave"
+    rows = ("sign " + " ".join("+-"[(i + j) % 2] for j in range(n)) for i in range(n))
+    path.write_text(f"kind weave\nthreads {n} {n}\nspacing 1\n" + "\n".join(rows) + "\n")
+    systems = []
+    load = cli._load_system
+
+    def recorded(design_path):
+        systems.append(load(design_path))
+        return systems[-1]
+
+    monkeypatch.setattr(cli, "_load_system", recorded)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "spectrum", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5e6
+    assert not {"blue_laplacian", "red_laplacian", "laplacian"} & set(vars(systems[0]))
     lines = out.splitlines()
-    assert len(lines) == 5  # 4 eigenvalues + commutator norm
-    assert lines[-1] == "commutator_norm 0"
-    values = sorted(float(line.split()[1]) for line in lines[:4])
-    assert values == pytest.approx([0.0, 4.0, 4.0, 8.0], abs=1e-9)
+    assert len(lines) == n * n + 1
+    assert lines[0] == "eigenvalue 0" and lines[-2:] == ["eigenvalue 8", "commutator_norm 0"]
 
 
 def test_verify_passes_on_bundled_designs(capsys):
@@ -315,6 +343,22 @@ def test_log_env_var_controls_stderr(capsys, monkeypatch, argv, logged):
     assert len(err_debug) >= len(err_quiet)
     for line in logged:
         assert line in err_debug and line not in err_quiet
+
+
+def test_non_utf8_design_exits_2_without_a_traceback(tmp_path):
+    bad = tmp_path / "bad.weave"
+    bad.write_bytes(b"kind weave\nthreads 1 1\nspacing 1\nsign \xff\n")
+    src = str(Path(tangleflow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "tangleflow", "classify", str(bad)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: cannot read design file") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
 
 
 def test_module_entry_point():

@@ -1,4 +1,6 @@
 """Property tests on generated designs: the design text round-trips, the
+tokenizer splits and locates tokens like the regex \\S+, a weave's
+closed-form spectrum equals the dense eigensolve, the
 tangle decomposition partitions the threads with K == 1 exactly for
 entangled weaves, its component order is the smallest-first topological
 order, every crossing agrees with the component order `classify` prints,
@@ -16,12 +18,14 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import random_graph_system  # noqa: E402
+from tangleflow.analysis import commutation_check, weave_spectrum  # noqa: E402
 from tangleflow.cli import main  # noqa: E402
-from tangleflow.designio import parse_design, serialize_design  # noqa: E402
+from tangleflow.designio import _syntax_error, _tokenize, parse_design, serialize_design  # noqa: E402
+from tangleflow.errors import DesignSyntaxError  # noqa: E402
 from tangleflow.dynamics import FlowParams, integrate  # noqa: E402
 from tangleflow.errors import InconsistentHeightOrder  # noqa: E402
 from tangleflow.model import (  # noqa: E402
@@ -104,6 +108,62 @@ def printed_components(sign):
             {int(r[1:]) for r in red.split(",") if r != "-"},
         ))
     return components
+
+
+# Whitespace inside a line (ASCII and Unicode), '#' and sign characters,
+# plus any character that does not break a line
+LINE_CHARS = st.one_of(
+    st.sampled_from(" \t\x1f\xa0\u1680\u2003\u3000#+-"),
+    st.characters(exclude_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+)
+WHITESPACE_RUNS = st.text(st.sampled_from(" \t\x1f\xa0\u2003\u3000"), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.text(LINE_CHARS, max_size=40))
+def test_tokens_and_their_columns_are_the_regex_matches(line):
+    content = line.split("#", 1)[0]
+    matches = list(re.finditer(r"\S+", content))
+    rows = _tokenize(line)
+    assert [tokens for _, _, tokens in rows] == ([[m.group() for m in matches]] if matches else [])
+    for index, match in enumerate(matches):
+        error = _syntax_error(rows[0], index, "")
+        assert (error.line, error.col) == (1, match.start() + 1)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(st.sampled_from(("+", "-", "1", "-1", "*", "x")), min_size=1, max_size=12),
+    st.data(),
+)
+def test_a_bad_sign_entry_is_reported_at_its_own_column(entries, data):
+    separators = [data.draw(WHITESPACE_RUNS) for _ in entries]
+    line = "sign" + "".join(sep + entry for sep, entry in zip(separators, entries))
+    comment = data.draw(st.sampled_from(("", "#", " # * x")))
+    text = f"kind weave\nthreads 1 {len(entries)}\nspacing 1\n{line}{comment}\n"
+    bad = [m for m in re.finditer(r"\S+", line) if m.group() in ("*", "x")]
+    if not bad:
+        assert parse_design(text).sign == (tuple(1 if e in ("+", "1") else -1 for e in entries),)
+        return
+    with pytest.raises(DesignSyntaxError) as err:
+        parse_design(text)
+    assert (err.value.line, err.value.col) == (4, bad[0].start() + 1)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(sign_matrices(max_threads=8))
+@example(((1,),))
+@example(((1, -1),))
+@example(((1,), (-1,)))
+@example(((1,) * 8,) * 2)
+def test_weave_spectrum_is_the_kronecker_sum_of_the_cycle_spectra(sign):
+    system = build_weave_system(WeaveDesign(n_blue=len(sign), n_red=len(sign[0]), sign=sign))
+    got = weave_spectrum(system)
+    assert commutation_check(system) == 0.0
+    assert "laplacian" not in vars(system)
+    want = np.linalg.eigvalsh(-system.laplacian)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -76,6 +76,9 @@ def test_comments_and_blank_lines_ignored():
         ("kind entangled-graph\nvertices two\n", 2, 10),
         (GOOD_GRAPH.replace("edge 0 1 0 0", "edge 0 1 0"), 4, 1),
         (GOOD_GRAPH.replace("lattice 1 0 0 1", "lattice 1 0 one 1"), 3, 13),
+        # a bad entry at the end of a long sign row, and one after a tab
+        ("kind weave\nthreads 1 40\nspacing 1\nsign " + "+ " * 39 + "x\n", 4, 84),
+        ("kind weave\nthreads 1 2\nspacing 1\nsign\t+\t?\n", 4, 8),
     ],
 )
 def test_syntax_errors_report_position(text, line, col):
@@ -107,6 +110,13 @@ def test_semantic_errors(text):
 def test_load_design_missing_file(tmp_path):
     with pytest.raises(IoError):
         load_design(tmp_path / "does_not_exist.graph")
+
+
+def test_load_design_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.weave"
+    path.write_bytes(b"kind weave\nthreads 1 1\nspacing 1\nsign \xff\n")
+    with pytest.raises(IoError, match="cannot read design file"):
+        load_design(path)
 
 
 def pair_trajectory():
