@@ -319,50 +319,92 @@ def write_trajectory_csv(path, trajectory):
     _write_text(path, "\n".join(lines) + "\n", "trajectory CSV")
 
 
+# the layout json.dumps(payload, indent=2) gives one vertex, edge or thread
+# record of the configuration JSON, at its depth in the file
+_VERTEX_JSON = """\
+    {
+      "x": %s,
+      "y": %s,
+      "z_blue": %s,
+      "z_red": %s,
+      "sign": %d
+    }"""
+_EDGE_JSON = """\
+    {
+      "u": %d,
+      "v": %d,
+      "shift": [
+        %d,
+        %d
+      ]
+    }"""
+_THREAD_JSON = """\
+    {
+      "family": "%s",
+      "index": %d,
+      "vertices": [
+        %s
+      ],
+      "wrap_shift": [
+        %s
+      ]
+    }"""
+
+
+def _json_floats(values) -> list:
+    """The texts json.dumps gives the floats in values: each one's repr, or
+    NaN, Infinity and -Infinity."""
+    values = [float(x) for x in values]
+    if all(map(math.isfinite, values)):
+        return list(map(repr, values))
+    return list(map(json.dumps, values))
+
+
+def _json_list(records) -> str:
+    """A top-level key's JSON list of records laid out by the templates."""
+    if not records:
+        return "[]"
+    return "[\n" + ",\n".join(records) + "\n  ]"
+
+
 def write_configuration_json(path, system, config):
     """Write one configuration as JSON: per-vertex records plus the edge list
-    (graphs) or thread polylines with their wrap shifts (weaves)."""
-    payload = {
-        "kind": system.kind,
-        "lattice_basis": [[float(x) for x in row] for row in system.lattice_basis],
-        "vertices": [
-            {
-                "x": float(config.x[v, 0]),
-                "y": float(config.x[v, 1]),
-                "z_blue": float(config.z_blue[v]),
-                "z_red": float(config.z_red[v]),
-                "sign": int(system.sign[v]),
-            }
-            for v in range(system.n_vertices)
-        ],
-    }
+    (graphs) or thread polylines with their wrap shifts (weaves).  The text
+    is json.dumps(payload, indent=2) of the record dicts, byte for byte,
+    laid out from fixed templates."""
+    rows = [
+        "    [\n      " + ",\n      ".join(_json_floats(row)) + "\n    ]" for row in system.lattice_basis
+    ]
+    vertices = [
+        _VERTEX_JSON % fields
+        for fields in zip(
+            _json_floats(config.x[:, 0].tolist()),
+            _json_floats(config.x[:, 1].tolist()),
+            _json_floats(config.z_blue.tolist()),
+            _json_floats(config.z_red.tolist()),
+            system.sign.tolist(),
+        )
+    ]
+    parts = [
+        "{\n" f'  "kind": {json.dumps(system.kind)},\n'
+        f'  "lattice_basis": {_json_list(rows)},\n'
+        f'  "vertices": {_json_list(vertices)},\n'
+    ]
     if system.kind == "entangled-graph":
-        payload["edges"] = [
-            {"u": int(u), "v": int(v), "shift": [int(sx), int(sy)]}
-            for u, v, (sx, sy) in system.edges
-        ]
+        edges = [_EDGE_JSON % (u, v, sx, sy) for u, v, (sx, sy) in system.edges]
+        parts.append(f'  "edges": {_json_list(edges)}\n')
     else:
-        threads = []
-        for index, thread in enumerate(system.blue_threads, 1):
-            threads.append(
-                {
-                    "family": "blue",
-                    "index": index,
-                    "vertices": [int(v) for v in thread],
-                    "wrap_shift": [1, 0],
-                }
+        threads = [
+            _THREAD_JSON % (family, index, ",\n        ".join(map(str, thread)), shift)
+            for family, family_threads, shift in (
+                ("blue", system.blue_threads, "1,\n        0"),
+                ("red", system.red_threads, "0,\n        1"),
             )
-        for index, thread in enumerate(system.red_threads, 1):
-            threads.append(
-                {
-                    "family": "red",
-                    "index": index,
-                    "vertices": [int(v) for v in thread],
-                    "wrap_shift": [0, 1],
-                }
-            )
-        payload["threads"] = threads
-    _write_text(path, json.dumps(payload, indent=2) + "\n", "configuration JSON")
+            for index, thread in enumerate(family_threads, 1)
+        ]
+        parts.append(f'  "threads": {_json_list(threads)}\n')
+    parts.append("}\n")
+    _write_text(path, "".join(parts), "configuration JSON")
 
 
 def _write_text(path, text, what):

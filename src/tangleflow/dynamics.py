@@ -5,8 +5,10 @@ stretching term along edges (per thread family for weaves) plus a 1/|gap|
 repulsion between the two copies at every vertex.  Graphs and weaves share
 one path: the state is the stacked heights z = [z_blue; z_red], with the
 system's height edges and Laplacian per family; the planar layout stays
-fixed.  The energy sums over the edges; the velocity multiplies by the
-dense Laplacians, which is faster.
+fixed.  The energy sums over the edges.  The velocity multiplies by a
+graph's dense Laplacians and, for a weave, by the two thread-cycle matrices
+its Laplacians are Kronecker products of, so no weave flow path but the
+Rosenbrock W refresh forms an n x n matrix (see `_StepKernel`).
 `step` and `integrate` take the same guarded step: classical fourth-order
 Runge-Kutta, rejected when the end state breaks a structural guard
 (finiteness, crossing signs, gap floor) or raises the energy; `integrate`
@@ -36,9 +38,11 @@ then the energy, from `_energy` as everywhere.  The guard's minimum gap sets
 the RK4 stability cap on dt.  Grid samples are evaluated by `_end_state` too.
 
 Only recorded samples carry a `Configuration`.  The step loop reads
-per-system constants (float signs, doubled Laplacians, edges) and runs the
-RK4 stages in buffers that each `integrate`, `step` or `gradient` call
-builds for itself and drops when it returns; energy calls read only edges.
+per-system constants (float signs, the stretching products, edges) and
+evaluates RK4 stages, end states, Rosenbrock stages and grid samples into
+the buffers of a `_StepKernel`, each with per-family views built once, that
+each `integrate`, `step` or `gradient` call builds for itself and drops
+when it returns; energy calls read only edges.
 """
 from __future__ import annotations
 
@@ -134,6 +138,9 @@ _ROS_A = _ROS_ALPHA @ _ROS_GAMMAS_INV
 _ROS_GC = -_ROS_GAMMA * np.tril(_ROS_GAMMAS_INV, -1)
 _ROS_M = _ROS_B @ _ROS_GAMMAS_INV
 _ROS_ERROR = (_ROS_B - _ROS_B_HAT) @ _ROS_GAMMAS_INV
+# the weights of u_1..u_i in stage i + 1
+_ROS_A_ROWS = tuple(_ROS_A[i, :i] for i in range(4))
+_ROS_GC_ROWS = tuple(_ROS_GC[i, :i] for i in range(4))
 
 # the Rosenbrock phase also records the flow at t = 10^(k / N) for every
 # integer k, from the dense output of the step that spans it, so that a
@@ -264,25 +271,83 @@ def _stacked_edges(system) -> tuple:
     return tuple(np.concatenate((blue, red + system.n_vertices), axis=1))
 
 
+class _Heights:
+    """A buffer of stacked heights (or of their velocity) with its per-family
+    views, built once: `flat` is the whole buffer, `blue` and `red` its two
+    halves in the shape the kernel's products read (length n for a graph,
+    the (n_blue, n_red) vertex grid for a weave), taken from `halves`, the
+    buffer viewed as two arrays of that shape."""
+
+    __slots__ = ("flat", "blue", "red")
+
+    def __init__(self, flat, halves):
+        self.flat = flat
+        self.blue, self.red = halves
+
+
 class _StepKernel:
-    """The constants of the step loop of one system: the crossing signs as
-    floats (so sign / d^2 casts nothing), the bound `dot` of the doubled
-    Laplacians, shared when both families have the same one, and the
-    `_stacked_edges`.  Doubling is exact, so (2 L) z equals 2 (L z) bit for
-    bit.  `stages` holds the RK4 stage state and k2, k3, k4, reused by every
-    step of the run."""
+    """The constants and buffers of the step loop of one system.
+
+    Constants: the crossing signs as floats in the families' shape (so
+    sign / d^2 casts nothing), the `_stacked_edges`, and the stretching
+    products `blue_dot(z, out)` and `red_dot(z, out)`, which write 2 L z
+    into out.  A graph multiplies by its doubled dense Laplacians, one
+    matrix when both families share it.  A weave holds no n x n matrix: its
+    family Laplacians are L_B = I (x) C_{n_red} and L_R = C_{n_blue} (x) I,
+    with C_m the Laplacian of one thread cycle of m crossings, so on the
+    (n_blue, n_red) vertex grid 2 L_B z is Z_b (2 C_{n_red}) and 2 L_R z is
+    (2 C_{n_blue}) Z_r.  Doubling is exact, so (2 L) z equals 2 (L z) bit for
+    bit.
+
+    Buffers, each a `_Heights` but for the last four, reused by every step
+    of a run: the accepted state `y` and its velocity `v`; the candidate end
+    state `y_new` and its velocity `v_new` (`accept` swaps the two pairs);
+    the RK4 stage state `stage` and stage velocities `k2`, `k3`, `k4`, of
+    which a Rosenbrock stage or a grid sample uses `stage` and `k2`; the
+    Rosenbrock stages `u`; the absolute gaps `gaps`, with their view
+    `gap_view` in the families' shape; the repulsion; and scratch rows."""
 
     def __init__(self, system):
         self.n = n = system.n_vertices
-        self.sign = system.sign.astype(float)
-        self.two_blue = 2.0 * system.blue_laplacian
-        self.two_red = (
-            self.two_blue if system.red_laplacian is system.blue_laplacian else 2.0 * system.red_laplacian
-        )
-        self.blue_dot = self.two_blue.dot
-        self.red_dot = self.two_red.dot
+        if system.kind == "weave":
+            shape = system._grid.shape
+            self.two_cycles = two_nb, two_nr = tuple(2.0 * c for c in system._thread_cycles)
+            self.blue_dot = lambda z, out: np.dot(z, two_nr, out)
+            self.red_dot = lambda z, out: np.dot(two_nb, z, out)
+        else:
+            shape = (n,)
+            self.two_cycles = None
+            self.two_blue = 2.0 * system.blue_laplacian
+            self.two_red = (
+                self.two_blue if system.red_laplacian is system.blue_laplacian else 2.0 * system.red_laplacian
+            )
+            self.blue_dot = self.two_blue.dot
+            self.red_dot = self.two_red.dot
+        self.sign = system.sign.astype(float).reshape(shape)
         self.edges = _stacked_edges(system)
-        self.stages = tuple(np.empty((4, 2 * n)))
+        flat = np.empty((8, 2 * n))
+        self.y, self.v, self.y_new, self.v_new, self.stage, self.k2, self.k3, self.k4 = map(
+            _Heights, flat, flat.reshape((8, 2) + shape)
+        )
+        self.u = np.empty((4, 2 * n))
+        self.u_heads = tuple(self.u[:i] for i in range(4))  # u_1..u_i, read by stage i + 1
+        self.gaps = np.empty(n)
+        self.gap_view = self.gaps.reshape(shape)
+        self.repulsion = np.empty(shape)
+        self.scratch = tuple(np.empty((2, 2 * n)))
+
+    def accept(self):
+        """Make the candidate end state and its velocity the accepted ones."""
+        self.y, self.y_new = self.y_new, self.y
+        self.v, self.v_new = self.v_new, self.v
+
+    def stretching(self) -> tuple:
+        """The dense blocks 2 L_B and 2 L_R of the flow Jacobian; a weave
+        builds them from its thread cycles, with equal entries."""
+        if self.two_cycles is None:
+            return self.two_blue, self.two_red
+        two_nb, two_nr = self.two_cycles
+        return np.kron(np.eye(len(two_nb)), two_nr), np.kron(two_nb, np.eye(len(two_nr)))
 
 
 def _energy(edges, y, gaps, x_term) -> float:
@@ -297,22 +362,25 @@ def _energy(edges, y, gaps, x_term) -> float:
     return x_term + float(d.dot(d)) + float(np.add.reduce(np.reciprocal(gaps, out=gaps)))
 
 
-def _velocity(kernel, y, out=None):
-    """Descent velocity (negative energy gradient) of the stacked heights y:
-    2 L_B z_blue + sign/d^2 and 2 L_R z_red - sign/d^2.  Written into `out`
-    when given."""
-    n = kernel.n
-    zb, zr = y[:n], y[n:]
-    d2 = zb - zr
-    d2 *= d2
+def _velocity(kernel, y, out, gaps=None):
+    """Descent velocity (negative energy gradient) of the stacked heights in
+    the `_Heights` y, written into the `_Heights` out: 2 L_B z_blue +
+    sign/d^2 and 2 L_R z_red - sign/d^2.  gaps, when given, holds y's
+    absolute gaps |d| in the families' shape (the guard's), whose squares
+    are d^2 bit for bit."""
+    d2 = kernel.repulsion
+    if gaps is None:
+        np.subtract(y.blue, y.red, out=d2)
+        d2 *= d2
+    else:
+        np.multiply(gaps, gaps, out=d2)
     repulsion = np.divide(kernel.sign, d2, out=d2)
-    v = np.empty(y.size) if out is None else out
-    blue, red = v[:n], v[n:]
-    kernel.blue_dot(zb, blue)
+    blue, red = out.blue, out.red
+    kernel.blue_dot(y.blue, blue)
     blue += repulsion
-    kernel.red_dot(zr, red)
+    kernel.red_dot(y.red, red)
     red -= repulsion
-    return v
+    return out
 
 
 def _jacobian(kernel, y):
@@ -325,8 +393,7 @@ def _jacobian(kernel, y):
     d = np.abs(y[:n] - y[n:])
     D = 2.0 / (d * d * d)
     J = np.zeros((2 * n, 2 * n))
-    J[:n, :n] = kernel.two_blue
-    J[n:, n:] = kernel.two_red
+    J[:n, :n], J[n:, n:] = kernel.stretching()
     blue = np.arange(n)
     red = blue + n
     J[blue, blue] -= D
@@ -339,8 +406,10 @@ def _jacobian(kernel, y):
 def gradient(system, config):
     """Descent direction (v_blue, v_red) of the height flow at config."""
     y, _ = _checked_heights(system, config)
+    kernel = _StepKernel(system)
+    kernel.y.flat[:] = y
     with np.errstate(**_QUIET):
-        v = _velocity(_StepKernel(system), y)
+        v = _velocity(kernel, kernel.y, kernel.v).flat
     return v[: system.n_vertices], v[system.n_vertices:]
 
 
@@ -350,19 +419,19 @@ def stationarity_residual(system, config) -> float:
 
 
 def _guard_reason(kernel, y, gap_floor):
-    """Why the state y is structurally unacceptable, as a string; when it
-    is acceptable, its absolute gaps |z_blue - z_red| and their minimum
-    instead."""
-    n = kernel.n
-    gaps = y[:n] - y[n:]
-    gaps *= kernel.sign  # signed: positive exactly where the crossing sign holds
+    """Why the stacked heights in the `_Heights` y are structurally
+    unacceptable, as a string; when they are acceptable, their absolute gaps
+    |z_blue - z_red| (the kernel's `gaps`) and the minimum gap instead."""
+    gaps = kernel.gaps
+    signed = np.subtract(y.blue, y.red, out=kernel.gap_view)
+    signed *= kernel.sign  # positive exactly where the crossing sign holds
     min_gap = np.minimum.reduce(gaps)
     # every signed gap at or above the floor (false for NaN) and a finite sum
     # (false for any inf or NaN entry) imply that all the checks below pass;
     # the signed gaps are then the absolute ones
-    if min_gap >= gap_floor and math.isfinite(np.add.reduce(y)):
+    if min_gap >= gap_floor and math.isfinite(np.add.reduce(y.flat)):
         return gaps, min_gap
-    if not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(y.flat)):
         return "non-finite heights"
     if not min_gap > 0.0:  # finite heights have no NaN gap
         return "crossing sign flipped"
@@ -371,40 +440,44 @@ def _guard_reason(kernel, y, gap_floor):
     return gaps, min_gap  # only the sum overflowed; the signs hold, so these are |d|
 
 
-def _end_state(kernel, y, gap_floor, energy_cap, x_term):
-    """Evaluate the candidate end state y of a step: the guard, then, if it
-    passes, the velocity there, once.  Returns why y is rejected, as a
-    string, or (v, energy, grad_norm, min_gap): the velocity (the next
-    step's k1), the energy (`_energy`, with x_term the planar term of the
-    run's fixed layout), the sup norm of v and the minimum gap.  The state
-    is also rejected when its energy is above energy_cap (or NaN).
+def _end_state(kernel, y, v, gap_floor, energy_cap, x_term):
+    """Evaluate the candidate end state of a step, the `_Heights` y: the
+    guard, then, if it passes, the velocity there, once, into the `_Heights`
+    v, from the guard's gaps.  Returns why y is rejected, as a string, or
+    (v.flat, energy, grad_norm, min_gap): the velocity (the next step's
+    k1), the energy (`_energy`, with x_term the planar term of the run's
+    fixed layout), the sup norm of v and the minimum gap.  The state is also
+    rejected when its energy is above energy_cap (or NaN).
     """
     guard = _guard_reason(kernel, y, gap_floor)
     if isinstance(guard, str):
         return guard
     gaps, min_gap = guard
-    v = _velocity(kernel, y)
-    energy = _energy(kernel.edges, y, gaps, x_term)
+    velocity = _velocity(kernel, y, v, kernel.gap_view).flat
+    energy = _energy(kernel.edges, y.flat, gaps, x_term)
     if not energy <= energy_cap:
         return _ENERGY_INCREASED
-    return v, energy, float(np.maximum.reduce(np.abs(v))), min_gap
+    return velocity, energy, float(np.maximum.reduce(np.abs(velocity, out=kernel.scratch[0]))), min_gap
 
 
-def _rk4_step(kernel, y, k1, dt, gap_floor, energy_cap, x_term):
-    """One Runge-Kutta step of size dt from the stacked state y, where k1 is
-    the velocity at y; the stages run in the kernel's buffers.  Returns the
-    new state and its `_end_state`."""
-    stage, k2, k3, k4 = kernel.stages
+def _rk4_step(kernel, dt, gap_floor, energy_cap, x_term):
+    """One Runge-Kutta step of size dt from the kernel's accepted state `y`,
+    whose velocity `v` is k1, to its candidate `y_new`, with the stages in
+    the kernel's buffers.  Returns the `_end_state` of `y_new`, whose
+    velocity goes to `v_new`."""
+    y, k1 = kernel.y.flat, kernel.v.flat
+    stage = kernel.stage
+    k2, k3, k4 = kernel.k2.flat, kernel.k3.flat, kernel.k4.flat
     half = 0.5 * dt
-    np.multiply(k1, half, out=stage)
-    stage += y
-    _velocity(kernel, stage, k2)
-    np.multiply(k2, half, out=stage)
-    stage += y
-    _velocity(kernel, stage, k3)
-    np.multiply(k3, dt, out=stage)
-    stage += y
-    _velocity(kernel, stage, k4)
+    np.multiply(k1, half, out=stage.flat)
+    stage.flat += y
+    _velocity(kernel, stage, kernel.k2)
+    np.multiply(k2, half, out=stage.flat)
+    stage.flat += y
+    _velocity(kernel, stage, kernel.k3)
+    np.multiply(k3, dt, out=stage.flat)
+    stage.flat += y
+    _velocity(kernel, stage, kernel.k4)
     # y + dt / 6 (k1 + 2 k2 + 2 k3 + k4), summed left to right; k + k is 2 k
     # bit for bit
     k2 += k2
@@ -413,8 +486,8 @@ def _rk4_step(kernel, y, k1, dt, gap_floor, energy_cap, x_term):
     k2 += k3
     k2 += k4
     k2 *= dt / 6.0
-    y_new = k2 + y
-    return y_new, _end_state(kernel, y_new, gap_floor, energy_cap, x_term)
+    np.add(k2, y, out=kernel.y_new.flat)
+    return _end_state(kernel, kernel.y_new, kernel.v_new, gap_floor, energy_cap, x_term)
 
 
 def step(system, config, dt) -> Configuration:
@@ -428,32 +501,43 @@ def step(system, config, dt) -> Configuration:
     x_term = _planar_term(system, config.x)
     y, gaps = _checked_heights(system, config)
     kernel = _StepKernel(system)
+    kernel.y.flat[:] = y
     energy = _energy(kernel.edges, y, gaps, x_term)
     with np.errstate(**_QUIET):
-        y_new, end = _rk4_step(
-            kernel, y, _velocity(kernel, y), dt, FlowParams.gap_safety / energy,
-            energy + _ENERGY_CUSHION * abs(energy), x_term,
+        _velocity(kernel, kernel.y, kernel.v)
+        end = _rk4_step(
+            kernel, dt, FlowParams.gap_safety / energy, energy + _ENERGY_CUSHION * abs(energy), x_term,
         )
     if isinstance(end, str):
         raise GapGuardTripped(f"step of size {dt!r} rejected: {end}")
     n = system.n_vertices
+    y_new = kernel.y_new.flat
     return Configuration(x=config.x, z_blue=y_new[:n], z_red=y_new[n:])
 
 
-def _ros_step(kernel, y, v, h, w_inv, u):
-    """One ROS34PW2 step of size h from the stacked state y, where v is the
-    velocity at y and w_inv is W^-1 = (I - gamma h J)^-1 for some
-    approximation J of the Jacobian; the stages u_1..u_4 run in the rows of
-    u, and only u_2..u_4 evaluate the velocity.  Returns the new state and
-    the embedded error estimate, a vector."""
+def _ros_step(kernel, h, w_inv):
+    """One ROS34PW2 step of size h from the kernel's accepted state `y`,
+    whose velocity is `v`, to its candidate `y_new`, where w_inv is
+    W^-1 = (I - gamma h J)^-1 for some approximation J of the Jacobian; the
+    stages u_1..u_4 run in the rows of the kernel's `u`, and only u_2..u_4
+    evaluate the velocity.  Returns `y_new` and the embedded error estimate,
+    a vector."""
+    y, stage, f = kernel.y.flat, kernel.stage, kernel.k2
+    u, rhs, error = kernel.u, *kernel.scratch
     gamma_h = _ROS_GAMMA * h
-    np.dot(w_inv, gamma_h * v, out=u[0])
+    np.multiply(kernel.v.flat, gamma_h, out=rhs)
+    np.dot(w_inv, rhs, out=u[0])
     for i in range(1, 4):
-        f = _velocity(kernel, y + _ROS_A[i, :i].dot(u[:i]))
-        f *= gamma_h
-        f += _ROS_GC[i, :i].dot(u[:i])
-        np.dot(w_inv, f, out=u[i])
-    return y + _ROS_M.dot(u), _ROS_ERROR.dot(u)
+        np.dot(_ROS_A_ROWS[i], kernel.u_heads[i], out=stage.flat)
+        stage.flat += y
+        _velocity(kernel, stage, f)
+        f.flat *= gamma_h
+        f.flat += np.dot(_ROS_GC_ROWS[i], kernel.u_heads[i], out=rhs)
+        np.dot(w_inv, f.flat, out=u[i])
+    y_new = kernel.y_new
+    np.dot(_ROS_M, u, out=y_new.flat)
+    y_new.flat += y
+    return y_new, np.dot(_ROS_ERROR, u, out=error)
 
 
 def _evaluated(end) -> bool:
@@ -462,10 +546,10 @@ def _evaluated(end) -> bool:
     return not isinstance(end, str) or end is _ENERGY_INCREASED
 
 
-def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, record):
-    """Continue the flow from time t at the stacked heights y, whose
-    `_end_state` is `end`, with guarded ROS34PW2 steps, starting at step
-    size h.
+def _rosenbrock_phase(kernel, t, end, h, params, gap_floor, cushion, x_term, record):
+    """Continue the flow from time t at the kernel's accepted state `y`,
+    whose `_end_state` is `end`, with guarded ROS34PW2 steps, starting at
+    step size h.
 
     A step is rejected, and h halved, when its error estimate exceeds the
     tolerance (before its end state is evaluated), it trips a structural
@@ -481,12 +565,13 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
     skipped, not recorded, when it trips a guard, its energy exceeds the
     previous state's by more than the cushion, or it lies more than the
     cushion below the step end's.
-    Returns (t, y, end, status).
+    Returns (t, end, status), with the final state in the kernel's `y`.
     """
-    size = y.size
+    size = 2 * kernel.n
     accepted = rejected = refreshes = evaluations = on_grid = skipped = 0
     h_w = t_w = None  # the step size and the time W^-1 was built for
-    u = np.empty((4, size))
+    # the scratch rows hold the size of y, then a grid sample's slope terms
+    grid_state, (slope, weighted) = kernel.stage, kernel.scratch
     # an index below every grid time after t, whatever the rounding of log10
     grid = math.floor(_GRID_PER_DECADE * math.log10(t)) - 1
     v, energy, grad_norm, _ = end
@@ -498,6 +583,7 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
             status = "truncated"
             break
         h_eff = min(h, params.t_max - t)
+        y = kernel.y.flat
         if h_eff != h_w or t >= 2.0 * t_w:
             W = _jacobian(kernel, y)
             W *= -_ROS_GAMMA * h_eff
@@ -510,13 +596,13 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
             w_inv -= w_inv.mean(axis=0)
             h_w, t_w = h_eff, t
             refreshes += 1
-        y_new, error = _ros_step(kernel, y, v, h_eff, w_inv, u)
+        y_new, error = _ros_step(kernel, h_eff, w_inv)
         evaluations += 3
         # a non-finite stage makes the error NaN, which fails the test below
-        error = float(np.maximum.reduce(np.abs(error)))
-        error /= _ROS_TOL * max(1.0, float(np.maximum.reduce(np.abs(y))))
+        error = float(np.maximum.reduce(np.abs(error, out=error)))
+        error /= _ROS_TOL * max(1.0, float(np.maximum.reduce(np.abs(y, out=slope))))
         new_end = (
-            _end_state(kernel, y_new, gap_floor, energy + cushion, x_term)
+            _end_state(kernel, y_new, kernel.v_new, gap_floor, energy + cushion, x_term)
             if error <= 1.0 else "error estimate above tolerance"
         )
         evaluations += _evaluated(new_end)
@@ -537,11 +623,15 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
             # cubic Hermite: the weights on y and y_new sum to 1 and the
             # velocity term sums to zero (its mean is only rounding, which
             # h would amplify), so the barycenter holds
-            y_grid = y + (theta * theta * (3.0 - 2.0 * theta)) * (y_new - y)
-            slope = (1.0 - theta) * v - theta * v_new
-            slope -= slope.mean()
-            y_grid += (h_eff * theta * (1.0 - theta)) * slope
-            sample = _end_state(kernel, y_grid, gap_floor, last + cushion, x_term)
+            y_grid = np.subtract(y_new.flat, y, out=grid_state.flat)
+            y_grid *= theta * theta * (3.0 - 2.0 * theta)
+            y_grid += y
+            np.multiply(v, 1.0 - theta, out=slope)
+            slope -= np.multiply(v_new, theta, out=weighted)
+            slope -= np.add.reduce(slope) / size  # its mean, as ndarray.mean computes it
+            slope *= h_eff * theta * (1.0 - theta)
+            y_grid += slope
+            sample = _end_state(kernel, grid_state, kernel.k2, gap_floor, last + cushion, x_term)
             evaluations += _evaluated(sample)
             if isinstance(sample, str) or sample[1] < energy_new - cushion:
                 skipped += 1
@@ -550,17 +640,18 @@ def _rosenbrock_phase(kernel, t, y, end, h, params, gap_floor, cushion, x_term, 
             last = sample[1]
             on_grid += 1
         t = t_new
-        y, end = y_new, new_end
+        kernel.accept()
+        end = new_end
         v, energy, grad_norm, _ = end
         accepted += 1
-        record(t, y, end)
+        record(t, kernel.y.flat, end)
         h = 2.0 * h_eff if error < _ROS_GROW else h_eff
     _LOG.info(
         "Rosenbrock phase ended at t=%g: %d accepted, %d rejected steps, %d W refreshes, "
         "%d velocity evaluations, %d grid samples recorded, %d skipped",
         t, accepted, rejected, refreshes, evaluations, on_grid, skipped,
     )
-    return t, y, end, status
+    return t, end, status
 
 
 def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
@@ -592,12 +683,12 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     if flipped.size:
         raise InvalidInitial(f"initial heights violate the crossing sign at vertex {flipped[0]}")
 
-    y = np.concatenate((z_blue, z_red))
     x_term = _planar_term(system, x0)
     kernel = _StepKernel(system)
+    y = np.concatenate((z_blue, z_red), out=kernel.y.flat)
     with np.errstate(**_QUIET):
         e0 = _energy(kernel.edges, y, np.abs(d0), x_term)
-        v = _velocity(kernel, y)
+        v = _velocity(kernel, kernel.y, kernel.v).flat
     grad_norm = float(np.maximum.reduce(np.abs(v)))
     if not (math.isfinite(e0) and math.isfinite(grad_norm)):
         raise InvalidInitial(f"initial energy {e0!r} or velocity {grad_norm!r} is not finite")
@@ -652,7 +743,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
                 status = None  # the run goes on with Rosenbrock steps
                 break
             dt_eff = min(dt, params.t_max - t)
-            y_new, new_end = _rk4_step(kernel, y, v, dt_eff, gap_floor, energy + cushion, x_term)
+            new_end = _rk4_step(kernel, dt_eff, gap_floor, energy + cushion, x_term)
             if isinstance(new_end, str):
                 if dt_eff <= params.dt_min:
                     raise StepUnderflow(t, dt_eff)
@@ -661,8 +752,9 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
                 held = 0
                 continue
             t += dt_eff
-            y, end = y_new, new_end
-            v, energy, grad_norm, min_gap = end
+            kernel.accept()
+            end = new_end
+            _, energy, grad_norm, min_gap = end
             accepted += 1
             # an overflowing gap cube is an infinite one: no repulsion limit
             stable_dt = _STABILITY_MARGIN / (quad_rate + 4.0 / float(min_gap ** 3))
@@ -670,17 +762,17 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
             dt = max(params.dt_min, min(dt * 1.25, cap))
             held = held + 1 if dt == cap else 0
             if accepted % params.record_stride == 0:
-                record(t, y, end)
+                record(t, kernel.y.flat, end)
 
         if status is None:
             _LOG.info(
                 "switching to Rosenbrock steps at t=%g after %d accepted, %d rejected RK4 steps",
                 t, accepted, rejected,
             )
-            t, y, end, status = _rosenbrock_phase(
-                kernel, t, y, end, dt, params, gap_floor, cushion, x_term, record
+            t, end, status = _rosenbrock_phase(
+                kernel, t, end, dt, params, gap_floor, cushion, x_term, record
             )
 
     if samples[-1].t < t:
-        record(t, y, end)
+        record(t, kernel.y.flat, end)
     return Trajectory(system=system, samples=tuple(samples), status=status)

@@ -181,11 +181,12 @@ class WeaveSystem(_SystemBase):
     the flattened `sign`, the vertex grid `_grid`, `n_vertices` and
     `lattice_basis`.  The rest is built on first read and cached, frozen:
     `blue_threads`, `red_threads`, `edges`, `_height_edges`,
-    `blue_laplacian`, `red_laplacian`, `laplacian`, `planar_x`,
-    `planar_energy` and the edge arrays behind `planar_term` and
+    `_thread_cycles`, `blue_laplacian`, `red_laplacian`, `laplacian`,
+    `planar_x`, `planar_energy` and the edge arrays behind `planar_term` and
     `_edge_tension`.  So classifying a weave, which reads only `sign`, builds
     no n x n matrix, and neither do its energy and commutator, which read only
-    the edges, nor its spectrum, which reads only the thread counts.
+    the edges, its flow, which reads the `_thread_cycles`, nor its spectrum,
+    which reads only the thread counts.
     """
 
     kind = "weave"
@@ -213,6 +214,18 @@ class WeaveSystem(_SystemBase):
         # along its red thread
         u_idx, v_idx, _ = self._edge_index()
         return _sorted_edges(u_idx[0::2], v_idx[0::2]), _sorted_edges(u_idx[1::2], v_idx[1::2])
+
+    @cached_property
+    def _thread_cycles(self) -> tuple:
+        """The Laplacians C_{n_blue} of red thread 0 and C_{n_red} of blue
+        thread 0, read off the `_height_edges`.  Every thread of a family has
+        the same cycle, so blue_laplacian is I (x) C_{n_red} and
+        red_laplacian is C_{n_blue} (x) I."""
+        nb, nr = self._grid.shape
+        blue, red = self._height_edges
+        red_thread = red[:, red[0] % nr == 0] // nr  # vertex i * nr is red thread 0's i-th
+        blue_thread = blue[:, blue[1] < nr]  # vertex j < nr is blue thread 0's j-th
+        return _freeze(_laplacian(*red_thread, nb)), _freeze(_laplacian(*blue_thread, nr))
 
     @cached_property
     def blue_laplacian(self) -> np.ndarray:
@@ -403,6 +416,18 @@ def build_entangled_system(graph: PeriodicQuotientGraph, sign) -> EntangledSyste
     return EntangledSystem(graph, _normalize_sign(sign, graph.n_vertices))
 
 
+def _all_signs(sign, n_red: int) -> bool:
+    """Whether every row of sign has n_red entries and every entry is 1 or
+    -1, in one set test.  A set compares its members by hash and equality,
+    so it keeps exactly the entries equal to 1 or -1 (True and 1.0 among
+    them), as the entry checks do; a row without a length or an unhashable
+    entry fails the test."""
+    try:
+        return all(len(row) == n_red for row in sign) and set().union(*sign) <= {1, -1}
+    except TypeError:
+        return False
+
+
 def build_weave_system(design: WeaveDesign) -> WeaveSystem:
     """Validate and assemble a weave system from its sign matrix."""
     nb, nr = design.n_blue, design.n_red
@@ -412,14 +437,16 @@ def build_weave_system(design: WeaveDesign) -> WeaveSystem:
         raise DegenerateSize(f"thread counts must be positive integers, got {nb}x{nr}")
     if len(design.sign) != nb:
         raise InvalidWeave(f"sign matrix has {len(design.sign)} rows for {nb} blue threads")
-    for i, row in enumerate(design.sign):
-        if len(row) != nr:
-            raise InvalidWeave(f"sign row {i} has {len(row)} entries for {nr} red threads")
-        for j, value in enumerate(row):
-            if value == 0:
-                raise ZeroSignEntry(f"sign entry ({i}, {j}) is zero")
-            if value not in (1, -1):
-                raise InvalidWeave(f"sign entry ({i}, {j}) must be +1 or -1, got {value!r}")
+    if not _all_signs(design.sign, nr):
+        # find the first offending row or entry, in row-major order
+        for i, row in enumerate(design.sign):
+            if len(row) != nr:
+                raise InvalidWeave(f"sign row {i} has {len(row)} entries for {nr} red threads")
+            for j, value in enumerate(row):
+                if value == 0:
+                    raise ZeroSignEntry(f"sign entry ({i}, {j}) is zero")
+                if value not in (1, -1):
+                    raise InvalidWeave(f"sign entry ({i}, {j}) must be +1 or -1, got {value!r}")
     # the planar energy sums 2 nb nr squared edge lengths spacing^2
     largest = math.sqrt(sys.float_info.max / (2 * nb * nr))
     if not (isinstance(design.spacing, (int, float)) and 0 < design.spacing <= largest):

@@ -72,6 +72,32 @@ def random_weave_system(rng: np.random.Generator, max_threads: int = 6):
     return build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign, spacing=1.0))
 
 
+def kernel_velocity(kernel, y):
+    """A copy of the velocity `dynamics._velocity` writes for the stacked
+    heights y, evaluated in the kernel's buffers."""
+    from tangleflow import dynamics
+
+    kernel.stage.flat[:] = y
+    return dynamics._velocity(kernel, kernel.stage, kernel.k2).flat.copy()
+
+
+def dense_velocity(system, config):
+    """The stacked velocity by the dense formula 2 L z +- sign / d^2, with
+    the family Laplacians L, and per entry the sum of its terms' magnitudes,
+    the scale of its rounding."""
+    zb, zr = config.z_blue, config.z_red
+    d = zb - zr
+    repulsion = system.sign / (d * d)
+    velocity = np.concatenate(
+        (2.0 * (system.blue_laplacian @ zb) + repulsion, 2.0 * (system.red_laplacian @ zr) - repulsion)
+    )
+    magnitude = np.concatenate((
+        2.0 * (np.abs(system.blue_laplacian) @ np.abs(zb)) + np.abs(repulsion),
+        2.0 * (np.abs(system.red_laplacian) @ np.abs(zr)) + np.abs(repulsion),
+    ))
+    return velocity, magnitude
+
+
 @pytest.fixture(scope="session")
 def design_dir() -> Path:
     return DESIGN_DIR

