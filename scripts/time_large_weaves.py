@@ -51,13 +51,9 @@ def checkerboard_text(n: int) -> str:
 
 def velocity_call(kernel, y):
     """A zero-argument call that evaluates the velocity at the stacked
-    heights y in the kernel's buffers.  Kernels with `_Heights` buffers take
-    those; older kernels took flat arrays, so the script times both."""
-    if hasattr(dynamics, "_Heights"):
-        kernel.stage.flat[:] = y
-        return lambda: dynamics._velocity(kernel, kernel.stage, kernel.k2)
-    out = np.empty_like(y)
-    return lambda: dynamics._velocity(kernel, y, out)
+    heights y in the kernel's buffers."""
+    kernel.stage.flat[:] = y
+    return lambda: dynamics._velocity(kernel, kernel.stage, kernel.k2)
 
 
 def step_counts(path) -> tuple:

@@ -37,12 +37,11 @@ in the "first same as last" Runge-Kutta pairs of Dormand and Prince (1980),
 then the energy, from `_energy` as everywhere.  The guard's minimum gap sets
 the RK4 stability cap on dt.  Grid samples are evaluated by `_end_state` too.
 
-Only recorded samples carry a `Configuration`.  The step loop reads
-per-system constants (float signs, the stretching products, edges) and
-evaluates RK4 stages, end states, Rosenbrock stages and grid samples into
-the buffers of a `_StepKernel`, each with per-family views built once, that
-each `integrate`, `step` or `gradient` call builds for itself and drops
-when it returns; energy calls read only edges.
+Only recorded samples carry a `Configuration`.  Each `integrate`, `step`
+or `gradient` call builds a `_StepKernel` and drops it when it returns: it
+derives the run's gap floor, energy cushion and planar term once, counts
+the velocity evaluations, and holds the buffers, with per-family views, of
+every stage, end state and grid sample; energy calls read only edges.
 """
 from __future__ import annotations
 
@@ -79,10 +78,6 @@ __all__ = [
 # accepted steps may raise the energy by at most this fraction of the
 # initial energy (absorbs rounding noise near stationarity)
 _ENERGY_CUSHION = 1e-13
-
-# `_end_state`'s reason for a state that passed the guard, whose velocity
-# was therefore evaluated, but whose energy is above the cap
-_ENERGY_INCREASED = "energy increased"
 
 # the classical RK4 stability interval on the negative real axis ends near
 # 2.785; keep lambda*dt under this margin so stiff gap modes stay damped
@@ -286,18 +281,25 @@ class _Heights:
 
 
 class _StepKernel:
-    """The constants and buffers of the step loop of one system.
+    """The step loop of one run: its constants, buffers and evaluation count.
 
-    Constants: the crossing signs as floats in the families' shape (so
-    sign / d^2 casts nothing), the `_stacked_edges`, and the stretching
-    products `blue_dot(z, out)` and `red_dot(z, out)`, which write 2 L z
-    into out.  A graph multiplies by its doubled dense Laplacians, one
-    matrix when both families share it.  A weave holds no n x n matrix: its
-    family Laplacians are L_B = I (x) C_{n_red} and L_R = C_{n_blue} (x) I,
-    with C_m the Laplacian of one thread cycle of m crossings, so on the
-    (n_blue, n_red) vertex grid 2 L_B z is Z_b (2 C_{n_red}) and 2 L_R z is
-    (2 C_{n_blue}) Z_r.  Doubling is exact, so (2 L) z equals 2 (L z) bit for
-    bit.
+    System constants: the crossing signs as floats in the families' shape
+    (so sign / d^2 casts nothing), the `_stacked_edges`, the products
+    `blue_dot(z, out)` and `red_dot(z, out)`, which write 2 L z into out,
+    and `stretching()`, the dense Jacobian blocks 2 L_B and 2 L_R.  A graph
+    multiplies by its doubled dense Laplacians, one matrix when both
+    families share it.  A weave holds no n x n matrix: its family Laplacians
+    are L_B = I (x) C_{n_red} and L_R = C_{n_blue} (x) I, with C_m the
+    Laplacian of one thread cycle of m crossings, so on the (n_blue, n_red)
+    vertex grid 2 L_B z is Z_b (2 C_{n_red}) and 2 L_R z is (2 C_{n_blue})
+    Z_r; only `stretching` forms the blocks, with `np.kron`.  Doubling is
+    exact, so (2 L) z equals 2 (L z) bit for bit.
+
+    Run constants, derived here only: the planar term `x_term` of the run's
+    layout x; from the energy `e0` of its initial heights y (whose gaps are
+    overwritten), the `gap_floor` gap_safety / e0 and the energy `cushion`
+    _ENERGY_CUSHION |e0|, with y and its velocity in `y` and `v`.  Without
+    x or y these are None or 0.  `evaluations` counts `_velocity` calls.
 
     Buffers, each a `_Heights` but for the last four, reused by every step
     of a run: the accepted state `y` and its velocity `v`; the candidate end
@@ -307,22 +309,20 @@ class _StepKernel:
     Rosenbrock stages `u`; the absolute gaps `gaps`, with their view
     `gap_view` in the families' shape; the repulsion; and scratch rows."""
 
-    def __init__(self, system):
+    def __init__(self, system, x=None, y=None, gaps=None, gap_safety=FlowParams.gap_safety):
         self.n = n = system.n_vertices
         if system.kind == "weave":
-            shape = system._grid.shape
-            self.two_cycles = two_nb, two_nr = tuple(2.0 * c for c in system._thread_cycles)
+            shape = nb, nr = system._grid.shape
+            two_nb, two_nr = (2.0 * c for c in system._thread_cycles)
             self.blue_dot = lambda z, out: np.dot(z, two_nr, out)
             self.red_dot = lambda z, out: np.dot(two_nb, z, out)
+            self.stretching = lambda: (np.kron(np.eye(nb), two_nr), np.kron(two_nb, np.eye(nr)))
         else:
             shape = (n,)
-            self.two_cycles = None
-            self.two_blue = 2.0 * system.blue_laplacian
-            self.two_red = (
-                self.two_blue if system.red_laplacian is system.blue_laplacian else 2.0 * system.red_laplacian
-            )
-            self.blue_dot = self.two_blue.dot
-            self.red_dot = self.two_red.dot
+            two_blue = 2.0 * system.blue_laplacian
+            two_red = two_blue if system.red_laplacian is system.blue_laplacian else 2.0 * system.red_laplacian
+            self.blue_dot, self.red_dot = two_blue.dot, two_red.dot
+            self.stretching = lambda: (two_blue, two_red)
         self.sign = system.sign.astype(float).reshape(shape)
         self.edges = _stacked_edges(system)
         flat = np.empty((8, 2 * n))
@@ -335,19 +335,20 @@ class _StepKernel:
         self.gap_view = self.gaps.reshape(shape)
         self.repulsion = np.empty(shape)
         self.scratch = tuple(np.empty((2, 2 * n)))
+        self.evaluations = 0
+        self.x_term = None if x is None else _planar_term(system, x)
+        self.gap_floor = self.cushion = 0.0
+        if y is not None:
+            self.y.flat[:] = y
+            self.e0 = _energy(self.edges, self.y.flat, gaps, self.x_term)
+            self.gap_floor = gap_safety / self.e0
+            self.cushion = _ENERGY_CUSHION * abs(self.e0)
+            _velocity(self, self.y, self.v)
 
     def accept(self):
         """Make the candidate end state and its velocity the accepted ones."""
         self.y, self.y_new = self.y_new, self.y
         self.v, self.v_new = self.v_new, self.v
-
-    def stretching(self) -> tuple:
-        """The dense blocks 2 L_B and 2 L_R of the flow Jacobian; a weave
-        builds them from its thread cycles, with equal entries."""
-        if self.two_cycles is None:
-            return self.two_blue, self.two_red
-        two_nb, two_nr = self.two_cycles
-        return np.kron(np.eye(len(two_nb)), two_nr), np.kron(two_nb, np.eye(len(two_nr)))
 
 
 def _energy(edges, y, gaps, x_term) -> float:
@@ -367,7 +368,8 @@ def _velocity(kernel, y, out, gaps=None):
     the `_Heights` y, written into the `_Heights` out: 2 L_B z_blue +
     sign/d^2 and 2 L_R z_red - sign/d^2.  gaps, when given, holds y's
     absolute gaps |d| in the families' shape (the guard's), whose squares
-    are d^2 bit for bit."""
+    are d^2 bit for bit.  Counted in the kernel's `evaluations`."""
+    kernel.evaluations += 1
     d2 = kernel.repulsion
     if gaps is None:
         np.subtract(y.blue, y.red, out=d2)
@@ -440,31 +442,31 @@ def _guard_reason(kernel, y, gap_floor):
     return gaps, min_gap  # only the sum overflowed; the signs hold, so these are |d|
 
 
-def _end_state(kernel, y, v, gap_floor, energy_cap, x_term):
+def _end_state(kernel, y, v, reference):
     """Evaluate the candidate end state of a step, the `_Heights` y: the
-    guard, then, if it passes, the velocity there, once, into the `_Heights`
-    v, from the guard's gaps.  Returns why y is rejected, as a string, or
-    (v.flat, energy, grad_norm, min_gap): the velocity (the next step's
-    k1), the energy (`_energy`, with x_term the planar term of the run's
-    fixed layout), the sup norm of v and the minimum gap.  The state is also
-    rejected when its energy is above energy_cap (or NaN).
+    guard at the kernel's gap floor, then, if it passes, the velocity there,
+    once, into the `_Heights` v, from the guard's gaps.  Returns why y is
+    rejected, as a string, or (v.flat, energy, grad_norm, min_gap): the
+    velocity (the next step's k1), the energy (`_energy`), the sup norm of v
+    and the minimum gap.  The state is also rejected when its energy exceeds
+    reference by more than the kernel's cushion (or is NaN).
     """
-    guard = _guard_reason(kernel, y, gap_floor)
+    guard = _guard_reason(kernel, y, kernel.gap_floor)
     if isinstance(guard, str):
         return guard
     gaps, min_gap = guard
     velocity = _velocity(kernel, y, v, kernel.gap_view).flat
-    energy = _energy(kernel.edges, y.flat, gaps, x_term)
-    if not energy <= energy_cap:
-        return _ENERGY_INCREASED
+    energy = _energy(kernel.edges, y.flat, gaps, kernel.x_term)
+    if not energy <= reference + kernel.cushion:
+        return "energy increased"
     return velocity, energy, float(np.maximum.reduce(np.abs(velocity, out=kernel.scratch[0]))), min_gap
 
 
-def _rk4_step(kernel, dt, gap_floor, energy_cap, x_term):
+def _rk4_step(kernel, dt, energy):
     """One Runge-Kutta step of size dt from the kernel's accepted state `y`,
-    whose velocity `v` is k1, to its candidate `y_new`, with the stages in
-    the kernel's buffers.  Returns the `_end_state` of `y_new`, whose
-    velocity goes to `v_new`."""
+    whose velocity `v` is k1 and whose energy is energy, to its candidate
+    `y_new`, with the stages in the kernel's buffers.  Returns the
+    `_end_state` of `y_new`, whose velocity goes to `v_new`."""
     y, k1 = kernel.y.flat, kernel.v.flat
     stage = kernel.stage
     k2, k3, k4 = kernel.k2.flat, kernel.k3.flat, kernel.k4.flat
@@ -487,7 +489,7 @@ def _rk4_step(kernel, dt, gap_floor, energy_cap, x_term):
     k2 += k4
     k2 *= dt / 6.0
     np.add(k2, y, out=kernel.y_new.flat)
-    return _end_state(kernel, kernel.y_new, kernel.v_new, gap_floor, energy_cap, x_term)
+    return _end_state(kernel, kernel.y_new, kernel.v_new, energy)
 
 
 def step(system, config, dt) -> Configuration:
@@ -498,16 +500,10 @@ def step(system, config, dt) -> Configuration:
     configuration, and the energy may not rise beyond the integrator's
     rounding cushion.  Otherwise GapGuardTripped is raised.
     """
-    x_term = _planar_term(system, config.x)
     y, gaps = _checked_heights(system, config)
-    kernel = _StepKernel(system)
-    kernel.y.flat[:] = y
-    energy = _energy(kernel.edges, y, gaps, x_term)
     with np.errstate(**_QUIET):
-        _velocity(kernel, kernel.y, kernel.v)
-        end = _rk4_step(
-            kernel, dt, FlowParams.gap_safety / energy, energy + _ENERGY_CUSHION * abs(energy), x_term,
-        )
+        kernel = _StepKernel(system, config.x, y, gaps)
+        end = _rk4_step(kernel, dt, kernel.e0)
     if isinstance(end, str):
         raise GapGuardTripped(f"step of size {dt!r} rejected: {end}")
     n = system.n_vertices
@@ -540,13 +536,7 @@ def _ros_step(kernel, h, w_inv):
     return y_new, np.dot(_ROS_ERROR, u, out=error)
 
 
-def _evaluated(end) -> bool:
-    """Whether `_end_state` evaluated the velocity at the state it returned
-    `end` for: it does unless the guard rejected the state."""
-    return not isinstance(end, str) or end is _ENERGY_INCREASED
-
-
-def _rosenbrock_phase(kernel, t, end, h, params, gap_floor, cushion, x_term, record):
+def _rosenbrock_phase(kernel, t, end, h, params, record):
     """Continue the flow from time t at the kernel's accepted state `y`,
     whose `_end_state` is `end`, with guarded ROS34PW2 steps, starting at
     step size h.
@@ -554,8 +544,8 @@ def _rosenbrock_phase(kernel, t, end, h, params, gap_floor, cushion, x_term, rec
     A step is rejected, and h halved, when its error estimate exceeds the
     tolerance (before its end state is evaluated), it trips a structural
     guard, or its energy exceeds the last accepted one by more than the
-    cushion; rejection at dt_min raises StepUnderflow.  h doubles after a
-    step well inside the tolerance.  W is refreshed, from the Jacobian at
+    kernel's cushion; rejection at dt_min raises StepUnderflow.  h doubles
+    after a step well inside the tolerance.  W is refreshed, from the Jacobian at
     the current state, when h changes or t has doubled since the last
     refresh; the doubling keeps W near the Jacobian as the coupling between
     components fades like 1/t, for O(log t) refreshes.  record(t, y, end) is
@@ -568,7 +558,8 @@ def _rosenbrock_phase(kernel, t, end, h, params, gap_floor, cushion, x_term, rec
     Returns (t, end, status), with the final state in the kernel's `y`.
     """
     size = 2 * kernel.n
-    accepted = rejected = refreshes = evaluations = on_grid = skipped = 0
+    accepted = rejected = refreshes = on_grid = skipped = 0
+    evaluations = kernel.evaluations
     h_w = t_w = None  # the step size and the time W^-1 was built for
     # the scratch rows hold the size of y, then a grid sample's slope terms
     grid_state, (slope, weighted) = kernel.stage, kernel.scratch
@@ -597,15 +588,12 @@ def _rosenbrock_phase(kernel, t, end, h, params, gap_floor, cushion, x_term, rec
             h_w, t_w = h_eff, t
             refreshes += 1
         y_new, error = _ros_step(kernel, h_eff, w_inv)
-        evaluations += 3
         # a non-finite stage makes the error NaN, which fails the test below
         error = float(np.maximum.reduce(np.abs(error, out=error)))
         error /= _ROS_TOL * max(1.0, float(np.maximum.reduce(np.abs(y, out=slope))))
         new_end = (
-            _end_state(kernel, y_new, kernel.v_new, gap_floor, energy + cushion, x_term)
-            if error <= 1.0 else "error estimate above tolerance"
+            _end_state(kernel, y_new, kernel.v_new, energy) if error <= 1.0 else "error estimate above tolerance"
         )
-        evaluations += _evaluated(new_end)
         if isinstance(new_end, str):
             if h_eff <= params.dt_min:
                 raise StepUnderflow(t, h_eff)
@@ -631,9 +619,8 @@ def _rosenbrock_phase(kernel, t, end, h, params, gap_floor, cushion, x_term, rec
             slope -= np.add.reduce(slope) / size  # its mean, as ndarray.mean computes it
             slope *= h_eff * theta * (1.0 - theta)
             y_grid += slope
-            sample = _end_state(kernel, grid_state, kernel.k2, gap_floor, last + cushion, x_term)
-            evaluations += _evaluated(sample)
-            if isinstance(sample, str) or sample[1] < energy_new - cushion:
+            sample = _end_state(kernel, grid_state, kernel.k2, last)
+            if isinstance(sample, str) or sample[1] < energy_new - kernel.cushion:
                 skipped += 1
                 continue
             record(t_grid, y_grid, sample)
@@ -649,7 +636,7 @@ def _rosenbrock_phase(kernel, t, end, h, params, gap_floor, cushion, x_term, rec
     _LOG.info(
         "Rosenbrock phase ended at t=%g: %d accepted, %d rejected steps, %d W refreshes, "
         "%d velocity evaluations, %d grid samples recorded, %d skipped",
-        t, accepted, rejected, refreshes, evaluations, on_grid, skipped,
+        t, accepted, rejected, refreshes, kernel.evaluations - evaluations, on_grid, skipped,
     )
     return t, end, status
 
@@ -683,17 +670,13 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     if flipped.size:
         raise InvalidInitial(f"initial heights violate the crossing sign at vertex {flipped[0]}")
 
-    x_term = _planar_term(system, x0)
-    kernel = _StepKernel(system)
-    y = np.concatenate((z_blue, z_red), out=kernel.y.flat)
     with np.errstate(**_QUIET):
-        e0 = _energy(kernel.edges, y, np.abs(d0), x_term)
-        v = _velocity(kernel, kernel.y, kernel.v).flat
+        kernel = _StepKernel(system, x0, np.concatenate((z_blue, z_red)), np.abs(d0), params.gap_safety)
+    v, e0 = kernel.v.flat, kernel.e0
     grad_norm = float(np.maximum.reduce(np.abs(v)))
     if not (math.isfinite(e0) and math.isfinite(grad_norm)):
         raise InvalidInitial(f"initial energy {e0!r} or velocity {grad_norm!r} is not finite")
 
-    gap_floor = params.gap_safety / e0
     # per tangle component, top to bottom: the vertices its barycenter sums
     if system.kind == "weave":
         members = [system._component_vertices(c) for c in tangle_decomposition(system).components]
@@ -727,9 +710,8 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     energy = e0
     end = (v, energy, grad_norm, np.minimum.reduce(np.abs(d0)))
     samples = []
-    record(t, y, end)
+    record(t, kernel.y.flat, end)
     accepted = rejected = held = 0  # held: consecutive accepted steps with dt at its cap
-    cushion = _ENERGY_CUSHION * abs(e0)
 
     with np.errstate(**_QUIET):
         while True:
@@ -743,7 +725,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
                 status = None  # the run goes on with Rosenbrock steps
                 break
             dt_eff = min(dt, params.t_max - t)
-            new_end = _rk4_step(kernel, dt_eff, gap_floor, energy + cushion, x_term)
+            new_end = _rk4_step(kernel, dt_eff, energy)
             if isinstance(new_end, str):
                 if dt_eff <= params.dt_min:
                     raise StepUnderflow(t, dt_eff)
@@ -769,9 +751,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
                 "switching to Rosenbrock steps at t=%g after %d accepted, %d rejected RK4 steps",
                 t, accepted, rejected,
             )
-            t, end, status = _rosenbrock_phase(
-                kernel, t, end, dt, params, gap_floor, cushion, x_term, record
-            )
+            t, end, status = _rosenbrock_phase(kernel, t, end, dt, params, record)
 
     if samples[-1].t < t:
         record(t, kernel.y.flat, end)

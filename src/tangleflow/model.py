@@ -13,6 +13,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -405,7 +406,7 @@ def _normalize_sign(sign, n: int) -> np.ndarray:
                 f"crossing sign list has {len(values)} entries for {n} vertices"
             )
     for v, value in enumerate(values):
-        if value not in (1, -1):
+        if value not in (1, -1) or isinstance(value, (complex, np.complexfloating)):
             raise InvalidGraph(f"crossing sign at vertex {v} must be +1 or -1, got {value!r}")
     return np.array(values, dtype=int)
 
@@ -417,13 +418,16 @@ def build_entangled_system(graph: PeriodicQuotientGraph, sign) -> EntangledSyste
 
 
 def _all_signs(sign, n_red: int) -> bool:
-    """Whether every row of sign has n_red entries and every entry is 1 or
-    -1, in one set test.  A set compares its members by hash and equality,
-    so it keeps exactly the entries equal to 1 or -1 (True and 1.0 among
-    them), as the entry checks do; a row without a length or an unhashable
-    entry fails the test."""
+    """Whether every row of sign has n_red entries and every entry is the
+    int 1 or -1, by one set test of the entries and one of their types.  A
+    row without a length or an unhashable entry fails, and so does any other
+    entry equal to 1 or -1: True and 1.0, which the entry checks accept, and
+    1 + 0j, which they reject but a set cannot tell from 1."""
     try:
-        return all(len(row) == n_red for row in sign) and set().union(*sign) <= {1, -1}
+        return (
+            all(len(row) == n_red for row in sign) and set().union(*sign) <= {1, -1}
+            and set(map(type, chain.from_iterable(sign))) <= {int}
+        )
     except TypeError:
         return False
 
@@ -445,7 +449,7 @@ def build_weave_system(design: WeaveDesign) -> WeaveSystem:
             for j, value in enumerate(row):
                 if value == 0:
                     raise ZeroSignEntry(f"sign entry ({i}, {j}) is zero")
-                if value not in (1, -1):
+                if value not in (1, -1) or isinstance(value, (complex, np.complexfloating)):
                     raise InvalidWeave(f"sign entry ({i}, {j}) must be +1 or -1, got {value!r}")
     # the planar energy sums 2 nb nr squared edge lengths spacing^2
     largest = math.sqrt(sys.float_info.max / (2 * nb * nr))

@@ -28,13 +28,20 @@ from tangleflow import dynamics  # noqa: E402
 from tangleflow.analysis import commutation_check, weave_spectrum  # noqa: E402
 from tangleflow.cli import main  # noqa: E402
 from tangleflow.designio import _syntax_error, _tokenize, parse_design, serialize_design  # noqa: E402
-from tangleflow.errors import DesignSyntaxError, InvalidWeave, TangleflowError, ZeroSignEntry  # noqa: E402
+from tangleflow.errors import (  # noqa: E402
+    DesignSyntaxError,
+    InvalidGraph,
+    InvalidWeave,
+    TangleflowError,
+    ZeroSignEntry,
+)
 from tangleflow.dynamics import FlowParams, integrate  # noqa: E402
 from tangleflow.errors import InconsistentHeightOrder  # noqa: E402
 from tangleflow.model import (  # noqa: E402
     GraphDesign,
     PeriodicQuotientGraph,
     WeaveDesign,
+    build_entangled_system,
     build_weave_system,
     random_initial_configuration,
 )
@@ -191,11 +198,11 @@ def test_weave_velocity_matches_the_dense_formula(sign, seed, log_scale):
 
 
 # entries a sign matrix may hold besides +1 and -1: equal to 1 or -1 and so
-# accepted (True, 1.0, numpy scalars), zero (False, 0.0, -0.0), or neither;
-# 1 + 0j passes the checks but not the system's integer conversion after
-# them, which raises TypeError, so it is left out
+# accepted (True, 1.0, real numpy scalars), zero (False, 0.0, -0.0), equal to
+# 1 or -1 but complex and so rejected, or neither
 ODD_ENTRIES = st.sampled_from((
     True, 1.0, -1.0, np.int64(1), np.float64(-1.0), np.uint8(1), 1j,
+    1 + 0j, -1 + 0j, np.complex128(1), np.complex128(-1),
     False, 0, 0.0, -0.0, np.int8(0),
     2, -2, 0.5, 2**70, float("nan"), float("inf"), "+", "-", "1", None, (1,), [1], np.float64(1.5),
 ))
@@ -215,6 +222,11 @@ def odd_sign_matrices(draw, max_threads=5):
     return n_blue, n_red, tuple(rows)
 
 
+def is_sign(value):
+    """Whether value is a real number equal to 1 or -1."""
+    return value in (1, -1) and not isinstance(value, (complex, np.complexfloating))
+
+
 def loop_sign_checks(sign, n_red):
     """The reference: each row's length, then each entry, in row-major order."""
     for i, row in enumerate(sign):
@@ -223,7 +235,7 @@ def loop_sign_checks(sign, n_red):
         for j, value in enumerate(row):
             if value == 0:
                 raise ZeroSignEntry(f"sign entry ({i}, {j}) is zero")
-            if value not in (1, -1):
+            if not is_sign(value):
                 raise InvalidWeave(f"sign entry ({i}, {j}) must be +1 or -1, got {value!r}")
 
 
@@ -245,13 +257,43 @@ def outcome(call):
 @example((2, 2, ((1, -1), (1, 2))))
 @example((2, 2, ((True, -1), (1, 1.0))))
 @example((2, 2, ((1, -1, 1), (1, 1))))
+@example((1, 1, ((1 + 0j,),)))
+@example((1, 2, ((1, 1 + 0j),)))
+@example((2, 2, ((1, -1), (np.complex128(1), 1))))
 def test_sign_matrix_checks_match_the_entry_loop(case):
     """`build_weave_system` accepts or rejects every sign matrix as the
     entry-by-entry loop does, with the same error class and message, so
-    naming the first offending row or entry in row-major order."""
+    naming the first offending row or entry in row-major order.  A complex
+    entry equal to 1 or -1 is rejected, never a raw TypeError or cast."""
     n_blue, n_red, sign = case
     got = outcome(lambda: build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign)))
     assert got == outcome(lambda: loop_sign_checks(sign, n_red))
+
+
+def ring_graph(n):
+    """The quotient n-cycle: ring edges with one wrapping edge."""
+    edges = tuple((k, (k + 1) % n, (1, 0) if k == n - 1 else (0, 0)) for k in range(n))
+    return PeriodicQuotientGraph(n_vertices=n, edges=edges, lattice_basis=((1.0, 0.0), (0.0, 1.0)))
+
+
+def loop_graph_sign_checks(sign):
+    """The reference for a graph: each vertex's sign, in vertex order."""
+    for v, value in enumerate(sign):
+        if not is_sign(value):
+            raise InvalidGraph(f"crossing sign at vertex {v} must be +1 or -1, got {value!r}")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.one_of(SIGNS, SIGNS, ODD_ENTRIES), min_size=1, max_size=6))
+@example([1 + 0j, -1])
+@example([1, np.complex128(-1)])
+@example([True, -1.0, np.int64(1)])
+def test_graph_sign_checks_match_the_entry_loop(sign):
+    """`build_entangled_system` accepts or rejects every crossing sign list
+    as the vertex-by-vertex loop does, with the same error class and
+    message; a complex sign equal to 1 or -1 is rejected."""
+    got = outcome(lambda: build_entangled_system(ring_graph(len(sign)), sign))
+    assert got == outcome(lambda: loop_graph_sign_checks(sign))
 
 
 @settings(max_examples=100, deadline=None, database=None)

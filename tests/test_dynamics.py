@@ -92,10 +92,10 @@ def energy_of(system):
 
 def end_state_energy(system, config) -> float:
     """The energy `_end_state` gives config, as recorded on a sample."""
-    kernel = dynamics._StepKernel(system)
+    kernel = dynamics._StepKernel(system, config.x)
     np.concatenate((config.z_blue, config.z_red), out=kernel.y.flat)
     with np.errstate(**dynamics._QUIET):
-        end = dynamics._end_state(kernel, kernel.y, kernel.v, 0.0, np.inf, system.planar_term(config.x))
+        end = dynamics._end_state(kernel, kernel.y, kernel.v, np.inf)
     return end[1]
 
 
@@ -553,6 +553,38 @@ def test_rosenbrock_phase_is_pinned(caplog, name, n_samples, energy, counts):
         f"Rosenbrock phase ended at t=10000: {counts} velocity evaluations, "
         "447 grid samples recorded, 0 skipped",
     ]
+
+
+@pytest.mark.parametrize("name", ["untangled_pair.graph", "three_blocks_6x6.weave"])
+def test_kernel_counts_every_velocity_evaluation(caplog, monkeypatch, name):
+    """A run's `_StepKernel` counts every call of the module-level
+    `_velocity` on it, through both phases (t_max=50, past the switch at
+    t = 10.33), and the Rosenbrock INFO line reports the count's change over
+    that phase."""
+    caplog.set_level(logging.INFO, logger="tangleflow")
+    velocity, rosenbrock_phase = dynamics._velocity, dynamics._rosenbrock_phase
+    kernels, phases = [], []
+
+    def counted_velocity(kernel, *args):
+        kernels.append(kernel)
+        return velocity(kernel, *args)
+
+    def watched_phase(kernel, *args):
+        start = kernel.evaluations
+        result = rosenbrock_phase(kernel, *args)
+        phases.append((kernel, kernel.evaluations - start))
+        return result
+
+    monkeypatch.setattr(dynamics, "_velocity", counted_velocity)
+    monkeypatch.setattr(dynamics, "_rosenbrock_phase", watched_phase)
+    system = load_system(name)
+    integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=50.0))
+    [(kernel, in_phase)] = phases
+    assert all(k is kernel for k in kernels)
+    assert kernel.evaluations == len(kernels) > in_phase > 0
+    summary = caplog.records[-1].getMessage()
+    assert summary.startswith("Rosenbrock phase ended at t=50: ")
+    assert f" W refreshes, {in_phase} velocity evaluations, " in summary
 
 
 @pytest.mark.parametrize("name", ["three_blocks_6x6.weave", "mixed_stack_6x6.weave"])
