@@ -8,8 +8,8 @@ imported.  For each n x n checkerboard weave (n^2 vertices) it prints one
 line with:
 
 - `build_ms`: building the step loop's `_StepKernel` on a freshly built
-  system (for a kernel that multiplies by dense family Laplacians, this
-  includes building them), best of --repeats;
+  system (this includes building its two thread-cycle matrices), best of
+  --repeats;
 - `velocity_us`: one `_velocity` evaluation in the kernel's buffers, median
   of 200 calls (50 at n >= 48);
 - `relax_s`: wall time of `tangleflow relax <design> --t-max 5 --seed 1`,

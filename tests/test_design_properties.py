@@ -1,8 +1,8 @@
 """Property tests on generated designs: the design text round-trips, the
 tokenizer splits and locates tokens like the regex \\S+, a weave's
 closed-form spectrum equals the dense eigensolve and its grid velocity
-the dense one, a sign matrix is accepted or rejected exactly as the
-entry-by-entry checks decide, the
+the dense one, a weave's sign matrix and a graph's sign list are accepted
+or rejected exactly as the entry-by-entry checks decide, the
 tangle decomposition partitions the threads with K == 1 exactly for
 entangled weaves, its component order is the smallest-first topological
 order, every crossing agrees with the component order `classify` prints,
@@ -28,13 +28,7 @@ from tangleflow import dynamics  # noqa: E402
 from tangleflow.analysis import commutation_check, weave_spectrum  # noqa: E402
 from tangleflow.cli import main  # noqa: E402
 from tangleflow.designio import _syntax_error, _tokenize, parse_design, serialize_design  # noqa: E402
-from tangleflow.errors import (  # noqa: E402
-    DesignSyntaxError,
-    InvalidGraph,
-    InvalidWeave,
-    TangleflowError,
-    ZeroSignEntry,
-)
+from tangleflow.errors import DesignSyntaxError, InvalidGraph, InvalidWeave, TangleflowError, ZeroSignEntry  # noqa: E402
 from tangleflow.dynamics import FlowParams, integrate  # noqa: E402
 from tangleflow.errors import InconsistentHeightOrder  # noqa: E402
 from tangleflow.model import (  # noqa: E402
