@@ -14,9 +14,8 @@ line with:
   of 200 calls (50 at n >= 48);
 - `relax_s`: wall time of `tangleflow relax <design> --t-max 5 --seed 1`,
   in process, outputs discarded, best of --repeats;
-- `accepted`, `rejected`: the RK4 steps of that run, counted on a second,
-  untimed run of `integrate` that records every step (one guard call per
-  attempt).
+- `accepted`, `rejected`: the RK4 steps of that run, read from the
+  `stats` of a second, untimed run of `integrate`.
 
 Step counts are exact and repeat; times depend on the machine and its load.
 """
@@ -57,25 +56,12 @@ def velocity_call(kernel, y):
 
 
 def step_counts(path) -> tuple:
-    """Accepted and rejected steps of `relax --t-max 5 --seed 1` on the design."""
-    attempts = 0
-    guard = dynamics._guard_reason
-
-    def counted(*args):
-        nonlocal attempts
-        attempts += 1
-        return guard(*args)
-
+    """Accepted and rejected RK4 steps of `relax --t-max 5 --seed 1` on the design."""
     system = design_to_system(load_design(path))
-    dynamics._guard_reason = counted
-    try:
-        traj = dynamics.integrate(
-            system, random_initial_configuration(system, seed=1), dynamics.FlowParams(t_max=5.0, record_stride=1)
-        )
-    finally:
-        dynamics._guard_reason = guard
-    accepted = len(traj.samples) - 1
-    return accepted, attempts - accepted
+    stats = dynamics.integrate(
+        system, random_initial_configuration(system, seed=1), dynamics.FlowParams(t_max=5.0)
+    ).stats
+    return stats.rk4_accepted, stats.rk4_rejected
 
 
 def main(argv=None) -> int:

@@ -39,6 +39,7 @@ from .designio import (
 )
 from .dynamics import (
     FlowParams,
+    RunStats,
     Sample,
     Trajectory,
     energy_entangled,
@@ -85,6 +86,7 @@ __all__ = [
     "GraphDesign",
     "MinimalComponent",
     "PeriodicQuotientGraph",
+    "RunStats",
     "Sample",
     "ScalingReport",
     "Series",

@@ -211,24 +211,28 @@ def separation_series(trajectory):
     barycenters above and below the cut.
     """
     system = trajectory.system
-    times = np.array([s.t for s in trajectory.samples])
+    times = trajectory.t
     if system.kind == "entangled-graph":
         if classify_entangled_graph(system) is Classification.ENTANGLED:
             raise EntangledInput("separation is undefined for an entangled graph run")
-        values = np.array([abs(s.m_blue - s.m_red) for s in trajectory.samples])
-        return [Series("separation", times, values)]
+        return [Series("separation", times, np.abs(trajectory.m_blue - trajectory.m_red))]
 
     k_total = tangle_decomposition(system).k
     if k_total == 1:
         raise EntangledInput("separation is undefined for an entangled weave run")
     out = []
-    components = np.array([s.m_components for s in trajectory.samples])
+    components = trajectory.m_components
     for k in range(1, k_total):
         values = np.abs(
             components[:, :k].sum(axis=1) - components[:, k:].sum(axis=1)
         )
         out.append(Series(f"separation_cut_{k}", times, values))
     return out
+
+
+def _flatness(heights) -> np.ndarray:
+    """Per row of heights, the sup deviation from the row's mean."""
+    return np.max(np.abs(heights - heights.mean(axis=1, keepdims=True)), axis=1)
 
 
 def flatness_series(trajectory, component) -> Series:
@@ -238,17 +242,14 @@ def flatness_series(trajectory, component) -> Series:
     component index.
     """
     system = trajectory.system
-    times = np.array([s.t for s in trajectory.samples])
+    n = system.n_vertices
     if system.kind == "entangled-graph":
         if component not in ("blue", "red"):
             raise UnknownComponent(
                 f"graph components are 'blue' and 'red', got {component!r}"
             )
-        values = []
-        for s in trajectory.samples:
-            z = s.config.z_blue if component == "blue" else s.config.z_red
-            values.append(float(np.max(np.abs(z - z.mean()))))
-        return Series(f"flatness_{component}", times, np.array(values))
+        half = trajectory.heights[:, :n] if component == "blue" else trajectory.heights[:, n:]
+        return Series(f"flatness_{component}", trajectory.t, _flatness(half))
 
     decomp = tangle_decomposition(system)
     if (
@@ -260,13 +261,9 @@ def flatness_series(trajectory, component) -> Series:
             f"weave components are 1..{decomp.k}, got {component!r}"
         )
     blue_vertices, red_vertices = system._component_vertices(decomp.components[int(component) - 1])
-    values = []
-    for s in trajectory.samples:
-        heights = np.concatenate(
-            [s.config.z_blue[blue_vertices], s.config.z_red[red_vertices]]
-        )
-        values.append(float(np.max(np.abs(heights - heights.mean()))))
-    return Series(f"flatness_W{int(component)}", times, np.array(values))
+    # a C-ordered gather, so each row's mean sums in the order of a 1-D mean
+    heights = np.take(trajectory.heights, np.concatenate((blue_vertices, red_vertices + n)), axis=1)
+    return Series(f"flatness_W{int(component)}", trajectory.t, _flatness(heights))
 
 
 def compare_limits(traj_a, traj_b, tol: float = 1e-4):
@@ -277,21 +274,15 @@ def compare_limits(traj_a, traj_b, tol: float = 1e-4):
             raise NotConverged(
                 f"trajectory ended with status {traj.status!r}; need a converged limit"
             )
-    a = traj_a.samples[-1].config
-    b = traj_b.samples[-1].config
-    if a.z_blue.shape != b.z_blue.shape:
+    a, b = traj_a.heights[-1], traj_b.heights[-1]
+    if a.shape != b.shape:
         raise MismatchedVertexSet(
-            f"configurations have different sizes: {a.z_blue.shape} vs {b.z_blue.shape}"
+            f"configurations have different sizes: {(a.size // 2,)} vs {(b.size // 2,)}"
         )
-    n = a.z_blue.shape[0]
+    n = a.size // 2
 
-    def aligned(config):
-        shift = float(np.sum(config.z_blue) + np.sum(config.z_red)) / (2 * n)
-        return config.z_blue - shift, config.z_red - shift
+    def aligned(y):
+        return y - float(np.sum(y[:n]) + np.sum(y[n:])) / (2 * n)
 
-    ab, ar = aligned(a)
-    bb, br = aligned(b)
-    residual = max(
-        float(np.max(np.abs(ab - bb))), float(np.max(np.abs(ar - br)))
-    )
+    residual = float(np.max(np.abs(aligned(a) - aligned(b))))
     return residual <= tol, residual

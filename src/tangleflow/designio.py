@@ -23,6 +23,8 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DesignSemanticError, DesignSyntaxError, IoError
 from .model import (
     GraphDesign,
@@ -299,23 +301,15 @@ def write_trajectory_csv(path, trajectory):
     Columns: t, energy, grad_norm, min_gap, M_B, M_R, then one M_W column per
     tangle component for weave runs.
     """
-    samples = trajectory.samples
-    k = len(samples[0].m_components) if samples else 0
+    components = trajectory.m_components
+    rows = np.column_stack((
+        trajectory.t, trajectory.energy, trajectory.grad_norm, trajectory.min_gap,
+        trajectory.m_blue, trajectory.m_red, components,
+    )).tolist()
     header = "t,energy,grad_norm,min_gap,M_B,M_R" + "".join(
-        f",M_W{i}" for i in range(1, k + 1)
+        f",M_W{i}" for i in range(1, components.shape[1] + 1)
     )
-    lines = [header]
-    for s in samples:
-        cells = [
-            _g17(s.t),
-            _g17(s.energy),
-            _g17(s.grad_norm),
-            _g17(s.min_gap),
-            _g17(s.m_blue),
-            _g17(s.m_red),
-        ]
-        cells.extend(_g17(m) for m in s.m_components)
-        lines.append(",".join(cells))
+    lines = [header] + [",".join(map(_g17, row)) for row in rows]
     _write_text(path, "\n".join(lines) + "\n", "trajectory CSV")
 
 

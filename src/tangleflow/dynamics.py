@@ -37,17 +37,25 @@ in the "first same as last" Runge-Kutta pairs of Dormand and Prince (1980),
 then the energy, from `_energy` as everywhere.  The guard's minimum gap sets
 the RK4 stability cap on dt.  Grid samples are evaluated by `_end_state` too.
 
-Only recorded samples carry a `Configuration`.  Each `integrate`, `step`
-or `gradient` call builds a `_StepKernel` and drops it when it returns: it
-derives the run's gap floor, energy cushion and planar term once, counts
-the velocity evaluations, and holds the buffers, with per-family views, of
-every stage, end state and grid sample; energy calls read only edges.
+`integrate` records each point as one row: its time, a copy of its stacked
+heights, and its energy, velocity sup norm and minimum gap.  Once the run
+ends it stacks the rows into the read-only columns of a `Trajectory` and
+derives the barycenters and component sums there, row by row; a `Sample`
+with its `Configuration` is built only when `Trajectory.samples` is read.
+The run's exact step and evaluation counts go to `Trajectory.stats`.
+
+Each `integrate`, `step` or `gradient` call builds a `_StepKernel` and
+drops it when it returns: it derives the run's gap floor, energy cushion
+and planar term once, counts the velocity evaluations, and holds the
+buffers, with per-family views, of every stage, end state and grid sample;
+energy calls read only edges.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,6 +73,7 @@ from .topology import Classification, classify_entangled_graph, tangle_decomposi
 
 __all__ = [
     "FlowParams",
+    "RunStats",
     "Sample",
     "Trajectory",
     "energy_entangled",
@@ -206,12 +215,62 @@ class Sample:
 
 
 @dataclass(frozen=True)
+class RunStats:
+    """Exact counts of one `integrate` run: accepted and rejected steps of
+    each method, Rosenbrock W refreshes, velocity evaluations (the run's
+    `_StepKernel.evaluations`), and the grid samples of the Rosenbrock phase
+    recorded and skipped.  A run that never switches has zero Rosenbrock
+    counts."""
+
+    rk4_accepted: int
+    rk4_rejected: int
+    velocity_evaluations: int
+    ros_accepted: int = 0
+    ros_rejected: int = 0
+    w_refreshes: int = 0
+    grid_recorded: int = 0
+    grid_skipped: int = 0
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded samples of one integration run."""
+    """The recorded points of one integration run, as read-only columns of
+    S rows: the times `t`; the stacked heights `heights` (S, 2n), each row
+    [z_blue; z_red]; `energy`, `grad_norm` (the velocity's sup norm) and
+    `min_gap`; the family barycenters `m_blue` and `m_red`; and
+    `m_components` (S, K), the summed heights of each tangle component, top
+    to bottom (K = 0 for a graph).  Every point keeps the planar layout `x`.
+    `stats` holds the run's exact counts.  `samples` holds the same points
+    as `Sample`s, built on first access."""
 
     system: object
-    samples: tuple
     status: str  # "converged" or "truncated"
+    x: np.ndarray
+    t: np.ndarray
+    heights: np.ndarray
+    energy: np.ndarray
+    grad_norm: np.ndarray
+    min_gap: np.ndarray
+    m_blue: np.ndarray
+    m_red: np.ndarray
+    m_components: np.ndarray
+    stats: RunStats
+
+    def configuration(self, index=-1) -> Configuration:
+        """The recorded configuration at row index."""
+        n = self.heights.shape[1] // 2
+        y = self.heights[index]
+        return Configuration(x=self.x, z_blue=y[:n], z_red=y[n:])
+
+    @functools.cached_property
+    def samples(self) -> tuple:
+        columns = (self.t, self.energy, self.grad_norm, self.min_gap, self.m_blue, self.m_red, self.m_components)
+        return tuple(
+            Sample(t, self.configuration(i), energy, grad_norm, min_gap, m_blue, m_red, tuple(m))
+            for i, (t, energy, grad_norm, min_gap, m_blue, m_red, m) in enumerate(
+                zip(*(column.tolist() for column in columns))
+            )
+        )
 
 
 def _checked_heights(system, config) -> tuple:
@@ -536,10 +595,10 @@ def _ros_step(kernel, h, w_inv):
     return y_new, np.dot(_ROS_ERROR, u, out=error)
 
 
-def _rosenbrock_phase(kernel, t, end, h, params, record):
+def _rosenbrock_phase(kernel, t, end, h, params, record, stats):
     """Continue the flow from time t at the kernel's accepted state `y`,
     whose `_end_state` is `end`, with guarded ROS34PW2 steps, starting at
-    step size h.
+    step size h, after the RK4 steps counted in the `RunStats` stats.
 
     A step is rejected, and h halved, when its error estimate exceeds the
     tolerance (before its end state is evaluated), it trips a structural
@@ -555,11 +614,11 @@ def _rosenbrock_phase(kernel, t, end, h, params, record):
     skipped, not recorded, when it trips a guard, its energy exceeds the
     previous state's by more than the cushion, or it lies more than the
     cushion below the step end's.
-    Returns (t, end, status), with the final state in the kernel's `y`.
+    Returns (t, end, status, stats), with the final state in the kernel's
+    `y` and the counts of both phases in stats.
     """
     size = 2 * kernel.n
     accepted = rejected = refreshes = on_grid = skipped = 0
-    evaluations = kernel.evaluations
     h_w = t_w = None  # the step size and the time W^-1 was built for
     # the scratch rows hold the size of y, then a grid sample's slope terms
     grid_state, (slope, weighted) = kernel.stage, kernel.scratch
@@ -633,12 +692,17 @@ def _rosenbrock_phase(kernel, t, end, h, params, record):
         accepted += 1
         record(t, kernel.y.flat, end)
         h = 2.0 * h_eff if error < _ROS_GROW else h_eff
+    phase = replace(
+        stats, ros_accepted=accepted, ros_rejected=rejected, w_refreshes=refreshes,
+        velocity_evaluations=kernel.evaluations, grid_recorded=on_grid, grid_skipped=skipped,
+    )
     _LOG.info(
         "Rosenbrock phase ended at t=%g: %d accepted, %d rejected steps, %d W refreshes, "
         "%d velocity evaluations, %d grid samples recorded, %d skipped",
-        t, accepted, rejected, refreshes, kernel.evaluations - evaluations, on_grid, skipped,
+        t, phase.ros_accepted, phase.ros_rejected, phase.w_refreshes,
+        phase.velocity_evaluations - stats.velocity_evaluations, phase.grid_recorded, phase.grid_skipped,
     )
-    return t, end, status
+    return t, end, status, phase
 
 
 def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
@@ -689,27 +753,19 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     # weave has no edges); the gap repulsion adds at most 4/min_gap^3 on top
     quad_rate = 4.0 * int(np.max(np.bincount(np.concatenate(kernel.edges), minlength=2 * n)))
 
+    # one row per recorded point: its time, heights and (energy, grad_norm,
+    # min_gap)
+    times, rows, diagnostics = [], [], []
+
     def record(t, y, end):
-        _, energy, grad_norm, min_gap = end
-        zb, zr = y[:n], y[n:]
-        samples.append(Sample(
-            t=t,
-            config=Configuration(x=x0, z_blue=zb, z_red=zr),
-            energy=energy,
-            grad_norm=grad_norm,
-            min_gap=float(min_gap),
-            m_blue=float(np.add.reduce(zb)) / n,
-            m_red=float(np.add.reduce(zr)) / n,
-            m_components=tuple(
-                float(np.add.reduce(zb[blue])) + float(np.add.reduce(zr[red])) for blue, red in members
-            ),
-        ))
+        times.append(t)
+        rows.append(y.copy())
+        diagnostics.append(end[1:])
 
     t = 0.0
     dt = params.dt_init
     energy = e0
     end = (v, energy, grad_norm, np.minimum.reduce(np.abs(d0)))
-    samples = []
     record(t, kernel.y.flat, end)
     accepted = rejected = held = 0  # held: consecutive accepted steps with dt at its cap
 
@@ -746,13 +802,29 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
             if accepted % params.record_stride == 0:
                 record(t, kernel.y.flat, end)
 
+        stats = RunStats(accepted, rejected, kernel.evaluations)
         if status is None:
             _LOG.info(
                 "switching to Rosenbrock steps at t=%g after %d accepted, %d rejected RK4 steps",
-                t, accepted, rejected,
+                t, stats.rk4_accepted, stats.rk4_rejected,
             )
-            t, end, status = _rosenbrock_phase(kernel, t, end, dt, params, record)
+            t, end, status, stats = _rosenbrock_phase(kernel, t, end, dt, params, record, stats)
 
-    if samples[-1].t < t:
+    if times[-1] < t:
         record(t, kernel.y.flat, end)
-    return Trajectory(system=system, samples=tuple(samples), status=status)
+    heights = np.array(rows)
+    energy, grad_norm, min_gap = np.array(diagnostics).T
+    # each sum runs along a C-ordered row, in the order of a 1-D sum: a
+    # gather from a column slice would be F-ordered and summed in another
+    m_components = np.empty((len(rows), len(members)))
+    for k, (blue, red) in enumerate(members):
+        m_components[:, k] = np.add.reduce(np.take(heights, blue, axis=1), axis=1)
+        m_components[:, k] += np.add.reduce(np.take(heights, red + n, axis=1), axis=1)
+    columns = dict(
+        t=np.array(times), heights=heights, energy=energy, grad_norm=grad_norm, min_gap=min_gap,
+        m_blue=np.add.reduce(heights[:, :n], axis=1) / n, m_red=np.add.reduce(heights[:, n:], axis=1) / n,
+        m_components=m_components,
+    )
+    for column in columns.values():
+        column.setflags(write=False)
+    return Trajectory(system=system, status=status, x=x0, stats=stats, **columns)

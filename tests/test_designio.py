@@ -8,6 +8,7 @@ import pytest
 
 from conftest import DESIGN_DIR, GRAPH_DESIGNS, WEAVE_DESIGNS, load_system, random_graph_system
 from tangleflow.designio import (
+    _g17,
     design_to_system,
     load_design,
     parse_design,
@@ -159,6 +160,29 @@ def test_trajectory_csv_weave_columns(tmp_path):
     write_trajectory_csv(out, traj)
     header = out.read_text().splitlines()[0]
     assert header == "t,energy,grad_norm,min_gap,M_B,M_R,M_W1,M_W2"
+
+
+@pytest.mark.parametrize(
+    "name", ["three_blocks_6x6.weave", "chained_4x4.weave", "untangled_pair.graph", "square_checker.graph"]
+)
+def test_trajectory_csv_matches_the_per_sample_format(tmp_path, name):
+    """The CSV written from the trajectory's columns has the bytes of one
+    line per `Sample`, each field through `_g17`, cell by cell: on weave and
+    graph runs past the Rosenbrock switch (K = 3 for the weave) and on
+    entangled ones."""
+    system = load_system(name)
+    traj = integrate(system, random_initial_configuration(system, seed=5), FlowParams(t_max=50.0))
+    out = tmp_path / "traj.csv"
+    write_trajectory_csv(out, traj)
+    k = len(traj.samples[0].m_components)
+    expected = ["t,energy,grad_norm,min_gap,M_B,M_R" + "".join(f",M_W{i}" for i in range(1, k + 1))]
+    for s in traj.samples:
+        cells = (s.t, s.energy, s.grad_norm, s.min_gap, s.m_blue, s.m_red) + s.m_components
+        expected.append(",".join(_g17(cell) for cell in cells))
+    assert [line.split(",") for line in out.read_text().split("\n")] == [
+        line.split(",") for line in expected + [""]
+    ]
+    assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def test_configuration_json_graph(tmp_path):

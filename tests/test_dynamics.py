@@ -587,6 +587,107 @@ def test_kernel_counts_every_velocity_evaluation(caplog, monkeypatch, name):
     assert f" W refreshes, {in_phase} velocity evaluations, " in summary
 
 
+@pytest.mark.parametrize("stride", [1, 100])
+@pytest.mark.parametrize("name", ["untangled_pair.graph", "three_blocks_6x6.weave"])
+def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stride):
+    """`Trajectory.stats` holds the exact counts of a run through both
+    phases (t_max=50, past the switch at t = 10.33), each equal to the calls
+    of a wrapped module-level function: RK4 and Rosenbrock attempts, W
+    refreshes, velocity evaluations and guard calls, and the end states of
+    steps and grid samples, rejected or not.  The INFO lines report the same
+    counts, and the counts predict the number of recorded rows."""
+    caplog.set_level(logging.INFO, logger="tangleflow")
+    calls = {"_rk4_step": 0, "_ros_step": 0, "_jacobian": 0, "_velocity": 0, "_guard_reason": 0}
+    ends = []  # per `_end_state` call: (in the Rosenbrock phase, of a grid sample, rejected)
+
+    def counted(fn_name, fn):
+        def wrapper(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn_name in calls:
+        monkeypatch.setattr(dynamics, fn_name, counted(fn_name, getattr(dynamics, fn_name)))
+    end_state = dynamics._end_state
+
+    def watched_end_state(kernel, y, v, reference):
+        end = end_state(kernel, y, v, reference)
+        ends.append((calls["_ros_step"] > 0, v is kernel.k2, isinstance(end, str)))
+        return end
+
+    rosenbrock_phase, at_switch = dynamics._rosenbrock_phase, []
+
+    def watched_phase(*args):
+        at_switch.append(calls["_velocity"])
+        return rosenbrock_phase(*args)
+
+    monkeypatch.setattr(dynamics, "_end_state", watched_end_state)
+    monkeypatch.setattr(dynamics, "_rosenbrock_phase", watched_phase)
+    system = load_system(name)
+    traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=50.0, record_stride=stride))
+    stats = traj.stats
+    rk4 = [rejected for ros, _, rejected in ends if not ros]
+    ros = [rejected for ros, grid, rejected in ends if ros and not grid]
+    grid = [rejected for ros, grid, rejected in ends if ros and grid]
+    assert stats.rk4_accepted >= dynamics._SWITCH_STEPS and stats.ros_accepted > 0
+    assert calls["_rk4_step"] == len(rk4) == stats.rk4_accepted + stats.rk4_rejected
+    assert rk4.count(True) == stats.rk4_rejected
+    # a Rosenbrock step rejected by its error estimate has no end state
+    assert calls["_ros_step"] == stats.ros_accepted + stats.ros_rejected
+    assert ros.count(False) == stats.ros_accepted
+    assert len(grid) == stats.grid_recorded + stats.grid_skipped >= grid.count(True)
+    assert (calls["_jacobian"], calls["_velocity"], calls["_guard_reason"]) == (
+        stats.w_refreshes, stats.velocity_evaluations, len(ends)
+    )
+    assert len(traj.t) == 1 + stats.rk4_accepted // stride + stats.ros_accepted + stats.grid_recorded
+    switch, summary = (r.getMessage() for r in caplog.records)
+    assert switch.endswith(f" after {stats.rk4_accepted} accepted, {stats.rk4_rejected} rejected RK4 steps")
+    assert summary.startswith("Rosenbrock phase ended at t=50: ")
+    assert summary.endswith(
+        f": {stats.ros_accepted} accepted, {stats.ros_rejected} rejected steps, {stats.w_refreshes} W refreshes, "
+        f"{stats.velocity_evaluations - at_switch[0]} velocity evaluations, "
+        f"{stats.grid_recorded} grid samples recorded, {stats.grid_skipped} skipped"
+    )
+
+
+@pytest.mark.parametrize("name", ["untangled_pair.graph", "three_blocks_6x6.weave"])
+def test_lazy_samples_are_the_recorded_rows(name):
+    """`Trajectory.samples`, built once on first access, holds one `Sample`
+    per recorded row, field for field: the row's configuration, its energy
+    as `energy_entangled`/`energy_weave` give it bit for bit, its barycenters
+    and its component sums from two gathers each, exactly, on a run past
+    the Rosenbrock switch.  The columns are read-only, like the arrays of a
+    `Configuration`."""
+    system = load_system(name)
+    config0 = random_initial_configuration(system, seed=11)
+    traj = integrate(system, config0, FlowParams(t_max=500.0))
+    n = system.n_vertices
+    members = []
+    if system.kind == "weave":
+        members = [system._component_vertices(c) for c in tangle_decomposition(system).components]
+    energy = energy_of(system)
+    samples = traj.samples
+    assert traj.samples is samples and len(samples) == len(traj.t) > 300
+    for i, s in enumerate(samples):
+        zb, zr = s.config.z_blue, s.config.z_red
+        assert np.array_equal(s.config.x, config0.x)
+        assert np.array_equal(zb, traj.heights[i, :n]) and np.array_equal(zr, traj.heights[i, n:])
+        fields = (s.t, s.energy, s.grad_norm, s.min_gap, s.m_blue, s.m_red)
+        assert all(type(value) is float for value in fields + s.m_components)
+        assert fields == (
+            traj.t[i], energy(system, s.config), traj.grad_norm[i], float(np.min(np.abs(zb - zr))),
+            float(np.add.reduce(zb)) / n, float(np.add.reduce(zr)) / n,
+        )
+        assert s.m_components == tuple(
+            float(np.add.reduce(zb[blue])) + float(np.add.reduce(zr[red])) for blue, red in members
+        )
+    columns = (traj.t, traj.heights, traj.energy, traj.grad_norm, traj.min_gap, traj.m_blue, traj.m_red)
+    assert traj.m_components.shape == (len(traj.t), len(members))
+    assert not any(column.flags.writeable for column in columns + (traj.m_components,))
+    with pytest.raises(ValueError, match="read-only"):
+        traj.heights[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("name", ["three_blocks_6x6.weave", "mixed_stack_6x6.weave"])
 def test_rosenbrock_w_is_rebuilt_once_t_has_doubled(monkeypatch, name):
     """ROS34PW2 is third order for any W, but its error estimate needs W
