@@ -275,11 +275,11 @@ def compare_limits(traj_a, traj_b, tol: float = 1e-4):
                 f"trajectory ended with status {traj.status!r}; need a converged limit"
             )
     a, b = traj_a.heights[-1], traj_b.heights[-1]
-    if a.shape != b.shape:
-        raise MismatchedVertexSet(
-            f"configurations have different sizes: {(a.size // 2,)} vs {(b.size // 2,)}"
-        )
     n = a.size // 2
+    if b.size != a.size:
+        raise MismatchedVertexSet(
+            f"configurations have different sizes: ({n},) vs ({b.size // 2},)"
+        )
 
     def aligned(y):
         return y - float(np.sum(y[:n]) + np.sum(y[n:])) / (2 * n)
