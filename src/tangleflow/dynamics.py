@@ -264,6 +264,7 @@ class Trajectory:
 
     @functools.cached_property
     def samples(self) -> tuple:
+        """The recorded points as `Sample`s, built on first access."""
         columns = (self.t, self.energy, self.grad_norm, self.min_gap, self.m_blue, self.m_red, self.m_components)
         return tuple(
             Sample(t, self.configuration(i), energy, grad_norm, min_gap, m_blue, m_red, tuple(m))

@@ -624,7 +624,8 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
     monkeypatch.setattr(dynamics, "_end_state", watched_end_state)
     monkeypatch.setattr(dynamics, "_rosenbrock_phase", watched_phase)
     system = load_system(name)
-    traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=50.0, record_stride=stride))
+    params = FlowParams(t_max=50.0, record_stride=stride)
+    traj = integrate(system, random_initial_configuration(system, seed=11), params)
     stats = traj.stats
     rk4 = [rejected for ros, _, rejected in ends if not ros]
     ros = [rejected for ros, grid, rejected in ends if ros and not grid]
