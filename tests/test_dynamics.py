@@ -21,6 +21,7 @@ from tangleflow import dynamics
 from tangleflow.analysis import separation_series
 from tangleflow.dynamics import (
     FlowParams,
+    RunStats,
     energy_entangled,
     energy_weave,
     gradient,
@@ -649,6 +650,28 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
         f"{stats.velocity_evaluations - at_switch[0]} velocity evaluations, "
         f"{stats.grid_recorded} grid samples recorded, {stats.grid_skipped} skipped"
     )
+
+
+def test_run_stats_of_a_run_that_stays_on_rk4(monkeypatch):
+    """An entangled run never switches: its `RunStats` has zero Rosenbrock
+    counts, and its RK4 counts and velocity evaluations equal the calls of
+    a wrapped `_rk4_step` and `_velocity` (chained_4x4, seed 9, rejects 2
+    steps; every accepted step recorded)."""
+    calls = {"_rk4_step": 0, "_velocity": 0}
+
+    def counted(fn_name, fn):
+        def wrapper(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn_name in calls:
+        monkeypatch.setattr(dynamics, fn_name, counted(fn_name, getattr(dynamics, fn_name)))
+    system = load_system("chained_4x4.weave")
+    traj = integrate(system, random_initial_configuration(system, seed=9), FlowParams(t_max=50.0, record_stride=1))
+    accepted = len(traj.t) - 1
+    assert traj.stats == RunStats(rk4_accepted=accepted, rk4_rejected=2, velocity_evaluations=calls["_velocity"])
+    assert calls["_rk4_step"] == accepted + 2
 
 
 @pytest.mark.parametrize("name", ["untangled_pair.graph", "three_blocks_6x6.weave"])
