@@ -116,6 +116,102 @@ def test_semantic_errors(text):
         parse_design(text)
 
 
+def _graph(old, new):
+    return GOOD_GRAPH.replace(old, new)
+
+
+def _weave(old, new):
+    return GOOD_WEAVE.replace(old, new)
+
+
+# (text, class, message, line, col): every raise statement of the parser at
+# least once, and the order of the checks wherever two of them apply
+PARSE_ERRORS = [
+    # the value parsers
+    (_graph("vertices 2", "vertices two"), DesignSyntaxError, "line 2, col 10: expected an integer, got 'two'", 2, 10),
+    (_graph("edge 1 0 1 0", "edge 1 0 1 +x"), DesignSyntaxError, "line 5, col 12: expected an integer, got '+x'", 5, 12),
+    (_graph("edge 0 1 0 0", "edge x 1 y 0"), DesignSyntaxError, "line 4, col 6: expected an integer, got 'x'", 4, 6),
+    (_graph("lattice 1 0 0 1", "lattice 1 0 one 1"), DesignSyntaxError, "line 3, col 13: expected a number, got 'one'", 3, 13),
+    (_graph("lattice 1 0 0 1", "lattice a b c d"), DesignSyntaxError, "line 3, col 9: expected a number, got 'a'", 3, 9),
+    (_graph("lattice 1 0 0 1", "lattice 1 0 inf 1"), DesignSyntaxError,
+     "line 3, col 13: expected a finite number, got 'inf'", 3, 13),
+    (_weave("spacing 1", "spacing nan"), DesignSyntaxError, "line 3, col 9: expected a finite number, got 'nan'", 3, 9),
+    (_graph("sign + -", "sign + 0"), DesignSemanticError, "sign entries must be + or -, got '0'", None, None),
+    (_weave("sign - +", "sign - 2"), DesignSemanticError, "sign entries must be + or -, got '2'", None, None),
+    (_graph("sign + -", "sign + *"), DesignSyntaxError, "line 6, col 8: expected a sign entry (+ or -), got '*'", 6, 8),
+    # the checks on each line, in order
+    ("", DesignSemanticError, "empty design: the kind directive is missing", None, None),
+    ("# a comment\n\n   \n", DesignSemanticError, "empty design: the kind directive is missing", None, None),
+    ("frobnicate 3\n", DesignSyntaxError, "line 1, col 1: unknown directive 'frobnicate'", 1, 1),
+    ("kind weave\nfrobnicate 3\n", DesignSyntaxError, "line 2, col 1: unknown directive 'frobnicate'", 2, 1),
+    ("vertices 2\n" + GOOD_GRAPH, DesignSemanticError, "the first directive must be kind", None, None),
+    ("sign + -\n", DesignSemanticError, "the first directive must be kind", None, None),
+    (_graph("edge 0 1 0 0", "threads 1 1"), DesignSemanticError,
+     "directive 'threads' is not valid for kind 'entangled-graph'", None, None),
+    (_weave("spacing 1", "vertices 2 x"), DesignSemanticError, "directive 'vertices' is not valid for kind 'weave'", None, None),
+    (_weave("spacing 1", "edge 0 1"), DesignSemanticError, "directive 'edge' is not valid for kind 'weave'", None, None),
+    ("kind\n", DesignSyntaxError, "line 1, col 1: directive 'kind' takes 1 value(s), got 0", 1, 1),
+    ("kind weave graph\n", DesignSyntaxError, "line 1, col 1: directive 'kind' takes 1 value(s), got 2", 1, 1),
+    ("kind weave\nkind\n", DesignSyntaxError, "line 2, col 1: directive 'kind' takes 1 value(s), got 0", 2, 1),
+    ("kind weave\nkind weave\n", DesignSemanticError, "duplicate kind directive", None, None),
+    ("kind weave\nkind banana\n", DesignSemanticError, "duplicate kind directive", None, None),
+    ("kind banana\n", DesignSyntaxError, "line 1, col 6: kind must be entangled-graph or weave, got 'banana'", 1, 6),
+    (_graph("vertices 2", "vertices"), DesignSyntaxError, "line 2, col 1: directive 'vertices' takes 1 value(s), got 0", 2, 1),
+    (_graph("lattice 1 0 0 1", "lattice 1 0 0"), DesignSyntaxError,
+     "line 3, col 1: directive 'lattice' takes 4 value(s), got 3", 3, 1),
+    (_graph("edge 0 1 0 0", "edge 0 1 0"), DesignSyntaxError, "line 4, col 1: directive 'edge' takes 4 value(s), got 3", 4, 1),
+    (_weave("threads 2 2", "threads 2"), DesignSyntaxError, "line 2, col 1: directive 'threads' takes 2 value(s), got 1", 2, 1),
+    (_weave("spacing 1", "spacing"), DesignSyntaxError, "line 3, col 1: directive 'spacing' takes 1 value(s), got 0", 3, 1),
+    (_weave("spacing 1", "spacing 1 2"), DesignSyntaxError, "line 3, col 1: directive 'spacing' takes 1 value(s), got 2", 3, 1),
+    (_graph("sign + -", "sign"), DesignSyntaxError, "line 6, col 1: directive 'sign' needs at least one entry", 6, 1),
+    (_weave("sign - +", "sign"), DesignSyntaxError, "line 5, col 1: directive 'sign' needs at least one entry", 5, 1),
+    (_graph("vertices 2", "vertices 2\nvertices"), DesignSyntaxError,
+     "line 3, col 1: directive 'vertices' takes 1 value(s), got 0", 3, 1),
+    (_graph("vertices 2", "vertices 2\nvertices 2"), DesignSemanticError, "duplicate vertices directive", None, None),
+    (_graph("vertices 2", "vertices 2\nvertices x"), DesignSemanticError, "duplicate vertices directive", None, None),
+    (_graph("lattice 1 0 0 1", "lattice 1 0 0 1\nlattice 1 0 0 1"), DesignSemanticError, "duplicate lattice directive", None, None),
+    (_weave("threads 2 2", "threads 2 2\nthreads 2 2"), DesignSemanticError, "duplicate threads directive", None, None),
+    (_weave("spacing 1", "spacing 1\nspacing 2"), DesignSemanticError, "duplicate spacing directive", None, None),
+    # graph assembly, in order
+    ("kind entangled-graph\n", DesignSemanticError, "missing vertices directive", None, None),
+    ("kind entangled-graph\nlattice 1 0 0 1\nsign +\n", DesignSemanticError, "missing vertices directive", None, None),
+    (_graph("lattice 1 0 0 1\n", ""), DesignSemanticError, "missing lattice directive", None, None),
+    (_graph("sign + -\n", ""), DesignSemanticError, "missing sign directive", None, None),
+    (GOOD_GRAPH + "sign + -\n", DesignSemanticError, "a graph design takes one sign line, got 2", None, None),
+    (_graph("vertices 2", "vertices 0") + "sign -\n", DesignSemanticError, "a graph design takes one sign line, got 2", None, None),
+    (_graph("vertices 2", "vertices 0"), DesignSemanticError, "vertex count must be positive, got 0", None, None),
+    (_graph("vertices 2", "vertices -3"), DesignSemanticError, "vertex count must be positive, got -3", None, None),
+    (_graph("sign + -", "sign + - +"), DesignSemanticError, "sign line has 3 entries for 2 vertices", None, None),
+    (_graph("edge 0 1 0 0", "edge 0 7 0 0"), DesignSemanticError, "edge (0, 7) has an endpoint outside 0..1", None, None),
+    (_graph("edge 1 0 1 0", "edge -1 0 1 0"), DesignSemanticError, "edge (-1, 0) has an endpoint outside 0..1", None, None),
+    # weave assembly, in order
+    ("kind weave\n", DesignSemanticError, "missing threads directive", None, None),
+    ("kind weave\nspacing 0\nsign +\n", DesignSemanticError, "missing threads directive", None, None),
+    ("kind weave\nthreads 0 0\nsign +\n", DesignSemanticError, "missing spacing directive", None, None),
+    (_weave("threads 2 2", "threads 0 2"), DesignSemanticError, "thread counts must be positive, got 0 and 2", None, None),
+    (_weave("threads 2 2", "threads 2 -1"), DesignSemanticError, "thread counts must be positive, got 2 and -1", None, None),
+    ("kind weave\nthreads 2 2\nspacing 1\n", DesignSemanticError, "expected 2 sign rows, got 0", None, None),
+    (_weave("sign - +\n", ""), DesignSemanticError, "expected 2 sign rows, got 1", None, None),
+    (GOOD_WEAVE + "sign + -\n", DesignSemanticError, "expected 2 sign rows, got 3", None, None),
+    (_weave("sign - +", "sign - + -"), DesignSemanticError, "sign row 2 has 3 entries, expected 2", None, None),
+    (_weave("spacing 1", "spacing 0").replace("sign - +", "sign -"), DesignSemanticError,
+     "sign row 2 has 1 entries, expected 2", None, None),
+    (_weave("spacing 1", "spacing 0"), DesignSemanticError, "spacing must be positive, got 0.0", None, None),
+    (_weave("spacing 1", "spacing -1.5"), DesignSemanticError, "spacing must be positive, got -1.5", None, None),
+]
+
+
+@pytest.mark.parametrize("text,cls,message,line,col", PARSE_ERRORS)
+def test_parse_error_messages(text, cls, message, line, col):
+    """The exception class, the message the CLI prints, and the position
+    of each parse error."""
+    with pytest.raises(cls) as err:
+        parse_design(text)
+    assert type(err.value) is cls
+    assert str(err.value) == message
+    assert (getattr(err.value, "line", None), getattr(err.value, "col", None)) == (line, col)
+
+
 def test_load_design_missing_file(tmp_path):
     with pytest.raises(IoError):
         load_design(tmp_path / "does_not_exist.graph")
