@@ -47,11 +47,6 @@ _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?\d+\Z")
 _SIGNS = {"+": 1, "-": -1}
 
-_KNOWN_DIRECTIVES = {"kind", "vertices", "lattice", "edge", "sign", "threads", "spacing"}
-_GRAPH_ONLY = {"vertices", "lattice", "edge"}
-_WEAVE_ONLY = {"threads", "spacing"}
-
-
 def _tokenize(text):
     """Per line with tokens: (line number, the text before any '#', its
     whitespace-separated tokens)."""
@@ -102,6 +97,26 @@ def _parse_sign(row, index):
     raise _syntax_error(row, index, f"expected a sign entry (+ or -), got {text!r}")
 
 
+def _parse_kind(row, index):
+    text = row[2][index]
+    if text not in ("entangled-graph", "weave"):
+        raise _syntax_error(row, index, f"kind must be entangled-graph or weave, got {text!r}")
+    return text
+
+
+# per directive: the kind it belongs to (None: either), its value count
+# (None: one or more) and the parser of each value
+_GRAMMAR = {
+    "kind": (None, 1, _parse_kind),
+    "vertices": ("entangled-graph", 1, _parse_int),
+    "lattice": ("entangled-graph", 4, _parse_float),
+    "edge": ("entangled-graph", 4, _parse_int),
+    "sign": (None, None, _parse_sign),
+    "threads": ("weave", 2, _parse_int),
+    "spacing": ("weave", 1, _parse_float),
+}
+
+
 def parse_design(text):
     """Parse design text into a GraphDesign or WeaveDesign."""
     rows = _tokenize(text)
@@ -109,138 +124,77 @@ def parse_design(text):
         raise DesignSemanticError("empty design: the kind directive is missing")
 
     kind = None
-    scalars = {}  # vertices, threads, spacing, lattice
-    edges = []
-    sign_rows = []
-
+    found = {}  # directive -> the value tuple of each of its rows
     for position, row in enumerate(rows):
         tokens = row[2]
         directive = tokens[0]
-        if directive not in _KNOWN_DIRECTIVES:
+        if directive not in _GRAMMAR:
             raise _syntax_error(row, 0, f"unknown directive {directive!r}")
         if position == 0 and directive != "kind":
             raise DesignSemanticError("the first directive must be kind")
-        # the directive's values are tokens 1..count
-        count = len(tokens) - 1
-
-        def need(expected):
-            if count != expected:
+        owner, count, parse = _GRAMMAR[directive]
+        if owner and owner != kind:
+            raise DesignSemanticError(f"directive {directive!r} is not valid for kind {kind!r}")
+        # the directive's values are tokens 1..n
+        n = len(tokens) - 1
+        if count is None:  # sign rows: one or more entries, repeated
+            if not n:
+                raise _syntax_error(row, 0, f"directive {directive!r} needs at least one entry")
+            values = [_SIGNS.get(text) for text in tokens[1:]]
+            if None in values:  # an entry other than + or -: parse each in order
+                values = [parse(row, k) for k in range(1, n + 1)]
+        else:
+            if n != count:
                 raise _syntax_error(
-                    row, 0, f"directive {directive!r} takes {expected} value(s), got {count}"
+                    row, 0, f"directive {directive!r} takes {count} value(s), got {n}"
                 )
-
+            if directive in found and directive != "edge":  # edge rows repeat
+                raise DesignSemanticError(f"duplicate {directive} directive")
+            values = [parse(row, k) for k in range(1, n + 1)]
+        found.setdefault(directive, []).append(tuple(values))
         if directive == "kind":
-            need(1)
-            if kind is not None:
-                raise DesignSemanticError("duplicate kind directive")
-            value = tokens[1]
-            if value not in ("entangled-graph", "weave"):
-                raise _syntax_error(
-                    row, 1, f"kind must be entangled-graph or weave, got {value!r}"
-                )
-            kind = value
-            continue
-
-        if (directive in _GRAPH_ONLY and kind != "entangled-graph") or (
-            directive in _WEAVE_ONLY and kind != "weave"
-        ):
-            raise DesignSemanticError(
-                f"directive {directive!r} is not valid for kind {kind!r}"
-            )
-
-        if directive == "vertices":
-            need(1)
-            if "vertices" in scalars:
-                raise DesignSemanticError("duplicate vertices directive")
-            scalars["vertices"] = _parse_int(row, 1)
-        elif directive == "lattice":
-            need(4)
-            if "lattice" in scalars:
-                raise DesignSemanticError("duplicate lattice directive")
-            a, b, c, d = (_parse_float(row, k) for k in range(1, 5))
-            scalars["lattice"] = ((a, b), (c, d))
-        elif directive == "edge":
-            need(4)
-            u, v, sx, sy = (_parse_int(row, k) for k in range(1, 5))
-            edges.append((u, v, (sx, sy)))
-        elif directive == "threads":
-            need(2)
-            if "threads" in scalars:
-                raise DesignSemanticError("duplicate threads directive")
-            scalars["threads"] = (_parse_int(row, 1), _parse_int(row, 2))
-        elif directive == "spacing":
-            need(1)
-            if "spacing" in scalars:
-                raise DesignSemanticError("duplicate spacing directive")
-            scalars["spacing"] = _parse_float(row, 1)
-        elif directive == "sign":
-            if not count:
-                raise _syntax_error(row, 0, "directive 'sign' needs at least one entry")
-            signs = [_SIGNS.get(text) for text in tokens[1:]]
-            if None in signs:  # an entry other than + or -: parse each in order
-                signs = [_parse_sign(row, k) for k in range(1, len(tokens))]
-            sign_rows.append(tuple(signs))
+            kind = values[0]
 
     if kind == "entangled-graph":
-        return _assemble_graph(scalars, edges, sign_rows)
-    return _assemble_weave(scalars, sign_rows)
+        return _assemble_graph(found)
+    return _assemble_weave(found)
 
 
-def _assemble_graph(scalars, edges, sign_rows):
-    if "vertices" not in scalars:
-        raise DesignSemanticError("missing vertices directive")
-    if "lattice" not in scalars:
-        raise DesignSemanticError("missing lattice directive")
-    if not sign_rows:
-        raise DesignSemanticError("missing sign directive")
-    if len(sign_rows) != 1:
-        raise DesignSemanticError(
-            f"a graph design takes one sign line, got {len(sign_rows)}"
-        )
-    n = scalars["vertices"]
+def _assemble_graph(found):
+    for directive in ("vertices", "lattice", "sign"):
+        if directive not in found:
+            raise DesignSemanticError(f"missing {directive} directive")
+    if len(found["sign"]) != 1:
+        raise DesignSemanticError(f"a graph design takes one sign line, got {len(found['sign'])}")
+    [(n,)], [(a, b, c, d)], [sign] = found["vertices"], found["lattice"], found["sign"]
     if n < 1:
         raise DesignSemanticError(f"vertex count must be positive, got {n}")
-    sign = sign_rows[0]
     if len(sign) != n:
-        raise DesignSemanticError(
-            f"sign line has {len(sign)} entries for {n} vertices"
-        )
+        raise DesignSemanticError(f"sign line has {len(sign)} entries for {n} vertices")
+    edges = tuple([(u, v, (sx, sy)) for u, v, sx, sy in found.get("edge", ())])
     for u, v, _shift in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise DesignSemanticError(
-                f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}"
-            )
-    graph = PeriodicQuotientGraph(
-        n_vertices=n, edges=tuple(edges), lattice_basis=scalars["lattice"]
-    )
+            raise DesignSemanticError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+    graph = PeriodicQuotientGraph(n_vertices=n, edges=edges, lattice_basis=((a, b), (c, d)))
     return GraphDesign(graph=graph, sign=sign)
 
 
-def _assemble_weave(scalars, sign_rows):
-    if "threads" not in scalars:
-        raise DesignSemanticError("missing threads directive")
-    if "spacing" not in scalars:
-        raise DesignSemanticError("missing spacing directive")
-    n_blue, n_red = scalars["threads"]
+def _assemble_weave(found):
+    for directive in ("threads", "spacing"):
+        if directive not in found:
+            raise DesignSemanticError(f"missing {directive} directive")
+    [(n_blue, n_red)], [(spacing,)] = found["threads"], found["spacing"]
     if n_blue < 1 or n_red < 1:
-        raise DesignSemanticError(
-            f"thread counts must be positive, got {n_blue} and {n_red}"
-        )
+        raise DesignSemanticError(f"thread counts must be positive, got {n_blue} and {n_red}")
+    sign_rows = tuple(found.get("sign", ()))
     if len(sign_rows) != n_blue:
-        raise DesignSemanticError(
-            f"expected {n_blue} sign rows, got {len(sign_rows)}"
-        )
+        raise DesignSemanticError(f"expected {n_blue} sign rows, got {len(sign_rows)}")
     for i, row in enumerate(sign_rows):
         if len(row) != n_red:
-            raise DesignSemanticError(
-                f"sign row {i + 1} has {len(row)} entries, expected {n_red}"
-            )
-    spacing = scalars["spacing"]
+            raise DesignSemanticError(f"sign row {i + 1} has {len(row)} entries, expected {n_red}")
     if not spacing > 0:
         raise DesignSemanticError(f"spacing must be positive, got {spacing!r}")
-    return WeaveDesign(
-        n_blue=n_blue, n_red=n_red, sign=tuple(sign_rows), spacing=spacing
-    )
+    return WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign_rows, spacing=spacing)
 
 
 def _g17(value) -> str:
