@@ -68,7 +68,7 @@ from .errors import (
     StepUnderflow,
     ZeroGap,
 )
-from .model import Configuration
+from .model import Configuration, _laplacian
 from .topology import Classification, classify_entangled_graph, tangle_decomposition
 
 __all__ = [
@@ -345,15 +345,14 @@ class _StepKernel:
 
     System constants: the crossing signs as floats in the families' shape
     (so sign / d^2 casts nothing), the `_stacked_edges`, the products
-    `blue_dot(z, out)` and `red_dot(z, out)`, which write 2 L z into out,
-    and `stretching()`, the dense Jacobian blocks 2 L_B and 2 L_R.  A graph
-    multiplies by its doubled dense Laplacians, one matrix when both
-    families share it.  A weave holds no n x n matrix: its family Laplacians
-    are L_B = I (x) C_{n_red} and L_R = C_{n_blue} (x) I, with C_m the
+    `blue_dot(z, out)` and `red_dot(z, out)`, which write 2 L z into out.
+    A graph multiplies by its doubled dense Laplacian, which both families
+    share.  A weave holds no n x n matrix: its family Laplacians are
+    L_B = I (x) C_{n_red} and L_R = C_{n_blue} (x) I, with C_m the
     Laplacian of one thread cycle of m crossings, so on the (n_blue, n_red)
     vertex grid 2 L_B z is Z_b (2 C_{n_red}) and 2 L_R z is (2 C_{n_blue})
-    Z_r; only `stretching` forms the blocks, with `np.kron`.  Doubling is
-    exact, so (2 L) z equals 2 (L z) bit for bit.
+    Z_r.  Only `_jacobian` forms the dense blocks, from the stacked edges.
+    Doubling is exact, so (2 L) z equals 2 (L z) bit for bit.
 
     Run constants, derived here only: the planar term `x_term` of the run's
     layout x; from the energy `e0` of its initial heights y (whose gaps are
@@ -372,17 +371,13 @@ class _StepKernel:
     def __init__(self, system, x=None, y=None, gaps=None, gap_safety=FlowParams.gap_safety):
         self.n = n = system.n_vertices
         if system.kind == "weave":
-            shape = nb, nr = system._grid.shape
+            shape = system._grid.shape
             two_nb, two_nr = (2.0 * c for c in system._thread_cycles)
             self.blue_dot = lambda z, out: np.dot(z, two_nr, out)
             self.red_dot = lambda z, out: np.dot(two_nb, z, out)
-            self.stretching = lambda: (np.kron(np.eye(nb), two_nr), np.kron(two_nb, np.eye(nr)))
         else:
             shape = (n,)
-            two_blue = 2.0 * system.blue_laplacian
-            two_red = two_blue if system.red_laplacian is system.blue_laplacian else 2.0 * system.red_laplacian
-            self.blue_dot, self.red_dot = two_blue.dot, two_red.dot
-            self.stretching = lambda: (two_blue, two_red)
+            self.blue_dot = self.red_dot = (2.0 * system.laplacian).dot
         self.sign = system.sign.astype(float).reshape(shape)
         self.edges = _stacked_edges(system)
         flat = np.empty((8, 2 * n))
@@ -454,8 +449,8 @@ def _jacobian(kernel, y):
     n = kernel.n
     d = np.abs(y[:n] - y[n:])
     D = 2.0 / (d * d * d)
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, :n], J[n:, n:] = kernel.stretching()
+    J = _laplacian(*kernel.edges, 2 * n)
+    J *= 2.0
     blue = np.arange(n)
     red = blue + n
     J[blue, blue] -= D
