@@ -170,7 +170,10 @@ def commutation_check(system) -> float:
 
 def fit_power_law(series: Series, window) -> ScalingReport:
     """Least-squares line on (log t, log value) restricted to the window."""
-    lo, hi = float(window[0]), float(window[1])
+    try:
+        lo, hi = map(float, window)
+    except (TypeError, ValueError):  # not exactly two numbers: fails the check below
+        lo = hi = 0.0
     if not (0.0 < lo < hi):
         raise InvalidParameter(f"window must satisfy 0 < lo < hi, got {window!r}")
     mask = (series.times >= lo) & (series.times <= hi)

@@ -138,7 +138,8 @@ class StepUnderflow(TangleflowError):
 
 
 class NonFiniteHeights(TangleflowError):
-    """Heights handed to an energy or gradient function are not finite."""
+    """Heights handed to an energy or gradient function are not finite, or
+    heights handed to `make_configuration` are not real numbers."""
 
 
 class InvalidInitial(TangleflowError):

@@ -26,6 +26,7 @@ from .errors import (
     InvalidParameter,
     InvalidWeave,
     MismatchedVertexSet,
+    NonFiniteHeights,
     SignViolation,
     SingularSystem,
     ZeroSignEntry,
@@ -470,13 +471,22 @@ def harmonic_planar_coordinates(system) -> np.ndarray:
 def make_configuration(system, z_blue, z_red) -> Configuration:
     """Pair the system's planar layout with caller-supplied heights, checking
     sign consistency."""
-    zb = np.asarray(z_blue, dtype=float)
-    zr = np.asarray(z_red, dtype=float)
     n = system.n_vertices
+    try:
+        zb, zr = np.asarray(z_blue), np.asarray(z_red)
+    except ValueError:  # nested sequences of unequal lengths
+        raise MismatchedVertexSet(f"height arrays must have shape ({n},), got a ragged sequence") from None
     if zb.shape != (n,) or zr.shape != (n,):
         raise MismatchedVertexSet(
             f"height arrays must have shape ({n},), got {zb.shape} and {zr.shape}"
         )
+    message = f"heights must be real numbers, got {zb.dtype} and {zr.dtype} entries"
+    if not {zb.dtype.kind, zr.dtype.kind} <= set("biufO"):  # complex, text, dates
+        raise NonFiniteHeights(message)
+    try:  # object entries, e.g. ints beyond 64 bits, convert one by one
+        zb, zr = zb.astype(float), zr.astype(float)
+    except (TypeError, ValueError):
+        raise NonFiniteHeights(message) from None
     # a zero gap has no sign of +1 or -1, so it fails; a non-finite height leaves it 0
     gap = np.subtract(zb, zr, out=np.zeros(n), where=np.isfinite(zb) & np.isfinite(zr))
     wrong = np.flatnonzero(np.sign(gap) != system.sign)

@@ -22,6 +22,7 @@ from tangleflow.dynamics import FlowParams, integrate
 from tangleflow.errors import (
     EntangledInput,
     InsufficientSamples,
+    InvalidParameter,
     NonpositiveValue,
     NotConverged,
     NotSymmetric,
@@ -163,6 +164,16 @@ def test_fit_power_law_errors():
         fit_power_law(Series("s", t, values), (1.0, 100.0))
     with pytest.raises(ValueError):
         fit_power_law(Series("s", t, t), (100.0, 1.0))
+
+
+@pytest.mark.parametrize("window", [(1.0,), ("a", "b"), (1.0, 50.0, 100.0), None, (1.0 + 1j, 50.0)])
+def test_fit_power_law_window_is_two_numbers(window):
+    """A window that is not exactly two real numbers is an InvalidParameter
+    with the message of an out-of-order window."""
+    t = np.linspace(1.0, 100.0, 30)
+    with pytest.raises(InvalidParameter) as err:
+        fit_power_law(Series("s", t, t), window)
+    assert str(err.value) == f"window must satisfy 0 < lo < hi, got {window!r}"
 
 
 def untangled_pair_trajectory(t_max=200.0):

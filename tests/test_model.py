@@ -18,6 +18,7 @@ from tangleflow.errors import (
     InvalidGraph,
     InvalidLattice,
     MismatchedVertexSet,
+    NonFiniteHeights,
     SignViolation,
     ZeroSignEntry,
 )
@@ -447,6 +448,35 @@ def test_make_configuration_valid_and_invalid():
         with pytest.raises(SignViolation) as err:
             make_configuration(weave, zb, zr)
         assert err.value.vertex == 9
+
+
+@pytest.mark.parametrize(
+    "z_blue,error",
+    [
+        (("1.0", "x"), NonFiniteHeights),  # text
+        ((1.0 + 2j, -1.0), NonFiniteHeights),  # complex entries
+        (np.array([1.0 + 0j, -1.0]), NonFiniteHeights),  # a complex array, not cast to its real part
+        (((1.0, 2.0), (3.0,)), MismatchedVertexSet),  # ragged
+        ((1.0, (2.0, 3.0)), MismatchedVertexSet),  # ragged, one entry a sequence
+        (((1.0, -1.0),), MismatchedVertexSet),  # misshapen
+    ],
+)
+def test_make_configuration_rejects_heights_that_are_not_a_real_vector(z_blue, error):
+    """Heights that are not one real number per vertex raise the library's
+    error, never numpy's, and no numpy warning."""
+    system = build_entangled_system(pair_graph(), (1, -1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            make_configuration(system, z_blue, (-1.0, 1.0))
+        with pytest.raises(error):
+            make_configuration(system, (1.0, -1.0), z_blue)
+
+
+def test_make_configuration_converts_ints_beyond_64_bits():
+    system = build_entangled_system(pair_graph(), (1, -1))
+    config = make_configuration(system, (2**70, -1), (-1.0, 1.0))
+    assert config.z_blue.tolist() == [2.0**70, -1.0]
 
 
 def test_random_initial_configuration_contract():
