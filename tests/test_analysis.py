@@ -23,6 +23,7 @@ from tangleflow.errors import (
     EntangledInput,
     InsufficientSamples,
     InvalidParameter,
+    MismatchedVertexSet,
     NonpositiveValue,
     NotConverged,
     NotSymmetric,
@@ -249,6 +250,20 @@ def test_compare_limits_identity_and_not_converged():
     _, truncated = untangled_pair_trajectory(t_max=5.0)
     with pytest.raises(NotConverged):
         compare_limits(traj, truncated, tol=1e-4)
+
+
+def test_compare_limits_of_different_sizes():
+    small = SimpleNamespace(status="converged", heights=np.zeros((3, 4)))
+    large = SimpleNamespace(status="converged", heights=np.zeros((1, 32)))
+    with pytest.raises(MismatchedVertexSet) as err:
+        compare_limits(small, large)
+    assert str(err.value) == "configurations have different sizes: (2,) vs (16,)"
+
+
+def test_separation_series_rejects_an_entangled_weave_run():
+    run = SimpleNamespace(system=load_system("checker_4x4.weave"), t=np.zeros(1))
+    with pytest.raises(EntangledInput, match="separation is undefined for an entangled weave run"):
+        separation_series(run)
 
 
 def test_compare_limits_two_seeds_agree():

@@ -1,6 +1,7 @@
 """Command-line interface: classify, relax, scaling, spectrum, verify."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -196,6 +197,26 @@ def test_verify_integrates_the_second_seed_only_after_convergence(capsys, monkey
         "energy_monotone ok\nbarycenter_conserved ok\ngap_floor ok\nsigns_preserved ok\n"
         f"{unique_limit}\n"
     )
+
+
+def test_verify_reports_a_failed_check(capsys, monkeypatch):
+    """A run whose energy rises at one row fails energy_monotone: the report
+    names it on stdout and stderr, and verify exits 1."""
+    integrate = cli.integrate
+
+    def rising(*args, **kwargs):
+        trajectory = integrate(*args, **kwargs)
+        energy = trajectory.energy.copy()
+        energy[-1] = energy[-2] + 1.0
+        return dataclasses.replace(trajectory, energy=energy)
+
+    monkeypatch.setattr(cli, "integrate", rising)
+    code, out, err = run_cli(capsys, "verify", design("entangled_pair.graph"), "--t-max", "5")
+    assert code == 1
+    assert out == (
+        "energy_monotone FAIL\nbarycenter_conserved ok\ngap_floor ok\nsigns_preserved ok\nunique_limit ok\n"
+    )
+    assert err == "error: verification failed: energy_monotone\n"
 
 
 def test_bad_design_file_exits_2(capsys, tmp_path):
