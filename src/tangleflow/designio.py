@@ -47,6 +47,7 @@ _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?\d+\Z")
 _SIGNS = {"+": 1, "-": -1}
 
+
 def _tokenize(text):
     """Per line with tokens: (line number, the text before any '#', its
     whitespace-separated tokens)."""
