@@ -458,7 +458,6 @@ def test_make_configuration_valid_and_invalid():
         (np.array([1.0 + 0j, -1.0]), NonFiniteHeights),  # a complex array, not cast to its real part
         (((1.0, 2.0), (3.0,)), MismatchedVertexSet),  # ragged
         ((1.0, (2.0, 3.0)), MismatchedVertexSet),  # ragged, one entry a sequence
-        (((1.0, -1.0),), MismatchedVertexSet),  # misshapen
     ],
 )
 def test_make_configuration_rejects_heights_that_are_not_a_real_vector(z_blue, error):
