@@ -1,10 +1,12 @@
 """Classification: entangledness, interlocked blocks, tangle decomposition."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import WEAVE_DESIGNS, load_system, random_weave_system
+from conftest import GRAPH_DESIGNS, WEAVE_DESIGNS, load_system, random_weave_system
 from tangleflow.errors import IndexOutOfRange
 from tangleflow.model import WeaveDesign, build_weave_system
 from tangleflow.topology import (
@@ -345,6 +347,12 @@ def stacked_blocks(sizes):
 
 
 def equivalence_sign_matrices():
+    """Every sign matrix of at most 9 entries, then random matrices up to 9x9,
+    checkerboards up to 24x24 and stacks of interlocked blocks."""
+    for nb in range(1, 10):
+        for nr in range(1, 9 // nb + 1):
+            for entries in itertools.product((1, -1), repeat=nb * nr):
+                yield [list(entries[i * nr:(i + 1) * nr]) for i in range(nb)]
     rng = np.random.default_rng(2023)
     for _ in range(320):
         nb, nr = (int(k) for k in rng.integers(1, 10, size=2))
@@ -368,3 +376,18 @@ def test_decomposition_matches_block_scan_oracle():
         assert decomp.order_ambiguous == ambiguous
         count += 1
     assert count >= 300
+
+
+@pytest.mark.parametrize(
+    "function, design, expected",
+    [
+        (tangle_decomposition, GRAPH_DESIGNS[0], "weave"),
+        (weavely_connected_components, GRAPH_DESIGNS[0], "weave"),
+        (minimal_weaved_components, GRAPH_DESIGNS[0], "weave"),
+        (classify_entangled_graph, WEAVE_DESIGNS[0], "entangled-graph"),
+    ],
+)
+def test_classifiers_reject_the_other_system_kind(function, design, expected):
+    system = load_system(design)
+    with pytest.raises(TypeError, match=rf"^expected an? {expected} system, got kind='{system.kind}'$"):
+        function(system)
