@@ -81,10 +81,9 @@ class SignViolation(TangleflowError):
 
 class InconsistentHeightOrder(TangleflowError):
     """The pairwise above/below relation between tangle components contains a
-    cycle, so no stacking order exists.  Believed unreachable for genuine
-    weaves (exhaustive search over small sign matrices finds no instance:
-    contradictory signs always force the components to merge); kept as a
-    defensive check.
+    cycle, so no stacking order exists.  Unreachable from
+    `tangle_decomposition`, whose components are totally ordered reach
+    classes; kept as `_order_nodes`' check.
 
     Attributes:
         cycle: the offending sequence of component indices.

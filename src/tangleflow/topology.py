@@ -3,7 +3,8 @@
 Quotient graphs are entangled exactly when the crossing map takes both
 values.  Weaves decompose into height-ordered tangle components: maximal
 groups of threads chained together by interlocked 2x2 crossing blocks, plus
-leftover single threads grouped by identical crossing profiles.
+leftover single threads grouped by identical crossing profiles.  Both, in
+order, are the reach classes of the crossing digraph, always totally ordered.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentHeightOrder, IndexOutOfRange
-from .model import _roots
 
 __all__ = [
     "Classification",
@@ -107,9 +107,42 @@ def minimal_weaved_components(system) -> tuple:
     return tuple(found)
 
 
-def _sign_matrix(system) -> np.ndarray:
-    """The weave's crossing signs as an (n_blue, n_red) array."""
-    return system.sign.reshape(system.design.n_blue, system.design.n_red)
+def _thread_classes(system):
+    """The tangle components of a weave, top to bottom, as the reach classes
+    of its crossing digraph: thread a points to thread b when a passes over b.
+
+    Every crossing between two components puts the upper one on top (the
+    height-order law), so no thread reaches a component above its own.  An
+    interlocked 2x2 block is a 4-cycle, so a weavely connected component's
+    threads all reach each other; single threads with one crossing profile
+    have the same arcs.  So the components are exactly the classes of threads
+    that reach, and are reached from, the same threads.  Any two classes are
+    linked: threads of different families cross directly, and two one-family
+    groups differ at some crossing thread, which lies between them.  So the
+    classes are totally ordered, one above another has more threads strictly
+    below it, and one sort by that count finds them in order.
+
+    Returns (classes, above): each class's (blue, red) thread tuples
+    (1-indexed), top to bottom, and the pairs (a, b) of class a above b.
+    """
+    if system.kind != "weave":
+        raise TypeError(f"expected a weave system, got kind={system.kind!r}")
+    nb, nr = system.design.n_blue, system.design.n_red
+    over = system.sign.reshape(nb, nr) > 0
+    # slots: blue 0..nb-1, red nb..; reach[a, b] if a == b or crossings lead down from a to b
+    reach = np.eye(nb + nr)
+    reach[:nb, nb:] = over
+    reach[nb:, :nb] = ~over.T
+    for _ in range((nb + nr - 1).bit_length()):  # k squarings close paths of up to 2**k arcs
+        reach = (reach @ reach > 0).astype(float)
+    strictly = reach > reach.T  # a reaches b, and b does not reach a
+    groups = {}
+    for slot, count in enumerate(strictly.sum(axis=1).tolist()):
+        groups.setdefault(count, []).append(slot)
+    slots = [groups[count] for count in sorted(groups, reverse=True)]
+    first = [group[0] for group in slots]
+    classes = [(tuple(s + 1 for s in g if s < nb), tuple(s - nb + 1 for s in g if s >= nb)) for g in slots]
+    return classes, np.argwhere(strictly[np.ix_(first, first)]).tolist()
 
 
 def weavely_connected_components(system):
@@ -118,36 +151,11 @@ def weavely_connected_components(system):
     Returns (components, singles): components is a tuple of (blue, red)
     thread tuples, singles the (blue, red) threads in no block at all.
     """
-    if system.kind != "weave":
-        raise TypeError(f"expected a weave system, got kind={system.kind!r}")
-    S = _sign_matrix(system)
-    nb, nr = S.shape
-    # blue rows i1, i2 interlock exactly when i1 is over i2 in some column
-    # (A counts them) and under it in another; each column where two
-    # interlocked rows differ is a red thread of some block through both
-    over, under = S > 0, S < 0
-    P, N = over.astype(float), under.astype(float)
-    A = P @ N.T
-    interlock = ((A > 0) & (A.T > 0)).astype(float)
-    adjacency = over & (interlock @ N > 0) | under & (interlock @ P > 0)
-
-    # connected thread slots: 0..nb-1 blue, nb..nb+nr-1 red
-    i, j = np.nonzero(adjacency)
-    roots = _roots(nb + nr, zip(i.tolist(), (j + nb).tolist()))
-
-    in_blue, in_red = adjacency.any(axis=1), adjacency.any(axis=0)
-    groups = {}
-    for slot in np.flatnonzero(np.concatenate((in_blue, in_red))).tolist():
-        groups.setdefault(roots[slot], []).append(slot)
-    components = []
-    for slots in groups.values():
-        blue = tuple(s + 1 for s in slots if s < nb)
-        red = tuple(s - nb + 1 for s in slots if s >= nb)
-        components.append((blue, red))
-    components.sort()
-    single_blue = tuple((np.flatnonzero(~in_blue) + 1).tolist())
-    single_red = tuple((np.flatnonzero(~in_red) + 1).tolist())
-    return tuple(components), (single_blue, single_red)
+    classes, _above = _thread_classes(system)
+    components = sorted((blue, red) for blue, red in classes if blue and red)
+    single_blue = sorted(i for blue, red in classes if not red for i in blue)
+    single_red = sorted(j for blue, red in classes if not blue for j in red)
+    return tuple(components), (tuple(single_blue), tuple(single_red))
 
 
 def _order_nodes(nodes, edges):
@@ -177,47 +185,17 @@ def _order_nodes(nodes, edges):
 
 
 def tangle_decomposition(system) -> TangleDecomposition:
-    """Partition the threads into height-ordered tangle components.
-
-    Components are the weavely connected components plus groups of leftover
-    single threads sharing an identical crossing profile; they are sorted
-    from top to bottom using every crossing between distinct components as a
-    vote (blue-over-red puts the blue component higher).
+    """Partition the threads into height-ordered tangle components: the
+    weavely connected components plus groups of leftover single threads
+    sharing an identical crossing profile, top to bottom (`_thread_classes`).
     """
-    wccs, (single_blue, single_red) = weavely_connected_components(system)
-    S = _sign_matrix(system)
-    nb, nr = S.shape
-
-    nodes = [(blue, red, "weavely-connected") for blue, red in wccs]
-    grouped = {}
-    for i in single_blue:
-        grouped.setdefault(("blue", S[i - 1].tobytes()), []).append(i)
-    for j in single_red:
-        grouped.setdefault(("red", S[:, j - 1].tobytes()), []).append(j)
-    for (family, _profile), members in sorted(grouped.items(), key=lambda kv: (kv[0][0], kv[1])):
-        if family == "blue":
-            nodes.append((tuple(members), (), "single-untangled"))
-        else:
-            nodes.append(((), tuple(members), "single-untangled"))
-
-    owner_blue = np.empty(nb, dtype=int)
-    owner_red = np.empty(nr, dtype=int)
-    for idx, (blue, red, _kind) in enumerate(nodes):
-        owner_blue[[i - 1 for i in blue]] = idx
-        owner_red[[j - 1 for j in red]] = idx
-
-    # every crossing between distinct components votes blue-over-red
-    a, b = owner_blue[:, None], owner_red[None, :]
-    between = a != b
-    over = S > 0
-    upper = np.where(over, a, b)[between]
-    lower = np.where(over, b, a)[between]
-    edges = set(zip(upper.tolist(), lower.tolist()))
-
-    order, ambiguous = _order_nodes(nodes, edges)
+    classes, above = _thread_classes(system)
+    nb, nr = system.design.n_blue, system.design.n_red
+    order, ambiguous = _order_nodes(classes, above)
     components = []
     for idx in order:
-        blue, red, kind = nodes[idx]
+        blue, red = classes[idx]
+        kind = "weavely-connected" if blue and red else "single-untangled"
         weight = len(blue) * (nr - len(red)) + len(red) * (nb - len(blue))
         components.append(TangleComponent(blue=blue, red=red, kind=kind, weight=weight))
     return TangleDecomposition(
