@@ -54,8 +54,15 @@ class Series:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        try:
+            times, values = np.asarray(self.times), np.asarray(self.values)
+        except ValueError:  # ragged sequences: fail the check below
+            times = values = np.asarray(None)
+        real = {times.dtype.kind, values.dtype.kind} <= set("biuf")  # not text, complex or objects
+        if not (real and times.ndim == 1 and times.shape == values.shape):
+            raise InvalidParameter(f"series {self.name!r} needs real 1-D times and values of one length")
+        object.__setattr__(self, "times", np.asarray(times, dtype=float))
+        object.__setattr__(self, "values", np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)

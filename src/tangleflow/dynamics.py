@@ -283,6 +283,8 @@ def _checked_heights(system, config) -> tuple:
         raise MismatchedVertexSet(
             f"height arrays must have shape ({n},), got {zb.shape} and {zr.shape}"
         )
+    if config.x.shape != (n, 2):
+        raise MismatchedVertexSet(f"planar coordinates must have shape ({n}, 2), got {config.x.shape}")
     if not (np.all(np.isfinite(zb)) and np.all(np.isfinite(zr))):
         raise NonFiniteHeights("heights must be finite")
     d = zb - zr

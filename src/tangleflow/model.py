@@ -367,6 +367,12 @@ def _validate_graph(graph: PeriodicQuotientGraph):
     det = basis[0, 0] * basis[1, 1] - basis[0, 1] * basis[1, 0]
     if abs(det) <= 1e-12 * max(1.0, size * size):
         raise InvalidLattice("lattice basis vectors are linearly dependent")
+    try:
+        triples = all(len(edge) == 3 for edge in graph.edges)
+    except TypeError:  # no sequence of edges, or an edge without a length
+        triples = False
+    if not triples:
+        raise InvalidGraph(f"edges must be (u, v, shift) triples, got {graph.edges!r}")
     periods = 0  # the most lattice periods any edge shift crosses
     for u, v, shift in graph.edges:
         if not all(isinstance(w, (int, np.integer)) and 0 <= w < n for w in (u, v)):
@@ -401,7 +407,10 @@ def _normalize_sign(sign, n: int) -> np.ndarray:
             )
         values = [sign[v] for v in range(n)]
     else:
-        values = list(sign)
+        try:
+            values = list(sign)
+        except TypeError:  # neither a mapping nor a sequence
+            raise InvalidGraph(f"crossing signs must be a sequence or a mapping, got {sign!r}") from None
         if len(values) != n:
             raise MismatchedVertexSet(
                 f"crossing sign list has {len(values)} entries for {n} vertices"

@@ -208,9 +208,9 @@ def tangle_decomposition(system) -> TangleDecomposition:
 
 def boundary_weight(decomposition: TangleDecomposition, k: int) -> int:
     """Crossings between component k (1-indexed, top to bottom) and the rest."""
-    if not 1 <= k <= decomposition.k:
+    if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and 1 <= k <= decomposition.k):
         raise IndexOutOfRange(
-            f"component index {k} out of range 1..{decomposition.k}"
+            f"component index {k!r} out of range 1..{decomposition.k}"
         )
     return decomposition.components[k - 1].weight
 

@@ -23,6 +23,7 @@ from tangleflow.errors import (
     ZeroSignEntry,
 )
 from tangleflow.model import (
+    Configuration,
     PeriodicQuotientGraph,
     WeaveDesign,
     _laplacian,
@@ -182,13 +183,23 @@ def test_weave_errors():
 def test_value_errors_are_tangleflow_errors():
     """Out-of-range values raise typed errors that are both TangleflowError
     and ValueError, so either base catches them."""
-    from tangleflow.dynamics import FlowParams
+    from tangleflow.analysis import Series
+    from tangleflow.dynamics import FlowParams, energy_entangled, energy_weave
     from tangleflow.errors import InvalidParameter, InvalidWeave, TangleflowError
 
-    def graph(edges=((0, 1, (0, 0)), (1, 0, (1, 0))), basis=SQUARE_BASIS, sign=(1, -1)):
+    def graph(edges=((0, 1, (0, 0)), (1, 0, (1, 0))), basis=SQUARE_BASIS, sign=(1, -1), n=2):
         return lambda: build_entangled_system(
-            PeriodicQuotientGraph(n_vertices=2, edges=edges, lattice_basis=basis), sign
+            PeriodicQuotientGraph(n_vertices=n, edges=edges, lattice_basis=basis), sign
         )
+
+    def layout(name, x_shape):
+        system = load_system(name)
+        config = random_initial_configuration(system, 1)
+        x = np.zeros(x_shape)
+        energy = energy_weave if system.kind == "weave" else energy_entangled
+        return lambda: energy(system, Configuration(x=x, z_blue=config.z_blue, z_red=config.z_red))
+
+    t = np.linspace(1.0, 100.0, 30)
 
     def weave(sign, spacing=1.0):
         return lambda: build_weave_system(
@@ -215,6 +226,19 @@ def test_value_errors_are_tangleflow_errors():
         (InvalidGraph, graph(sign=("+", -1))),
         (InvalidGraph, graph(sign=(float("nan"), -1))),
         (InvalidGraph, graph(sign=(None, -1))),
+        (InvalidGraph, graph(edges=None)),  # was a raw TypeError
+        (InvalidGraph, graph(edges=((0, 1), (1, 0, (1, 0))))),  # no shift, was a raw ValueError
+        (InvalidGraph, graph(sign=None)),  # was a raw TypeError
+        (InvalidGraph, graph(n=0)),
+        (InvalidGraph, graph(n="2")),
+        (InvalidLattice, graph(basis=((1.0, 0.0), (0.0,)))),  # ragged
+        (InvalidLattice, graph(basis=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))),
+        (MismatchedVertexSet, layout("three_blocks_6x6.weave", (36, 3))),  # was a raw ValueError
+        (MismatchedVertexSet, layout("entangled_pair.graph", (3, 2))),  # was a silent energy
+        (InvalidParameter, lambda: Series("s", t, t[:-1])),  # fit_power_law raised a raw IndexError
+        (InvalidParameter, lambda: Series("s", t, np.stack((t, t)))),  # a raw IndexError
+        (InvalidParameter, lambda: Series("s", t.astype(str), t)),  # a raw ValueError
+        (InvalidParameter, lambda: Series("s", t, [[1.0], [2.0, 3.0]] * 15)),  # a raw ValueError
         (InvalidParameter, lambda: FlowParams(dt_min=0.0)),
         (InvalidParameter, lambda: FlowParams(t_max=float("inf"))),
         (InvalidParameter, lambda: FlowParams(grad_tol=-1.0)),
@@ -458,6 +482,7 @@ def test_make_configuration_valid_and_invalid():
         (np.array([1.0 + 0j, -1.0]), NonFiniteHeights),  # a complex array, not cast to its real part
         (((1.0, 2.0), (3.0,)), MismatchedVertexSet),  # ragged
         ((1.0, (2.0, 3.0)), MismatchedVertexSet),  # ragged, one entry a sequence
+        ((object(), 1.0), NonFiniteHeights),  # an object float() cannot convert
     ],
 )
 def test_make_configuration_rejects_heights_that_are_not_a_real_vector(z_blue, error):

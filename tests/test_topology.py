@@ -154,6 +154,9 @@ def test_boundary_weights():
         boundary_weight(three, 0)
     with pytest.raises(IndexOutOfRange):
         boundary_weight(three, 4)
+    for k in ("1", 1.5, True):  # a raw TypeError, a raw TypeError, component 1
+        with pytest.raises(IndexOutOfRange):
+            boundary_weight(three, k)
 
 
 def height_order_law_holds(system, decomp) -> bool:
