@@ -98,6 +98,20 @@ def dense_velocity(system, config):
     return velocity, magnitude
 
 
+def nan_error_ros_step(monkeypatch):
+    """Make every Rosenbrock step's error estimate NaN, so each is rejected."""
+    from tangleflow import dynamics
+
+    real = dynamics._ros_step
+
+    def nan_error(kernel, h, w_inv):
+        y_new, error = real(kernel, h, w_inv)
+        error.fill(np.nan)
+        return y_new, error
+
+    monkeypatch.setattr(dynamics, "_ros_step", nan_error)
+
+
 @pytest.fixture(scope="session")
 def design_dir() -> Path:
     return DESIGN_DIR

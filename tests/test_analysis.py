@@ -98,6 +98,8 @@ def test_eigendecompose_shift_property():
 def test_not_symmetric_rejected():
     with pytest.raises(NotSymmetric):
         eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(NotSymmetric, match=r"expected a square matrix, got shape \(2, 3\)"):
+        eigendecompose(np.zeros((2, 3)))
 
 
 def test_commutation_check_bundled_and_negative_control():
@@ -112,6 +114,8 @@ def test_commutation_check_bundled_and_negative_control():
         kind="weave", n_vertices=3, _height_edges=(np.array([[0], [1]]), np.array([[1], [2]]))
     )
     assert commutation_check(stand_in) == 1.0
+    with pytest.raises(TypeError, match="expected a weave system, got kind='entangled-graph'"):
+        commutation_check(load_system("entangled_pair.graph"))
 
 
 def test_edge_list_commutator_matches_the_dense_one():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tangleflow
-from conftest import DESIGN_DIR
+from conftest import DESIGN_DIR, nan_error_ros_step
 from tangleflow import cli
 from tangleflow.cli import main
 
@@ -83,6 +83,12 @@ def test_relax_writes_outputs(capsys, tmp_path):
     assert header == "t,energy,grad_norm,min_gap,M_B,M_R"
     payload = json.loads(config_path.read_text())
     assert len(payload["vertices"]) == 2
+
+
+def test_relax_reports_a_rosenbrock_step_underflow(capsys, monkeypatch):
+    nan_error_ros_step(monkeypatch)
+    code, out, err = run_cli(capsys, "relax", design("three_blocks_6x6.weave"), "--t-max", "50", "--seed", "11")
+    assert (code, out, err) == (1, "", "error: step size underflow at t=10.3297 (dt=1e-09)\n")
 
 
 def test_relax_flag_passthrough(capsys, tmp_path):

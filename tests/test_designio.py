@@ -58,6 +58,12 @@ def test_round_trip_serialize_parse():
         assert parse_design(serialize_design(design)) == design
 
 
+@pytest.mark.parametrize("function", [serialize_design, design_to_system])
+def test_a_non_design_is_rejected(function):
+    with pytest.raises(TypeError, match=r"^not a design: 'kind weave'$"):
+        function("kind weave")
+
+
 def test_parse_good_strings():
     graph = parse_design(GOOD_GRAPH)
     assert graph.sign == (1, -1)

@@ -14,6 +14,7 @@ from conftest import (
     dense_velocity,
     kernel_velocity,
     load_system,
+    nan_error_ros_step,
     random_graph_system,
     random_weave_system,
 )
@@ -140,6 +141,9 @@ def test_energy_kind_dispatch_and_zero_gap():
     system, config = pair_config(0.3)
     with pytest.raises(TypeError):
         energy_weave(system, config)
+    weave = load_system("split_2x2.weave")
+    with pytest.raises(TypeError, match="expected an entangled-graph system, got kind='weave'"):
+        energy_entangled(weave, random_initial_configuration(weave, 1))
     broken = Configuration(
         x=config.x, z_blue=np.array([0.5, -0.3]), z_red=np.array([0.5, 0.3])
     )
@@ -1111,6 +1115,17 @@ def test_step_underflow_reports_snapshot():
         integrate(system, config, params)
     assert err.value.t >= 0.0
     assert err.value.dt == 4.0
+
+
+def test_rosenbrock_step_underflow(monkeypatch):
+    """A Rosenbrock phase whose steps all fail halves h down to dt_min, and
+    then stops at the time it switched."""
+    nan_error_ros_step(monkeypatch)
+    system = load_system("untangled_pair.graph")
+    with pytest.raises(StepUnderflow, match=r"^step size underflow at t=10\.3297 \(dt=1e-09\)$") as err:
+        integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=50.0))
+    assert err.value.t == pytest.approx(10.3297, abs=5e-5)
+    assert err.value.dt == FlowParams().dt_min == 1e-9
 
 
 def test_flow_params_validation():
