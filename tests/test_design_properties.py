@@ -6,8 +6,9 @@ or rejected exactly as the entry-by-entry checks decide, the
 tangle decomposition partitions the threads with K == 1 exactly for
 entangled weaves, its component order is the smallest-first topological
 order, every crossing agrees with the component order `classify` prints,
-component weights count the crossings with the other components, and the
-flow keeps its invariants on small weaves and graphs."""
+the flow ends with every two crossing components at mean heights in that
+order, component weights count the crossings with the other components,
+and the flow keeps its invariants on small weaves and graphs."""
 from __future__ import annotations
 
 import contextlib
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conftest import dense_velocity, kernel_velocity, random_graph_system  # noqa: E402
@@ -305,6 +306,27 @@ def test_crossings_agree_with_the_printed_component_order(sign):
         for j, s in enumerate(row, 1):
             if level_blue[i] != level_red[j]:
                 assert (s == 1) == (level_blue[i] < level_red[j]), (i, j)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(sign_matrices(max_threads=5))
+def test_the_flow_stacks_crossing_components_in_the_printed_order(sign):
+    """The abstract's height order, from the flow: at t = 1000 every two
+    components that cross have mean heights in the order the decomposition
+    lists them, top first.  Component k's mean height is its summed heights
+    over its N_k = |B_k| n_red + |R_k| n_blue vertices."""
+    n_blue, n_red = len(sign), len(sign[0])
+    system = build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign))
+    components = tangle_decomposition(system).components
+    assume(len(components) >= 2)
+    traj = integrate(system, random_initial_configuration(system, seed=1), FlowParams(t_max=1e3))
+    sizes = [len(c.blue) * n_red + len(c.red) * n_blue for c in components]
+    mean = traj.m_components[-1] / np.array(sizes)
+    for a, upper in enumerate(components):
+        for b in range(a + 1, len(components)):
+            lower = components[b]
+            if (upper.blue and lower.red) or (upper.red and lower.blue):
+                assert mean[a] > mean[b], (a, b, mean)
 
 
 @settings(max_examples=150, deadline=None, database=None)
