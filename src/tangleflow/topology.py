@@ -3,8 +3,8 @@
 Quotient graphs are entangled exactly when the crossing map takes both
 values.  Weaves decompose into height-ordered tangle components: maximal
 groups of threads chained together by interlocked 2x2 crossing blocks, plus
-leftover single threads grouped by identical crossing profiles.  Both, in
-order, are the reach classes of the crossing digraph, always totally ordered.
+leftover single threads grouped by identical crossing profiles.  Both kinds
+are the reach classes of the crossing digraph, which are totally ordered.
 """
 from __future__ import annotations
 
@@ -146,7 +146,7 @@ def _thread_classes(system):
 
 
 def weavely_connected_components(system):
-    """Merge interlocked blocks that share a thread.
+    """The interlocked blocks, merged where they share a thread.
 
     Returns (components, singles): components is a tuple of (blue, red)
     thread tuples, singles the (blue, red) threads in no block at all.
