@@ -72,6 +72,18 @@ def random_weave_system(rng: np.random.Generator, max_threads: int = 6):
     return build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign, spacing=1.0))
 
 
+def smallest_first_order(n, edges):
+    """Reference sort of nodes 0..n-1 under "a above b" edges: repeatedly
+    place the smallest node whose predecessors are all placed, noting whether
+    more than one was available."""
+    order, ambiguous = [], False
+    while len(order) < n:
+        ready = [k for k in range(n) if k not in order and all(a in order for a, b in edges if b == k)]
+        ambiguous = ambiguous or len(ready) > 1
+        order.append(min(ready))
+    return order, ambiguous
+
+
 def kernel_velocity(kernel, y):
     """A copy of the velocity `dynamics._velocity` writes for the stacked
     heights y, evaluated in the kernel's buffers."""

@@ -24,7 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import dense_velocity, kernel_velocity, random_graph_system  # noqa: E402
+from conftest import dense_velocity, kernel_velocity, random_graph_system, smallest_first_order  # noqa: E402
 from tangleflow import dynamics  # noqa: E402
 from tangleflow.analysis import commutation_check, weave_spectrum  # noqa: E402
 from tangleflow.cli import main  # noqa: E402
@@ -361,17 +361,6 @@ def dags(draw, max_nodes=9):
     rank = draw(st.permutations(range(n)))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
     return n, {(a, b) if rank[a] < rank[b] else (b, a) for a, b in pairs if a != b}
-
-
-def smallest_first_order(n, edges):
-    """Reference sort: repeatedly place the smallest node whose predecessors
-    are all placed, noting whether more than one was available."""
-    order, ambiguous = [], False
-    while len(order) < n:
-        ready = [k for k in range(n) if k not in order and all(a in order for a, b in edges if b == k)]
-        ambiguous = ambiguous or len(ready) > 1
-        order.append(min(ready))
-    return order, ambiguous
 
 
 @settings(max_examples=300, deadline=None, database=None)

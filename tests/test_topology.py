@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import GRAPH_DESIGNS, WEAVE_DESIGNS, load_system, random_weave_system
+from conftest import GRAPH_DESIGNS, WEAVE_DESIGNS, load_system, random_weave_system, smallest_first_order
 from tangleflow.errors import IndexOutOfRange
 from tangleflow.model import WeaveDesign, build_weave_system
 from tangleflow.topology import (
@@ -302,9 +302,7 @@ def oracle_weavely_connected(sign):
 def oracle_decomposition(sign):
     """Reference decomposition: the oracle components, then single threads
     grouped by identical crossing profile, ordered by every crossing between
-    distinct groups (the sort itself is the library's `_order_nodes`)."""
-    from tangleflow.topology import _order_nodes
-
+    distinct groups, smallest group first wherever the order is not forced."""
     nb, nr = len(sign), len(sign[0])
     components, (single_blue, single_red) = oracle_weavely_connected(sign)
     nodes = [(blue, red, "weavely-connected") for blue, red in components]
@@ -324,7 +322,7 @@ def oracle_decomposition(sign):
             a, b = owner_blue[i], owner_red[j]
             if a != b:
                 edges.add((a, b) if sign[i - 1][j - 1] == 1 else (b, a))
-    order, ambiguous = _order_nodes(nodes, edges)
+    order, ambiguous = smallest_first_order(len(nodes), edges)
     layers = []
     for k in order:
         blue, red, kind = nodes[k]
