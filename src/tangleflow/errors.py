@@ -79,21 +79,6 @@ class SignViolation(TangleflowError):
 # topology
 
 
-class InconsistentHeightOrder(TangleflowError):
-    """The pairwise above/below relation between tangle components contains a
-    cycle, so no stacking order exists.  Unreachable from
-    `tangle_decomposition`, whose components are totally ordered reach
-    classes; kept as `_order_nodes`' check.
-
-    Attributes:
-        cycle: the offending sequence of component indices.
-    """
-
-    def __init__(self, cycle, message: str | None = None):
-        self.cycle = tuple(cycle)
-        super().__init__(message or f"cyclic height relation between components {self.cycle}")
-
-
 class IndexOutOfRange(TangleflowError, IndexError):
     """A 1-based component index lies outside 1..K."""
 

@@ -4,18 +4,17 @@ Quotient graphs are entangled exactly when the crossing map takes both
 values.  Weaves decompose into height-ordered tangle components: maximal
 groups of threads chained together by interlocked 2x2 crossing blocks, plus
 leftover single threads grouped by identical crossing profiles.  Both kinds
-are the reach classes of the crossing digraph, which are totally ordered.
+are the reach classes of the crossing digraph, and one sort orders them.
 """
 from __future__ import annotations
 
 import enum
-import graphlib
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentHeightOrder, IndexOutOfRange
+from .errors import IndexOutOfRange
 
 __all__ = [
     "Classification",
@@ -60,7 +59,8 @@ class TangleComponent:
 
 @dataclass(frozen=True)
 class TangleDecomposition:
-    """Tangle components ordered from top to bottom."""
+    """Tangle components ordered from top to bottom.  order_ambiguous is always
+    False: reach classes are totally ordered, so the order is forced."""
 
     components: tuple
     order_ambiguous: bool
@@ -120,10 +120,9 @@ def _thread_classes(system):
     linked: threads of different families cross directly, and two one-family
     groups differ at some crossing thread, which lies between them.  So the
     classes are totally ordered, one above another has more threads strictly
-    below it, and one sort by that count finds them in order.
+    below it, and one sort by that count, the only one, finds them in order.
 
-    Returns (classes, above): each class's (blue, red) thread tuples
-    (1-indexed), top to bottom, and the pairs (a, b) of class a above b.
+    Returns each class's (blue, red) thread tuples (1-indexed), top to bottom.
     """
     if system.kind != "weave":
         raise TypeError(f"expected a weave system, got kind={system.kind!r}")
@@ -140,9 +139,7 @@ def _thread_classes(system):
     for slot, count in enumerate(strictly.sum(axis=1).tolist()):
         groups.setdefault(count, []).append(slot)
     slots = [groups[count] for count in sorted(groups, reverse=True)]
-    first = [group[0] for group in slots]
-    classes = [(tuple(s + 1 for s in g if s < nb), tuple(s - nb + 1 for s in g if s >= nb)) for g in slots]
-    return classes, np.argwhere(strictly[np.ix_(first, first)]).tolist()
+    return [(tuple(s + 1 for s in g if s < nb), tuple(s - nb + 1 for s in g if s >= nb)) for g in slots]
 
 
 def weavely_connected_components(system):
@@ -151,37 +148,11 @@ def weavely_connected_components(system):
     Returns (components, singles): components is a tuple of (blue, red)
     thread tuples, singles the (blue, red) threads in no block at all.
     """
-    classes, _above = _thread_classes(system)
+    classes = _thread_classes(system)
     components = sorted((blue, red) for blue, red in classes if blue and red)
     single_blue = sorted(i for blue, red in classes if not red for i in blue)
     single_red = sorted(j for blue, red in classes if not blue for j in red)
     return tuple(components), (tuple(single_blue), tuple(single_red))
-
-
-def _order_nodes(nodes, edges):
-    """Topologically sort node indices under "a above b" edges, always taking
-    the smallest available node next.
-
-    Returns (order, ambiguous) where ambiguous records whether more than one
-    node was available at any step (the order is then not forced).  Raises
-    InconsistentHeightOrder if the relation is cyclic; the offending cycle of
-    node indices is attached to the error.
-    """
-    sorter = graphlib.TopologicalSorter({node: () for node in range(len(nodes))})
-    for a, b in edges:
-        sorter.add(b, a)
-    try:
-        sorter.prepare()
-    except graphlib.CycleError as exc:
-        raise InconsistentHeightOrder(exc.args[1][:-1]) from None  # its last node repeats its first
-    order, ready, ambiguous = [], [], False
-    while sorter.is_active():
-        ready = sorted(ready + list(sorter.get_ready()))
-        ambiguous = ambiguous or len(ready) > 1
-        node = ready.pop(0)
-        order.append(node)
-        sorter.done(node)
-    return order, ambiguous
 
 
 def tangle_decomposition(system) -> TangleDecomposition:
@@ -189,18 +160,16 @@ def tangle_decomposition(system) -> TangleDecomposition:
     weavely connected components plus groups of leftover single threads
     sharing an identical crossing profile, top to bottom (`_thread_classes`).
     """
-    classes, above = _thread_classes(system)
+    classes = _thread_classes(system)  # checks the system kind before design is read
     nb, nr = system.design.n_blue, system.design.n_red
-    order, ambiguous = _order_nodes(classes, above)
     components = []
-    for idx in order:
-        blue, red = classes[idx]
+    for blue, red in classes:
         kind = "weavely-connected" if blue and red else "single-untangled"
         weight = len(blue) * (nr - len(red)) + len(red) * (nb - len(blue))
         components.append(TangleComponent(blue=blue, red=red, kind=kind, weight=weight))
     return TangleDecomposition(
         components=tuple(components),
-        order_ambiguous=ambiguous,
+        order_ambiguous=False,
         n_blue=nb,
         n_red=nr,
     )

@@ -4,8 +4,8 @@ closed-form spectrum equals the dense eigensolve and its grid velocity
 the dense one, a weave's sign matrix and a graph's sign list are accepted
 or rejected exactly as the entry-by-entry checks decide, the
 tangle decomposition partitions the threads with K == 1 exactly for
-entangled weaves, its component order is the smallest-first topological
-order, every crossing agrees with the component order `classify` prints,
+entangled weaves, every crossing agrees with the component order
+`classify` prints,
 the flow ends with every two crossing components at mean heights in that
 order, component weights count the crossings with the other components,
 and the flow keeps its invariants on small weaves and graphs."""
@@ -24,14 +24,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import dense_velocity, kernel_velocity, random_graph_system, smallest_first_order  # noqa: E402
+from conftest import dense_velocity, kernel_velocity, random_graph_system  # noqa: E402
 from tangleflow import dynamics  # noqa: E402
 from tangleflow.analysis import commutation_check, weave_spectrum  # noqa: E402
 from tangleflow.cli import main  # noqa: E402
 from tangleflow.designio import _syntax_error, _tokenize, parse_design, serialize_design  # noqa: E402
 from tangleflow.errors import DesignSyntaxError, InvalidGraph, InvalidWeave, TangleflowError, ZeroSignEntry  # noqa: E402
 from tangleflow.dynamics import FlowParams, integrate  # noqa: E402
-from tangleflow.errors import InconsistentHeightOrder  # noqa: E402
 from tangleflow.model import (  # noqa: E402
     GraphDesign,
     PeriodicQuotientGraph,
@@ -41,7 +40,6 @@ from tangleflow.model import (  # noqa: E402
     random_initial_configuration,
 )
 from tangleflow.topology import (  # noqa: E402
-    _order_nodes,
     boundary_weight,
     is_entangled,
     tangle_decomposition,
@@ -351,31 +349,6 @@ def test_component_weight_counts_its_crossings_with_the_rest(sign):
         )
         assert comp.weight == row_sum == crossings
         assert boundary_weight(decomposition, k + 1) == comp.weight
-
-
-@st.composite
-def dags(draw, max_nodes=9):
-    """A node count and "a above b" edges, each oriented down a random
-    ranking of the nodes, so the relation has no cycle."""
-    n = draw(st.integers(1, max_nodes))
-    rank = draw(st.permutations(range(n)))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
-    return n, {(a, b) if rank[a] < rank[b] else (b, a) for a, b in pairs if a != b}
-
-
-@settings(max_examples=300, deadline=None, database=None)
-@given(dags(), st.data())
-def test_component_order_is_smallest_first(dag, data):
-    n, edges = dag
-    assert _order_nodes([None] * n, edges) == smallest_first_order(n, edges)
-    if edges:  # reversing one edge closes a cycle, which the error names
-        a, b = data.draw(st.sampled_from(sorted(edges)))
-        cyclic = edges | {(b, a)}
-        with pytest.raises(InconsistentHeightOrder) as err:
-            _order_nodes([None] * n, cyclic)
-        cycle = err.value.cycle
-        assert len(set(cycle)) == len(cycle) >= 2
-        assert all((c, cycle[(k + 1) % len(cycle)]) in cyclic for k, c in enumerate(cycle))
 
 
 def small_weaves():

@@ -246,20 +246,6 @@ def test_relabeling_invariance():
     assert sorted(relabeled) == sorted((c.blue, c.red) for c in base_decomp.components)
 
 
-def test_inconsistent_order_error_is_defensive():
-    """No realizable weave triggers it (verified exhaustively at small sizes),
-    but the sort must still detect a cyclic relation if one ever appears."""
-    from tangleflow.errors import InconsistentHeightOrder
-    from tangleflow.topology import _order_nodes
-
-    with pytest.raises(InconsistentHeightOrder) as err:
-        _order_nodes(
-            nodes=[((1,), ()), ((), (1,)), ((2,), ())],
-            edges={(0, 1), (1, 2), (2, 0)},
-        )
-    assert len(err.value.cycle) >= 2
-
-
 def oracle_weavely_connected(sign):
     """Reference interlock grouping: scan every 2x2 block of the sign matrix,
     join the four threads of each alternating block, and list the threads in
