@@ -26,6 +26,7 @@ from .errors import (
     NotSymmetric,
     UnknownComponent,
 )
+from .model import _laplacian_entries
 from .topology import Classification, classify_entangled_graph, tangle_decomposition
 
 __all__ = [
@@ -130,16 +131,6 @@ def weave_spectrum(system) -> np.ndarray:
     return np.sort(np.add.outer(_cycle_spectrum(n_blue), _cycle_spectrum(n_red)), axis=None)
 
 
-def _laplacian_entries(edges):
-    """The Laplacian of the loop-free edges edges[0][e]-edges[1][e] as
-    unsummed (row, column, weight) entries, weights ±1."""
-    u, v = edges
-    rows = np.concatenate((u, v, u, v))
-    cols = np.concatenate((v, u, u, v))
-    weights = np.repeat(np.array([1, 1, -1, -1]), len(u))
-    return rows, cols, weights
-
-
 def _commutator_norm(blue_edges, red_edges, n: int) -> float:
     """Elementwise sup norm of L_B L_R - L_R L_B for the Laplacians on n
     vertices of two loop-free edge lists (2 x m arrays).
@@ -148,8 +139,8 @@ def _commutator_norm(blue_edges, red_edges, n: int) -> float:
     Both Laplacians are symmetric, so L_R L_B = Pᵀ and the commutator is
     P - Pᵀ.
     """
-    bi, bj, bw = _laplacian_entries(blue_edges)
-    rj, rk, rw = _laplacian_entries(red_edges)
+    bi, bj, bw = _laplacian_entries(*blue_edges)
+    rj, rk, rw = _laplacian_entries(*red_edges)
     order = np.argsort(rj, kind="stable")
     rj, rk, rw = rj[order], rk[order], rw[order]
     # pair each blue entry (i, j) with every red entry in row j

@@ -293,15 +293,21 @@ def _sorted_edges(u, v) -> np.ndarray:
     return _freeze(np.stack((lo[order], hi[order])))
 
 
+def _laplacian_entries(u, v):
+    """The Laplacian of the loop-free edges u[e]-v[e] as unsummed (row, column,
+    weight) entries: +1 at (u, v) and (v, u), -1 at (u, u) and (v, v)."""
+    rows = np.concatenate((u, v, u, v))
+    cols = np.concatenate((v, u, u, v))
+    weights = np.repeat(np.array([1, 1, -1, -1]), len(u))
+    return rows, cols, weights
+
+
 def _laplacian(u, v, n: int) -> np.ndarray:
     """Adjacency-minus-degree matrix of the loop-free multigraph with edges
-    u[e]-v[e]."""
-    L = np.zeros((n, n))
-    np.add.at(L, (u, v), 1.0)
-    np.add.at(L, (v, u), 1.0)
-    np.add.at(L, (u, u), -1.0)
-    np.add.at(L, (v, v), -1.0)
-    return L
+    u[e]-v[e], its `_laplacian_entries` summed in one pass."""
+    rows, cols, weights = _laplacian_entries(u, v)
+    L = np.bincount(rows * n + cols, weights, minlength=n * n)
+    return L.astype(float, copy=False).reshape(n, n)  # with no edges bincount gives int64
 
 
 def _solve_harmonic(system: _SystemBase) -> np.ndarray:

@@ -325,7 +325,9 @@ def test_weave_assembly_matches_loop_reference():
             for family, got in zip(("blue", "red"), system._height_edges):
                 expected = np.array(sorted(height_edges[family]), dtype=int).reshape(-1, 2).T
                 assert got.shape == expected.shape and np.array_equal(got, expected)
-                assert np.array_equal(_laplacian(*got, n), laplacians[family])
+                built = _laplacian(*got, n)  # float64 also with no edges, as in a 1 x 1 weave
+                assert built.dtype == np.float64 and np.array_equal(built, laplacians[family])
+            assert all(cycle.dtype == np.float64 for cycle in system._thread_cycles)
             assert np.array_equal(system.blue_laplacian, laplacians["blue"])
             assert np.array_equal(system.red_laplacian, laplacians["red"])
             assert np.array_equal(system.laplacian, laplacians["blue"] + laplacians["red"])
