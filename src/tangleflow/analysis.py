@@ -94,9 +94,14 @@ def eigendecompose(matrix) -> EigenData:
     a connectivity Laplacian therefore gets the +1/sqrt(n) kernel vector
     first.
     """
-    M = np.asarray(matrix, dtype=float)
+    M = np.asarray(matrix)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
+    if M.dtype.kind not in "biuf" or M.size == 0:  # text, complex, objects or 0 x 0
+        raise NotSymmetric(f"expected a non-empty real matrix, got shape {M.shape}, {M.dtype}")
+    if not np.isfinite(M).all():
+        raise NotSymmetric("matrix has non-finite entries")
+    M = M.astype(float, copy=False)
     scale = max(1.0, float(np.max(np.abs(M))))
     if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric")

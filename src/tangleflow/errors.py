@@ -136,7 +136,7 @@ class InvalidInitial(TangleflowError):
 
 
 class NotSymmetric(TangleflowError):
-    """eigendecompose requires a symmetric matrix."""
+    """eigendecompose needs a non-empty, finite, real, square symmetric matrix."""
 
 
 class EntangledInput(TangleflowError):
