@@ -557,6 +557,8 @@ def step(system, config, dt) -> Configuration:
     configuration, and the energy may not rise beyond the integrator's
     rounding cushion.  Otherwise GapGuardTripped is raised.
     """
+    if isinstance(dt, bool) or not isinstance(dt, (int, float, np.integer, np.floating)):
+        raise InvalidParameter(f"dt must be a real number, got {dt!r}")
     y, gaps = _checked_heights(system, config)
     with np.errstate(**_QUIET):
         kernel = _StepKernel(system, config.x, y, gaps)

@@ -33,6 +33,7 @@ from tangleflow.dynamics import (
 from tangleflow.errors import (
     GapGuardTripped,
     InvalidInitial,
+    InvalidParameter,
     MismatchedVertexSet,
     NonFiniteHeights,
     StepUnderflow,
@@ -289,6 +290,22 @@ def test_step_gap_guard_trips_on_oversized_step():
     config = make_configuration(system, (0.05, -0.05), (-0.05, 0.05))
     with pytest.raises(GapGuardTripped):
         step(system, config, 1.0)
+
+
+def test_step_rejects_a_dt_that_is_not_a_real_number():
+    system = load_system("entangled_pair.graph")
+    config = make_configuration(system, (0.6, -0.5), (-0.55, 0.62))
+    for dt in ("a", None, True, 1j):  # "a" and None ended in raw TypeErrors, True stepped by 1
+        with pytest.raises(InvalidParameter, match=f"dt must be a real number, got {dt!r}"):
+            step(system, config, dt)
+    # every numeric dt keeps its outcome
+    for dt in (0.0, 0):
+        new = step(system, config, dt)
+        assert np.array_equal(new.z_blue, config.z_blue) and np.array_equal(new.z_red, config.z_red)
+    assert not np.array_equal(step(system, config, np.float32(1e-3)).z_blue, config.z_blue)
+    for dt, reason in [(-0.1, "energy increased"), (np.nan, "non-finite heights"), (np.inf, "non-finite heights")]:
+        with pytest.raises(GapGuardTripped, match=f"rejected: {reason}$"):
+            step(system, config, dt)
 
 
 def test_integrate_pair_converges_to_closed_form():
