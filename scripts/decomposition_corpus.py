@@ -17,10 +17,13 @@ in this order:
 For each weave the script records `repr` of the pair
 (`weavely_connected_components`, `tangle_decomposition`), or the class and
 message of a `TangleflowError` either raised.  It prints the number of
-weaves, of orders the crossings left ambiguous and of errors, and one
-sha256 over the records in corpus order.  Two implementations that give
-the same digest decompose every weave of the corpus alike.  Any other
-exception is a fault: it is printed, and the exit code is 1.
+weaves, of order violations and of errors, and one sha256 over the records
+in corpus order.  Two implementations that give the same digest decompose
+every weave of the corpus alike.  An order violation is a crossing between
+threads of two different components that breaks the printed order: the blue
+thread on top while its component is printed lower, or the reverse.  Any
+other exception is a fault: it is printed.  The exit code is 1 if there is
+a fault or an order violation.
 """
 from __future__ import annotations
 
@@ -75,6 +78,20 @@ def random_stacks(rng: random.Random, count: int):
         )
 
 
+def order_violations(system, decomposition) -> int:
+    """Crossings between threads of two components that disagree with the
+    components' top-to-bottom order."""
+    level_blue, level_red = {}, {}
+    for level, component in enumerate(decomposition.components):
+        level_blue.update(dict.fromkeys(component.blue, level))
+        level_red.update(dict.fromkeys(component.red, level))
+    return sum(
+        (level_blue[i] > level_red[j]) if s == 1 else (level_blue[i] < level_red[j])
+        for i, row in enumerate(system.design.sign, 1)
+        for j, s in enumerate(row, 1)
+    )
+
+
 def corpus(seed: int, n_random: int, n_stacks: int):
     rng = random.Random(seed)
     for sign in itertools.chain(exhaustive(), random_matrices(rng, n_random), random_stacks(rng, n_stacks)):
@@ -90,13 +107,13 @@ def main(argv=None) -> int:
     parser.add_argument("--stacks", type=int, default=1000)
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
-    count = ambiguous = errors = faults = 0
+    count = violations = errors = faults = 0
     for system in corpus(args.seed, args.random, args.stacks):
         count += 1
         try:
             decomposition = tangle_decomposition(system)
             record = repr((weavely_connected_components(system), decomposition))
-            ambiguous += decomposition.order_ambiguous
+            violations += order_violations(system, decomposition)
         except TangleflowError as exc:
             errors += 1
             record = repr((type(exc).__name__, str(exc)))
@@ -106,10 +123,10 @@ def main(argv=None) -> int:
             continue
         digest.update(record.encode() + b"\n")
     print(f"weaves {count}")
-    print(f"ambiguous orders {ambiguous}")
+    print(f"order violations {violations}")
     print(f"errors {errors}")
     print(f"sha256 {digest.hexdigest()}")
-    return 1 if faults else 0
+    return 1 if faults or violations else 0
 
 
 if __name__ == "__main__":
