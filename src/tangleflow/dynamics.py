@@ -558,7 +558,7 @@ def step(system, config, dt) -> Configuration:
     rounding cushion.  Otherwise GapGuardTripped is raised.
     """
     if isinstance(dt, bool) or not isinstance(dt, (int, float, np.integer, np.floating)):
-        raise InvalidParameter(f"dt must be a real number, got {dt!r}")
+        raise InvalidParameter(f"dt must be an int or float, got {dt!r}")
     y, gaps = _checked_heights(system, config)
     with np.errstate(**_QUIET):
         kernel = _StepKernel(system, config.x, y, gaps)
