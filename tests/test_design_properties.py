@@ -5,10 +5,10 @@ the dense one, a weave's sign matrix and a graph's sign list are accepted
 or rejected exactly as the entry-by-entry checks decide, the
 tangle decomposition partitions the threads with K == 1 exactly for
 entangled weaves, every crossing agrees with the component order
-`classify` prints,
-the flow ends with every two crossing components at mean heights in that
-order, component weights count the crossings with the other components,
-and the flow keeps its invariants on small weaves and graphs."""
+`classify` prints, the flow ends with every two crossing components at
+mean heights in that order, component weights count the crossings with
+the other components, and the flow keeps its invariants on small weaves
+and graphs."""
 from __future__ import annotations
 
 import contextlib
