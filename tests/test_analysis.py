@@ -100,15 +100,22 @@ def test_not_symmetric_rejected():
         eigendecompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(NotSymmetric, match=r"expected a square matrix, got shape \(2, 3\)"):
         eigendecompose(np.zeros((2, 3)))
-    for matrix, message in [
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
         ([[np.nan, 0.0], [0.0, 1.0]], "non-finite entries"),  # returned an EigenData
         ([[np.inf, 0.0], [0.0, 1.0]], "non-finite entries"),  # a RuntimeWarning from M - M.T
         (np.zeros((0, 0)), r"got shape \(0, 0\), float64"),  # a raw ValueError
         ([["a", "0"], ["0", "1"]], r"real matrix, got shape \(2, 2\), <U1"),  # a raw ValueError
         ([[1j, 0.0], [0.0, 1.0]], r"real matrix, got shape \(2, 2\), complex128"),  # a raw TypeError
-    ]:
-        with pytest.raises(NotSymmetric, match=message):
-            eigendecompose(matrix)
+    ],
+    ids=["nan", "inf", "empty", "text", "complex"],
+)
+def test_malformed_matrix_rejected(matrix, message):
+    with pytest.raises(NotSymmetric, match=message):
+        eigendecompose(matrix)
 
 
 def test_commutation_check_bundled_and_negative_control():
