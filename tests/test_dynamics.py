@@ -521,9 +521,10 @@ def acceptance_4_systems():
 def test_sample_diagnostics_match_reference_formulas():
     """Each sample's energy equals `energy_entangled`/`energy_weave` on its
     configuration bit for bit (one energy formula) and the brute-force
-    energy to rel 1e-13, and its gap and barycenter diagnostics equal the
-    plain numpy formulas bit for bit, on RK4 samples and, on one untangled
-    run past the switch, on Rosenbrock steps and grid samples."""
+    energy to rel 1e-13, its velocity sup norm equals `stationarity_residual`
+    bit for bit, and its gap and barycenter diagnostics equal the plain numpy
+    formulas bit for bit, on RK4 samples and, on one untangled run past the
+    switch, on Rosenbrock steps and grid samples."""
     runs = []
     for name in GRAPH_DESIGNS + WEAVE_DESIGNS:
         system = load_system(name)
@@ -546,6 +547,7 @@ def test_sample_diagnostics_match_reference_formulas():
             gaps = np.abs(zb - zr)
             assert s.energy == energy(system, s.config)
             assert s.energy == pytest.approx(brute_force_energy(system, s.config), rel=1e-13)
+            assert s.grad_norm == stationarity_residual(system, s.config)
             assert s.min_gap == float(np.min(gaps))
             assert s.m_blue == float(np.mean(zb)) and s.m_red == float(np.mean(zr))
             assert s.m_components == tuple(
@@ -801,6 +803,8 @@ def test_long_untangled_run_ends_without_a_rejection_storm(monkeypatch):
     system = load_system("three_blocks_6x6.weave")
     traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=1e14))
     assert (traj.status, traj.samples[-1].t) == ("truncated", 1e14)
+    # the only bundled run whose grid samples skip: 603 of its 1,947
+    assert traj.stats == RunStats(120, 0, 6540, 1017, 66, 178, 1344, 603)
 
 
 def test_skipped_grid_samples_leave_the_steps_unchanged(caplog, monkeypatch):
