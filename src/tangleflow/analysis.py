@@ -94,7 +94,10 @@ def eigendecompose(matrix) -> EigenData:
     a connectivity Laplacian therefore gets the +1/sqrt(n) kernel vector
     first.
     """
-    M = np.asarray(matrix)
+    try:
+        M = np.asarray(matrix)
+    except ValueError:  # rows of unequal lengths
+        raise NotSymmetric("expected a square matrix, got rows of unequal lengths") from None
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {M.shape}")
     if M.dtype.kind not in "biuf" or M.size == 0:  # text, complex, objects or 0 x 0

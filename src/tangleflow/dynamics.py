@@ -35,7 +35,12 @@ guard, then the velocity there, once, which gives the sup-norm convergence
 test and the next step's first stage (RK4's k1, the Rosenbrock step's v), as
 in the "first same as last" Runge-Kutta pairs of Dormand and Prince (1980),
 then the energy, from `_energy` as everywhere.  The guard's minimum gap sets
-the RK4 stability cap on dt.  Grid samples are evaluated by `_end_state` too.
+the RK4 stability cap on dt.  Grid samples never steer a step, so the phase
+queues its accepted steps and evaluates their grid samples a decade of t at
+a time, as the rows of one array, in `_end_states`: the same guard, velocity
+and energy, bit for bit, with `_end_state` left only the rows that fail the
+guard's fast test.  Per sample, numpy dispatch on arrays of n <= 36 heights
+costs more than the arithmetic.
 
 `integrate` records each point as one row: its time, a copy of its stacked
 heights, and its energy, velocity sup norm and minimum gap.  Once the run
@@ -47,8 +52,8 @@ The run's exact step and evaluation counts go to `Trajectory.stats`.
 Each `integrate`, `step` or `gradient` call builds a `_StepKernel` and
 drops it when it returns: it derives the run's gap floor, energy cushion
 and planar term once, counts the velocity evaluations, and holds the
-buffers, with per-family views, of every stage, end state and grid sample;
-energy calls read only edges.
+buffers, with per-family views, of every stage and end state; energy calls
+read only edges.
 """
 from __future__ import annotations
 
@@ -218,9 +223,10 @@ class Sample:
 class RunStats:
     """Exact counts of one `integrate` run: accepted and rejected steps of
     each method, Rosenbrock W refreshes, velocity evaluations (the run's
-    `_StepKernel.evaluations`), and the grid samples of the Rosenbrock phase
-    recorded and skipped.  A run that never switches has zero Rosenbrock
-    counts."""
+    `_StepKernel.evaluations`: states whose velocity was evaluated, one per
+    `_velocity` call and one per grid sample evaluated in a batch), and the
+    grid samples of the Rosenbrock phase recorded and skipped.  A run that
+    never switches has zero Rosenbrock counts."""
 
     rk4_accepted: int
     rk4_rejected: int
@@ -347,7 +353,10 @@ class _StepKernel:
 
     System constants: the crossing signs as floats in the families' shape
     (so sign / d^2 casts nothing), the `_stacked_edges`, the products
-    `blue_dot(z, out)` and `red_dot(z, out)`, which write 2 L z into out.
+    `blue_dot(z, out)` and `red_dot(z, out)`, which write 2 L z into out,
+    and `blue_dots` and `red_dots`, the same for a stack of states along a
+    leading axis, equal to them row for row bit for bit (a batched matmul,
+    not `np.dot`, whose 3-D products round differently).
     A graph multiplies by its doubled dense Laplacian, which both families
     share.  A weave holds no n x n matrix: its family Laplacians are
     L_B = I (x) C_{n_red} and L_R = C_{n_blue} (x) I, with C_m the
@@ -360,13 +369,16 @@ class _StepKernel:
     layout x; from the energy `e0` of its initial heights y (whose gaps are
     overwritten), the `gap_floor` gap_safety / e0 and the energy `cushion`
     _ENERGY_CUSHION |e0|, with y and its velocity in `y` and `v`.  Without
-    x or y these are None or 0.  `evaluations` counts `_velocity` calls.
+    x or y these are None or 0.  `evaluations` counts the states whose
+    velocity is evaluated: one per `_velocity` call and one per row that
+    `_end_states` evaluates.
 
     Buffers, each a `_Heights` but for the last four, reused by every step
     of a run: the accepted state `y` and its velocity `v`; the candidate end
     state `y_new` and its velocity `v_new` (`accept` swaps the two pairs);
     the RK4 stage state `stage` and stage velocities `k2`, `k3`, `k4`, of
-    which a Rosenbrock stage or a grid sample uses `stage` and `k2`; the
+    which a Rosenbrock stage or a grid sample left to `_end_state` uses
+    `stage` and `k2`; the
     Rosenbrock stages `u`; the absolute gaps `gaps`, with their view
     `gap_view` in the families' shape; the repulsion; and scratch rows."""
 
@@ -377,9 +389,13 @@ class _StepKernel:
             two_nb, two_nr = (2.0 * c for c in system._thread_cycles)
             self.blue_dot = lambda z, out: np.dot(z, two_nr, out)
             self.red_dot = lambda z, out: np.dot(two_nb, z, out)
+            self.blue_dots = lambda z, out: np.matmul(z, two_nr, out=out)
+            self.red_dots = lambda z, out: np.matmul(two_nb, z, out=out)
         else:
             shape = (n,)
-            self.blue_dot = self.red_dot = (2.0 * system.laplacian).dot
+            two_l = 2.0 * system.laplacian
+            self.blue_dot = self.red_dot = two_l.dot
+            self.blue_dots = self.red_dots = lambda z, out: np.matmul(two_l, z[..., None], out=out[..., None])
         self.sign = system.sign.astype(float).reshape(shape)
         self.edges = _stacked_edges(system)
         flat = np.empty((8, 2 * n))
@@ -519,6 +535,52 @@ def _end_state(kernel, y, v, reference):
     return velocity, energy, float(np.maximum.reduce(np.abs(velocity, out=kernel.scratch[0]))), min_gap
 
 
+def _end_states(kernel, heights, gap_floor):
+    """Evaluate the stacked heights in the C-ordered rows of heights, (G, 2n),
+    at once, bit for bit as `_end_state` evaluates each, but with no energy
+    reference: the guard's fast test, every signed gap at or above gap_floor
+    and a finite row sum, then, for the rows that pass it, the velocity, the
+    energy, the velocity's sup norm and the minimum gap.  Returns (passed,
+    energy, grad_norm, min_gap): the boolean mask of the rows that pass and,
+    for them alone, in order, the three arrays of values.  Each passing row
+    counts as one velocity evaluation in the kernel's `evaluations`; the
+    others are left to `_end_state`.
+
+    Every reduction runs along a C-ordered row, which sums as the 1-D
+    reduction does, and every product is a batched matmul (see
+    `_StepKernel`): a gather from a column slice or a 3-D `np.dot` would
+    round differently."""
+    n = kernel.n
+    sign = kernel.sign.reshape(n)
+    gaps = np.subtract(heights[:, :n], heights[:, n:])
+    gaps *= sign  # positive exactly where the crossing sign holds
+    min_gap = np.minimum.reduce(gaps, axis=1)
+    passed = min_gap >= gap_floor
+    passed &= np.isfinite(np.add.reduce(heights, axis=1))
+    if not passed.all():
+        heights, gaps, min_gap = heights[passed], gaps[passed], min_gap[passed]
+    count = len(heights)
+    kernel.evaluations += count
+    shape = (count,) + kernel.sign.shape
+    repulsion = np.multiply(gaps, gaps)
+    np.divide(sign, repulsion, out=repulsion)
+    repulsion = repulsion.reshape(shape)
+    z = heights.reshape((count, 2) + kernel.sign.shape)
+    velocity = np.empty_like(z)
+    kernel.blue_dots(z[:, 0], velocity[:, 0])
+    velocity[:, 0] += repulsion
+    kernel.red_dots(z[:, 1], velocity[:, 1])
+    velocity[:, 1] -= repulsion
+    grad_norm = np.maximum.reduce(np.abs(velocity.reshape(count, 2 * n)), axis=1)
+    u, v = kernel.edges
+    d = np.take(heights, u, axis=1)
+    d -= np.take(heights, v, axis=1)
+    energy = np.matmul(d[:, None, :], d[:, :, None]).reshape(count)
+    energy += kernel.x_term
+    energy += np.add.reduce(np.reciprocal(gaps, out=gaps), axis=1)
+    return passed, energy, grad_norm, min_gap
+
+
 def _rk4_step(kernel, dt, energy):
     """One Runge-Kutta step of size dt from the kernel's accepted state `y`,
     whose velocity `v` is k1 and whose energy is energy, to its candidate
@@ -595,6 +657,65 @@ def _ros_step(kernel, h, w_inv):
     return y_new, np.dot(_ROS_ERROR, u, out=error)
 
 
+def _record_steps(kernel, steps, record):
+    """Record the queued accepted steps of `_rosenbrock_phase` in time
+    order: each step's grid samples, then the step itself.  A step is
+    (t, h, grid times, y, y_new, v, v_new, energy, end): its start time and
+    size, the grid times strictly inside it, copies of its end states and
+    their velocities, its start energy and the `_end_state` of y_new.  The
+    grid states of all the steps are interpolated at once, as (G, 2n) rows,
+    and `_end_states` evaluates them at once; then the phase's skip rule is
+    replayed row by row, and a row that failed the fast test goes through
+    `_end_state` alone, with the reference energy it would have had.
+    Returns the numbers of grid samples recorded and skipped."""
+    spans = [step for step in steps if step[2]]
+    recorded = skipped = 0
+    if spans:
+        counts = [len(times) for _, _, times, *_ in spans]
+        theta, hermite, spread = [], [], []
+        for t, h, times, *_ in spans:
+            for t_grid in times:
+                s = (t_grid - t) / h
+                theta.append(s)
+                hermite.append(s * s * (3.0 - 2.0 * s))
+                spread.append(h * s * (1.0 - s))
+        theta = np.array(theta)[:, None]
+        y, y_new, v, v_new = (np.repeat(np.array(column), counts, axis=0) for column in list(zip(*spans))[3:7])
+        # cubic Hermite: the weights on y and y_new sum to 1 and the velocity
+        # term sums to zero (its mean is only rounding, which h would
+        # amplify), so the barycenter holds
+        heights = np.subtract(y_new, y)
+        heights *= np.array(hermite)[:, None]
+        heights += y
+        slope = np.multiply(v, 1.0 - theta)
+        slope -= np.multiply(v_new, theta, out=v_new)
+        slope -= (np.add.reduce(slope, axis=1) / (2 * kernel.n))[:, None]  # as ndarray.mean computes it
+        slope *= np.array(spread)[:, None]
+        heights += slope
+        passed, *values = _end_states(kernel, heights, kernel.gap_floor)
+        evaluated = zip(*(column.tolist() for column in values))
+        rows = zip(heights, passed.tolist())
+    for t, h, times, _, y_new, _, _, energy, end in steps:
+        last = energy
+        for t_grid in times:
+            row, ok = next(rows)
+            if ok:
+                sample = (None, *next(evaluated))
+                if not sample[1] <= last + kernel.cushion:
+                    sample = "energy increased"
+            else:
+                kernel.stage.flat[:] = row
+                sample = _end_state(kernel, kernel.stage, kernel.k2, last)
+            if isinstance(sample, str) or sample[1] < end[1] - kernel.cushion:
+                skipped += 1
+                continue
+            record(t_grid, row, sample)
+            last = sample[1]
+            recorded += 1
+        record(t + h, y_new, end)
+    return recorded, skipped
+
+
 def _rosenbrock_phase(kernel, t, end, h, params, record, stats):
     """Continue the flow from time t at the kernel's accepted state `y`,
     whose `_end_state` is `end`, with guarded ROS34PW2 steps, starting at
@@ -610,18 +731,24 @@ def _rosenbrock_phase(kernel, t, end, h, params, record, stats):
     components fades like 1/t, for O(log t) refreshes.  record(t, y, end) is
     called on every accepted step and, before it, at each grid time
     10^(k / _GRID_PER_DECADE) strictly inside the step, on the cubic Hermite
-    interpolant of the step's end states and velocities.  A grid state is
+    interpolant of the step's end states and velocities; it reads end[1:],
+    the energy, velocity sup norm and minimum gap.  A grid state is
     skipped, not recorded, when it trips a guard, its energy exceeds the
     previous state's by more than the cushion, or it lies more than the
-    cushion below the step end's.
+    cushion below the step end's.  The grid states are evaluated in
+    batches, which never steer the steps: accepted steps queue up, and
+    `_record_steps` records them once they span `_GRID_PER_DECADE` grid
+    times, about a decade of t, and before the phase returns.
     Returns (t, end, status, stats), with the final state in the kernel's
-    `y` and the counts of both phases in stats.
+    `y` and the counts of both phases in stats, whose velocity evaluations
+    count states (a batched grid state is one), not `_velocity` calls.
     """
     size = 2 * kernel.n
-    accepted = rejected = refreshes = on_grid = skipped = 0
+    accepted = rejected = refreshes = 0
     h_w = t_w = None  # the step size and the time W^-1 was built for
-    # the scratch rows hold the size of y, then a grid sample's slope terms
-    grid_state, (slope, weighted) = kernel.stage, kernel.scratch
+    # the accepted steps not yet recorded, the grid times they span, and the
+    # (recorded, skipped) grid samples of each batch
+    steps, queued, batches = [], 0, []
     # an index below every grid time after t, whatever the rounding of log10
     grid = math.floor(_GRID_PER_DECADE * math.log10(t)) - 1
     v, energy, grad_norm, _ = end
@@ -649,7 +776,7 @@ def _rosenbrock_phase(kernel, t, end, h, params, record, stats):
         y_new, error = _ros_step(kernel, h_eff, w_inv)
         # a non-finite stage makes the error NaN, which fails the test below
         error = float(np.maximum.reduce(np.abs(error, out=error)))
-        error /= _ROS_TOL * max(1.0, float(np.maximum.reduce(np.abs(y, out=slope))))
+        error /= _ROS_TOL * max(1.0, float(np.maximum.reduce(np.abs(y, out=kernel.scratch[0]))))
         new_end = (
             _end_state(kernel, y_new, kernel.v_new, energy) if error <= 1.0 else "error estimate above tolerance"
         )
@@ -660,38 +787,24 @@ def _rosenbrock_phase(kernel, t, end, h, params, record, stats):
             rejected += 1
             continue
         t_new = t + h_eff
-        v_new, energy_new, _, _ = new_end
-        last = energy
+        times = []
         while (t_grid := 10.0 ** ((grid + 1) / _GRID_PER_DECADE)) < t_new:
             grid += 1
-            if t_grid <= t:
-                continue
-            theta = (t_grid - t) / h_eff
-            # cubic Hermite: the weights on y and y_new sum to 1 and the
-            # velocity term sums to zero (its mean is only rounding, which
-            # h would amplify), so the barycenter holds
-            y_grid = np.subtract(y_new.flat, y, out=grid_state.flat)
-            y_grid *= theta * theta * (3.0 - 2.0 * theta)
-            y_grid += y
-            np.multiply(v, 1.0 - theta, out=slope)
-            slope -= np.multiply(v_new, theta, out=weighted)
-            slope -= np.add.reduce(slope) / size  # its mean, as ndarray.mean computes it
-            slope *= h_eff * theta * (1.0 - theta)
-            y_grid += slope
-            sample = _end_state(kernel, grid_state, kernel.k2, last)
-            if isinstance(sample, str) or sample[1] < energy_new - kernel.cushion:
-                skipped += 1
-                continue
-            record(t_grid, y_grid, sample)
-            last = sample[1]
-            on_grid += 1
+            if t_grid > t:
+                times.append(t_grid)
+        steps.append((t, h_eff, times, y.copy(), y_new.flat.copy(), v.copy(), new_end[0].copy(), energy, new_end))
+        queued += len(times)
         t = t_new
         kernel.accept()
         end = new_end
         v, energy, grad_norm, _ = end
         accepted += 1
-        record(t, kernel.y.flat, end)
+        if queued >= _GRID_PER_DECADE:
+            batches.append(_record_steps(kernel, steps, record))
+            steps, queued = [], 0
         h = 2.0 * h_eff if error < _ROS_GROW else h_eff
+    batches.append(_record_steps(kernel, steps, record))
+    on_grid, skipped = map(sum, zip(*batches))
     phase = replace(
         stats, ros_accepted=accepted, ros_rejected=rejected, w_refreshes=refreshes,
         velocity_evaluations=kernel.evaluations, grid_recorded=on_grid, grid_skipped=skipped,

@@ -21,8 +21,9 @@ class InvalidParameter(TangleflowError, ValueError):
 
 
 class MismatchedVertexSet(TangleflowError, ValueError):
-    """A per-vertex table (crossing signs, heights) does not cover exactly the
-    vertex set of the system it is paired with."""
+    """A per-vertex table (crossing signs, heights, planar coordinates) does
+    not cover exactly the vertex set of the system it is paired with, or is
+    no array of numbers at all: text, or rows of unequal lengths."""
 
 
 class DisconnectedGraph(TangleflowError):

@@ -48,7 +48,13 @@ __all__ = [
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    return _freeze(np.array(values, dtype=dtype))
+    """A frozen copy of values as an array of dtype; text, or nested
+    sequences of unequal lengths, raise MismatchedVertexSet."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except ValueError as exc:
+        raise MismatchedVertexSet(f"per-vertex values are not an array of numbers: {exc}") from None
+    return _freeze(arr)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

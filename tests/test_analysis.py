@@ -110,8 +110,9 @@ def test_not_symmetric_rejected():
         (np.zeros((0, 0)), r"got shape \(0, 0\), float64"),  # a raw ValueError
         ([["a", "0"], ["0", "1"]], r"real matrix, got shape \(2, 2\), <U1"),  # a raw ValueError
         ([[1j, 0.0], [0.0, 1.0]], r"real matrix, got shape \(2, 2\), complex128"),  # a raw TypeError
+        ([[1.0, 0.0], [0.0]], "rows of unequal lengths"),  # a raw ValueError
     ],
-    ids=["nan", "inf", "empty", "text", "complex"],
+    ids=["nan", "inf", "empty", "text", "complex", "ragged"],
 )
 def test_malformed_matrix_rejected(matrix, message):
     with pytest.raises(NotSymmetric, match=message):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import tracemalloc
 import weakref
 
@@ -582,16 +583,23 @@ def test_rosenbrock_phase_is_pinned(caplog, name, n_samples, energy, counts):
 @pytest.mark.parametrize("name", ["untangled_pair.graph", "three_blocks_6x6.weave"])
 def test_kernel_counts_every_velocity_evaluation(caplog, monkeypatch, name):
     """A run's `_StepKernel` counts every call of the module-level
-    `_velocity` on it, through both phases (t_max=50, past the switch at
-    t = 10.33), and the Rosenbrock INFO line reports the count's change over
-    that phase."""
+    `_velocity` on it and every grid row that the module-level
+    `_end_states` evaluates on it (those that pass its fast test), through
+    both phases (t_max=50, past the switch at t = 10.33), and the Rosenbrock
+    INFO line reports the count's change over that phase."""
     caplog.set_level(logging.INFO, logger="tangleflow")
-    velocity, rosenbrock_phase = dynamics._velocity, dynamics._rosenbrock_phase
-    kernels, phases = [], []
+    velocity, end_states = dynamics._velocity, dynamics._end_states
+    rosenbrock_phase = dynamics._rosenbrock_phase
+    evaluated, phases = [], []  # per call: (kernel, states whose velocity it evaluated)
 
     def counted_velocity(kernel, *args):
-        kernels.append(kernel)
+        evaluated.append((kernel, 1))
         return velocity(kernel, *args)
+
+    def counted_end_states(kernel, *args):
+        passed, *values = end_states(kernel, *args)
+        evaluated.append((kernel, int(np.count_nonzero(passed))))
+        return (passed, *values)
 
     def watched_phase(kernel, *args):
         start = kernel.evaluations
@@ -600,12 +608,15 @@ def test_kernel_counts_every_velocity_evaluation(caplog, monkeypatch, name):
         return result
 
     monkeypatch.setattr(dynamics, "_velocity", counted_velocity)
+    monkeypatch.setattr(dynamics, "_end_states", counted_end_states)
     monkeypatch.setattr(dynamics, "_rosenbrock_phase", watched_phase)
     system = load_system(name)
     integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=50.0))
     [(kernel, in_phase)] = phases
+    kernels, counts = zip(*evaluated)
     assert all(k is kernel for k in kernels)
-    assert kernel.evaluations == len(kernels) > in_phase > 0
+    assert any(count > 1 for count in counts)  # a batch of grid rows
+    assert kernel.evaluations == sum(counts) > in_phase > 0
     summary = caplog.records[-1].getMessage()
     assert summary.startswith("Rosenbrock phase ended at t=50: ")
     assert f" W refreshes, {in_phase} velocity evaluations, " in summary
@@ -617,9 +628,12 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
     """`Trajectory.stats` holds the exact counts of a run through both
     phases (t_max=50, past the switch at t = 10.33), each equal to the calls
     of a wrapped module-level function: RK4 and Rosenbrock attempts, W
-    refreshes, velocity evaluations and guard calls, and the end states of
-    steps and grid samples, rejected or not.  The INFO lines report the same
-    counts, and the counts predict the number of recorded rows."""
+    refreshes, guard calls, and the end states of steps, rejected or not;
+    grid samples are the rows of the `_end_states` batches, whose rows that
+    pass its fast test count as velocity evaluations besides the `_velocity`
+    calls, and whose other rows go through `_end_state` alone.  The INFO
+    lines report the same counts, and the counts predict the number of
+    recorded rows."""
     caplog.set_level(logging.INFO, logger="tangleflow")
     calls = {"_rk4_step": 0, "_ros_step": 0, "_jacobian": 0, "_velocity": 0, "_guard_reason": 0}
     ends = []  # per `_end_state` call: (in the Rosenbrock phase, of a grid sample, rejected)
@@ -645,7 +659,15 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
         at_switch.append(calls["_velocity"])
         return rosenbrock_phase(*args)
 
+    end_states, batches = dynamics._end_states, []  # per batch: (rows, rows that pass)
+
+    def watched_end_states(kernel, heights, gap_floor):
+        passed, *values = end_states(kernel, heights, gap_floor)
+        batches.append((len(heights), int(np.count_nonzero(passed))))
+        return (passed, *values)
+
     monkeypatch.setattr(dynamics, "_end_state", watched_end_state)
+    monkeypatch.setattr(dynamics, "_end_states", watched_end_states)
     monkeypatch.setattr(dynamics, "_rosenbrock_phase", watched_phase)
     system = load_system(name)
     params = FlowParams(t_max=50.0, record_stride=stride)
@@ -660,8 +682,10 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
     # a Rosenbrock step rejected by its error estimate has no end state
     assert calls["_ros_step"] == stats.ros_accepted + stats.ros_rejected
     assert ros.count(False) == stats.ros_accepted
-    assert len(grid) == stats.grid_recorded + stats.grid_skipped >= grid.count(True)
-    assert (calls["_jacobian"], calls["_velocity"], calls["_guard_reason"]) == (
+    grid_rows, batched = (sum(column) for column in zip(*batches))
+    assert grid_rows == stats.grid_recorded + stats.grid_skipped
+    assert len(grid) == grid_rows - batched >= grid.count(True)
+    assert (calls["_jacobian"], calls["_velocity"] + batched, calls["_guard_reason"]) == (
         stats.w_refreshes, stats.velocity_evaluations, len(ends)
     )
     assert len(traj.t) == 1 + stats.rk4_accepted // stride + stats.ros_accepted + stats.grid_recorded
@@ -787,9 +811,10 @@ def test_long_untangled_run_ends_without_a_rejection_storm(monkeypatch):
     """Heights of ~1e4 and more make an energy formula that cancels round
     above the energy cushion; then about half the end states are rejected,
     the steps stay short and a run to 1e20 never ends.  With squared edge
-    differences the run to 1e14 ends truncated, after ~4,500 `_end_state`
-    calls (2,915 samples); the budget of 30,000 calls makes a storm fail
-    fast instead of hanging."""
+    differences the run to 1e14 ends truncated, after 1,291 `_end_state`
+    calls (2,363 samples): one per RK4 step, per Rosenbrock step that passes
+    its error test, and per grid sample that fails the batch's fast test;
+    the budget of 30,000 calls makes a storm fail fast instead of hanging."""
     calls = 0
     end_state = dynamics._end_state
 
@@ -809,7 +834,8 @@ def test_long_untangled_run_ends_without_a_rejection_storm(monkeypatch):
 
 def test_skipped_grid_samples_leave_the_steps_unchanged(caplog, monkeypatch):
     """Grid samples are read off accepted steps and never steer them: when
-    every grid state fails the guard, each is skipped (counted, not
+    every grid state fails the batch's fast test (an infinite gap floor)
+    and then the guard of `_end_state`, each is skipped (counted, not
     recorded), and the run records exactly the other samples of the
     unpatched run, bit for bit."""
     system = load_system("untangled_pair.graph")
@@ -821,7 +847,7 @@ def test_skipped_grid_samples_leave_the_steps_unchanged(caplog, monkeypatch):
     assert recorded.endswith(" grid samples recorded, 0 skipped")
     n_grid = int(recorded.split(" velocity evaluations, ")[1].split()[0])
 
-    ros_step, end_state = dynamics._ros_step, dynamics._end_state
+    ros_step, end_state, end_states = dynamics._ros_step, dynamics._end_state, dynamics._end_states
     ends = []  # the end state of each Rosenbrock step
 
     def remembered_step(*args):
@@ -834,14 +860,66 @@ def test_skipped_grid_samples_leave_the_steps_unchanged(caplog, monkeypatch):
             return "minimum gap fell below the floor"
         return end_state(kernel, y, *args)
 
+    def failing_batch(kernel, heights, gap_floor):
+        return end_states(kernel, heights, math.inf)
+
     monkeypatch.setattr(dynamics, "_ros_step", remembered_step)
     monkeypatch.setattr(dynamics, "_end_state", failing_grid_state)
+    monkeypatch.setattr(dynamics, "_end_states", failing_batch)
     caplog.clear()
     patched = integrate(system, config, params)
     assert caplog.records[-1].getMessage().endswith(f" 0 grid samples recorded, {n_grid} skipped")
     energies = {s.t: s.energy for s in full.samples}
     assert len(patched.samples) == len(full.samples) - n_grid
     assert all(energies[s.t] == s.energy for s in patched.samples)
+
+
+def batch_systems():
+    """Weaves of every family shape from 1 to 4 threads and a 6x6, random
+    graphs, and the bundled untangled designs."""
+    rng = np.random.default_rng(23)
+    for n_blue, n_red in [(b, r) for b in range(1, 5) for r in range(1, 5)] + [(6, 6)]:
+        sign = tuple(tuple(int(s) for s in rng.choice([-1, 1], size=n_red)) for _ in range(n_blue))
+        yield build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign, spacing=1.0))
+    for _ in range(6):
+        yield random_graph_system(rng, max_vertices=12)
+    for name in ("untangled_pair.graph", "square_flat.graph", "two_blocks_4x4.weave", "three_blocks_6x6.weave"):
+        yield load_system(name)
+
+
+@pytest.mark.parametrize("system", batch_systems(), ids=lambda system: f"{system.kind}-{system.n_vertices}")
+def test_batched_end_states_match_end_state_row_for_row(system):
+    """`_end_states` gives each row that passes its fast test the energy,
+    velocity sup norm and minimum gap that `_end_state` gives it, bit for
+    bit, and counts one velocity evaluation per such row; a row it leaves
+    out `_end_state` rejects.  The rows are perturbations of a random
+    initial state at several scales, then three copies of it with a flipped
+    sign, a NaN and a gap below the floor, so the batch holds passing and
+    failing rows."""
+    rng = np.random.default_rng(system.n_vertices)
+    config = random_initial_configuration(system, seed=3)
+    y = np.concatenate((config.z_blue, config.z_red))
+    n = system.n_vertices
+    with np.errstate(**dynamics._QUIET):
+        kernel = dynamics._StepKernel(system, config.x, y, np.abs(config.z_blue - config.z_red))
+        rows = y + rng.normal(size=(12, 2 * n)) * np.repeat([0.0, 1e-3, 0.1, 1.0], 3)[:, None]
+        rows[9:] = y
+        flipped, nan, narrow = rows[9:]
+        flipped[0], flipped[n] = flipped[n], flipped[0]
+        nan[-1] = np.nan
+        narrow[n] = narrow[0] - kernel.sign.flat[0] * 0.5 * kernel.gap_floor
+        start = kernel.evaluations
+        passed, *values = dynamics._end_states(kernel, rows, kernel.gap_floor)
+        assert kernel.evaluations - start == np.count_nonzero(passed) >= 3
+        evaluated = zip(*(column.tolist() for column in values))
+        for row, ok in zip(rows, passed.tolist()):
+            kernel.stage.flat[:] = row
+            end = dynamics._end_state(kernel, kernel.stage, kernel.k2, math.inf)
+            if ok:
+                assert next(evaluated) == (end[1], end[2], float(end[3]))
+            else:
+                assert isinstance(end, str)
+    assert not passed[9:].any()
 
 
 @pytest.mark.parametrize("exact_jacobian", [True, False], ids=["exact J", "fixed wrong W"])

@@ -499,6 +499,26 @@ def test_make_configuration_rejects_heights_that_are_not_a_real_vector(z_blue, e
             make_configuration(system, (1.0, -1.0), z_blue)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("x", "a"),  # text planar coordinates
+        ("z_blue", ("1.0", "x")),  # text heights
+        ("z_blue", ((1.0, 2.0), (3.0,))),  # ragged heights
+        ("z_red", (1.0, (2.0, 3.0))),  # ragged, one entry a sequence
+    ],
+    ids=["text x", "text z_blue", "ragged z_blue", "ragged z_red"],
+)
+def test_configuration_rejects_values_that_are_not_an_array(field, value):
+    """A `Configuration` built directly from text or ragged values raises
+    MismatchedVertexSet, still a ValueError, not numpy's raw ValueError."""
+    fields = dict(x=np.zeros((2, 2)), z_blue=(1.0, -1.0), z_red=(-1.0, 1.0))
+    fields[field] = value
+    with pytest.raises(MismatchedVertexSet, match="per-vertex values are not an array of numbers"):
+        Configuration(**fields)
+    assert issubclass(MismatchedVertexSet, ValueError)
+
+
 def test_make_configuration_converts_ints_beyond_64_bits():
     system = build_entangled_system(pair_graph(), (1, -1))
     config = make_configuration(system, (2**70, -1), (-1.0, 1.0))
