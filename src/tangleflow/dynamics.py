@@ -378,9 +378,9 @@ class _StepKernel:
     state `y_new` and its velocity `v_new` (`accept` swaps the two pairs);
     the RK4 stage state `stage` and stage velocities `k2`, `k3`, `k4`, of
     which a Rosenbrock stage or a grid sample left to `_end_state` uses
-    `stage` and `k2`; the
-    Rosenbrock stages `u`; the absolute gaps `gaps`, with their view
-    `gap_view` in the families' shape; the repulsion; and scratch rows."""
+    `stage` and `k2`; the Rosenbrock stages `u`; the absolute gaps `gaps`,
+    with their view `gap_view` in the families' shape; the repulsion; and
+    scratch rows."""
 
     def __init__(self, system, x=None, y=None, gaps=None, gap_safety=FlowParams.gap_safety):
         self.n = n = system.n_vertices
