@@ -37,10 +37,9 @@ in the "first same as last" Runge-Kutta pairs of Dormand and Prince (1980),
 then the energy, from `_energy` as everywhere.  The guard's minimum gap sets
 the RK4 stability cap on dt.  Grid samples never steer a step, so the phase
 queues its accepted steps and evaluates their grid samples a decade of t at
-a time, as the rows of one array, in `_end_states`: the same guard, velocity
-and energy, bit for bit, with `_end_state` left only the rows that fail the
-guard's fast test.  Per sample, numpy dispatch on arrays of n <= 36 heights
-costs more than the arithmetic.
+a time, as the rows of one array, in `_end_states`: the same guard verdict,
+velocity and energy, bit for bit.  Per sample, numpy dispatch on arrays of
+n <= 36 heights costs more than the arithmetic.
 
 `integrate` records each point as one row: its time, a copy of its stacked
 heights, and its energy, velocity sup norm and minimum gap.  Once the run
@@ -377,10 +376,9 @@ class _StepKernel:
     of a run: the accepted state `y` and its velocity `v`; the candidate end
     state `y_new` and its velocity `v_new` (`accept` swaps the two pairs);
     the RK4 stage state `stage` and stage velocities `k2`, `k3`, `k4`, of
-    which a Rosenbrock stage or a grid sample left to `_end_state` uses
-    `stage` and `k2`; the Rosenbrock stages `u`; the absolute gaps `gaps`,
-    with their view `gap_view` in the families' shape; the repulsion; and
-    scratch rows."""
+    which a Rosenbrock stage uses `stage` and `k2`; the Rosenbrock stages
+    `u`; the absolute gaps `gaps`, with their view `gap_view` in the
+    families' shape; the repulsion; and scratch rows."""
 
     def __init__(self, system, x=None, y=None, gaps=None, gap_safety=FlowParams.gap_safety):
         self.n = n = system.n_vertices
@@ -538,13 +536,13 @@ def _end_state(kernel, y, v, reference):
 def _end_states(kernel, heights, gap_floor):
     """Evaluate the stacked heights in the C-ordered rows of heights, (G, 2n),
     at once, bit for bit as `_end_state` evaluates each, but with no energy
-    reference: the guard's fast test, every signed gap at or above gap_floor
-    and a finite row sum, then, for the rows that pass it, the velocity, the
-    energy, the velocity's sup norm and the minimum gap.  Returns (passed,
-    energy, grad_norm, min_gap): the boolean mask of the rows that pass and,
-    for them alone, in order, the three arrays of values.  Each passing row
-    counts as one velocity evaluation in the kernel's `evaluations`; the
-    others are left to `_end_state`.
+    reference: the guard, every height finite and every signed gap at or
+    above gap_floor (positive), which is `_guard_reason`'s verdict row for
+    row, then, for the rows that pass it, the velocity, the energy, the
+    velocity's sup norm and the minimum gap.  Returns (passed, energy,
+    grad_norm, min_gap): the boolean mask of the rows that pass and, for
+    them alone, in order, the three arrays of values.  Each passing row
+    counts as one velocity evaluation in the kernel's `evaluations`.
 
     Every reduction runs along a C-ordered row, which sums as the 1-D
     reduction does, and every product is a batched matmul (see
@@ -556,7 +554,7 @@ def _end_states(kernel, heights, gap_floor):
     gaps *= sign  # positive exactly where the crossing sign holds
     min_gap = np.minimum.reduce(gaps, axis=1)
     passed = min_gap >= gap_floor
-    passed &= np.isfinite(np.add.reduce(heights, axis=1))
+    passed &= np.isfinite(heights).all(axis=1)
     if not passed.all():
         heights, gaps, min_gap = heights[passed], gaps[passed], min_gap[passed]
     count = len(heights)
@@ -665,32 +663,27 @@ def _record_steps(kernel, steps, record):
     their velocities, its start energy and the `_end_state` of y_new.  The
     grid states of all the steps are interpolated at once, as (G, 2n) rows,
     and `_end_states` evaluates them at once; then the phase's skip rule is
-    replayed row by row, and a row that failed the fast test goes through
-    `_end_state` alone, with the reference energy it would have had.
+    replayed row by row on the rows that pass its guard.
     Returns the numbers of grid samples recorded and skipped."""
     spans = [step for step in steps if step[2]]
     recorded = skipped = 0
     if spans:
-        counts = [len(times) for _, _, times, *_ in spans]
-        theta, hermite, spread = [], [], []
-        for t, h, times, *_ in spans:
-            for t_grid in times:
-                s = (t_grid - t) / h
-                theta.append(s)
-                hermite.append(s * s * (3.0 - 2.0 * s))
-                spread.append(h * s * (1.0 - s))
-        theta = np.array(theta)[:, None]
-        y, y_new, v, v_new = (np.repeat(np.array(column), counts, axis=0) for column in list(zip(*spans))[3:7])
+        starts, sizes, times, *states = list(zip(*spans))[:7]
+        counts = list(map(len, times))
+        starts, sizes = (np.repeat(column, counts)[:, None] for column in (starts, sizes))
+        y, y_new, v, v_new = (np.repeat(state, counts, axis=0) for state in states)
+        theta = (np.concatenate(times)[:, None] - starts) / sizes
+        rest = 1.0 - theta
         # cubic Hermite: the weights on y and y_new sum to 1 and the velocity
         # term sums to zero (its mean is only rounding, which h would
         # amplify), so the barycenter holds
         heights = np.subtract(y_new, y)
-        heights *= np.array(hermite)[:, None]
+        heights *= theta * theta * (3.0 - 2.0 * theta)
         heights += y
-        slope = np.multiply(v, 1.0 - theta)
+        slope = np.multiply(v, rest)
         slope -= np.multiply(v_new, theta, out=v_new)
         slope -= (np.add.reduce(slope, axis=1) / (2 * kernel.n))[:, None]  # as ndarray.mean computes it
-        slope *= np.array(spread)[:, None]
+        slope *= sizes * theta * rest
         heights += slope
         passed, *values = _end_states(kernel, heights, kernel.gap_floor)
         evaluated = zip(*(column.tolist() for column in values))
@@ -701,17 +694,12 @@ def _record_steps(kernel, steps, record):
             row, ok = next(rows)
             if ok:
                 sample = (None, *next(evaluated))
-                if not sample[1] <= last + kernel.cushion:
-                    sample = "energy increased"
-            else:
-                kernel.stage.flat[:] = row
-                sample = _end_state(kernel, kernel.stage, kernel.k2, last)
-            if isinstance(sample, str) or sample[1] < end[1] - kernel.cushion:
-                skipped += 1
-                continue
-            record(t_grid, row, sample)
-            last = sample[1]
-            recorded += 1
+                if end[1] - kernel.cushion <= sample[1] <= last + kernel.cushion:
+                    record(t_grid, row, sample)
+                    last = sample[1]
+                    recorded += 1
+                    continue
+            skipped += 1
         record(t + h, y_new, end)
     return recorded, skipped
 

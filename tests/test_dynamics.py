@@ -584,7 +584,7 @@ def test_rosenbrock_phase_is_pinned(caplog, name, n_samples, energy, counts):
 def test_kernel_counts_every_velocity_evaluation(caplog, monkeypatch, name):
     """A run's `_StepKernel` counts every call of the module-level
     `_velocity` on it and every grid row that the module-level
-    `_end_states` evaluates on it (those that pass its fast test), through
+    `_end_states` evaluates on it (those that pass its guard), through
     both phases (t_max=50, past the switch at t = 10.33), and the Rosenbrock
     INFO line reports the count's change over that phase."""
     caplog.set_level(logging.INFO, logger="tangleflow")
@@ -630,10 +630,10 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
     of a wrapped module-level function: RK4 and Rosenbrock attempts, W
     refreshes, guard calls, and the end states of steps, rejected or not;
     grid samples are the rows of the `_end_states` batches, whose rows that
-    pass its fast test count as velocity evaluations besides the `_velocity`
-    calls, and whose other rows go through `_end_state` alone.  The INFO
-    lines report the same counts, and the counts predict the number of
-    recorded rows."""
+    pass its guard count as velocity evaluations besides the `_velocity`
+    calls, and no grid sample goes through `_end_state`.  The INFO lines
+    report the same counts, and the counts predict the number of recorded
+    rows."""
     caplog.set_level(logging.INFO, logger="tangleflow")
     calls = {"_rk4_step": 0, "_ros_step": 0, "_jacobian": 0, "_velocity": 0, "_guard_reason": 0}
     ends = []  # per `_end_state` call: (in the Rosenbrock phase, of a grid sample, rejected)
@@ -684,7 +684,7 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
     assert ros.count(False) == stats.ros_accepted
     grid_rows, batched = (sum(column) for column in zip(*batches))
     assert grid_rows == stats.grid_recorded + stats.grid_skipped
-    assert len(grid) == grid_rows - batched >= grid.count(True)
+    assert grid == []
     assert (calls["_jacobian"], calls["_velocity"] + batched, calls["_guard_reason"]) == (
         stats.w_refreshes, stats.velocity_evaluations, len(ends)
     )
@@ -811,10 +811,10 @@ def test_long_untangled_run_ends_without_a_rejection_storm(monkeypatch):
     """Heights of ~1e4 and more make an energy formula that cancels round
     above the energy cushion; then about half the end states are rejected,
     the steps stay short and a run to 1e20 never ends.  With squared edge
-    differences the run to 1e14 ends truncated, after 1,291 `_end_state`
-    calls (2,363 samples): one per RK4 step, per Rosenbrock step that passes
-    its error test, and per grid sample that fails the batch's fast test;
-    the budget of 30,000 calls makes a storm fail fast instead of hanging."""
+    differences the run to 1e14 ends truncated, after 1,137 `_end_state`
+    calls (2,363 samples): one per RK4 step and per Rosenbrock step that
+    passes its error test; the budget of 30,000 calls makes a storm fail
+    fast instead of hanging."""
     calls = 0
     end_state = dynamics._end_state
 
@@ -834,10 +834,9 @@ def test_long_untangled_run_ends_without_a_rejection_storm(monkeypatch):
 
 def test_skipped_grid_samples_leave_the_steps_unchanged(caplog, monkeypatch):
     """Grid samples are read off accepted steps and never steer them: when
-    every grid state fails the batch's fast test (an infinite gap floor)
-    and then the guard of `_end_state`, each is skipped (counted, not
-    recorded), and the run records exactly the other samples of the
-    unpatched run, bit for bit."""
+    every grid state fails the batch's guard (an infinite gap floor), each
+    is skipped (counted, not recorded), and the run records exactly the
+    other samples of the unpatched run, bit for bit."""
     system = load_system("untangled_pair.graph")
     config = random_initial_configuration(system, seed=11)
     params = FlowParams(t_max=1e3)
@@ -847,24 +846,11 @@ def test_skipped_grid_samples_leave_the_steps_unchanged(caplog, monkeypatch):
     assert recorded.endswith(" grid samples recorded, 0 skipped")
     n_grid = int(recorded.split(" velocity evaluations, ")[1].split()[0])
 
-    ros_step, end_state, end_states = dynamics._ros_step, dynamics._end_state, dynamics._end_states
-    ends = []  # the end state of each Rosenbrock step
-
-    def remembered_step(*args):
-        y_new, error = ros_step(*args)
-        ends.append(y_new)
-        return y_new, error
-
-    def failing_grid_state(kernel, y, *args):
-        if ends and y is not ends[-1]:
-            return "minimum gap fell below the floor"
-        return end_state(kernel, y, *args)
+    end_states = dynamics._end_states
 
     def failing_batch(kernel, heights, gap_floor):
         return end_states(kernel, heights, math.inf)
 
-    monkeypatch.setattr(dynamics, "_ros_step", remembered_step)
-    monkeypatch.setattr(dynamics, "_end_state", failing_grid_state)
     monkeypatch.setattr(dynamics, "_end_states", failing_batch)
     caplog.clear()
     patched = integrate(system, config, params)
@@ -889,37 +875,46 @@ def batch_systems():
 
 @pytest.mark.parametrize("system", batch_systems(), ids=lambda system: f"{system.kind}-{system.n_vertices}")
 def test_batched_end_states_match_end_state_row_for_row(system):
-    """`_end_states` gives each row that passes its fast test the energy,
-    velocity sup norm and minimum gap that `_end_state` gives it, bit for
-    bit, and counts one velocity evaluation per such row; a row it leaves
-    out `_end_state` rejects.  The rows are perturbations of a random
-    initial state at several scales, then three copies of it with a flipped
-    sign, a NaN and a gap below the floor, so the batch holds passing and
-    failing rows."""
+    """`_end_states` passes exactly the rows that `_end_state` accepts, gives
+    each the energy, velocity sup norm and minimum gap that `_end_state`
+    gives it, bit for bit, and counts one velocity evaluation per such row.
+    The rows are perturbations of a random initial state at several scales,
+    then three copies of it with a flipped sign, a NaN and a gap below the
+    floor, so the batch holds passing and failing rows, and last a row of
+    finite heights near H = 0.9 DBL_MAX / (2 d), d the largest vertex degree
+    in a family, so that no partial sum of 2 L z overflows.  Its row sum,
+    about 0.9 n / d DBL_MAX, overflows when 0.9 n > d (21 of the 27
+    systems), and the guard takes the row all the same."""
     rng = np.random.default_rng(system.n_vertices)
     config = random_initial_configuration(system, seed=3)
     y = np.concatenate((config.z_blue, config.z_red))
     n = system.n_vertices
     with np.errstate(**dynamics._QUIET):
         kernel = dynamics._StepKernel(system, config.x, y, np.abs(config.z_blue - config.z_red))
-        rows = y + rng.normal(size=(12, 2 * n)) * np.repeat([0.0, 1e-3, 0.1, 1.0], 3)[:, None]
+        scales = np.repeat([0.0, 1e-3, 0.1, 1.0, 0.0], [3, 3, 3, 3, 1])
+        rows = y + rng.normal(size=(13, 2 * n)) * scales[:, None]
         rows[9:] = y
-        flipped, nan, narrow = rows[9:]
+        flipped, nan, narrow, huge = rows[9:]
         flipped[0], flipped[n] = flipped[n], flipped[0]
         nan[-1] = np.nan
         narrow[n] = narrow[0] - kernel.sign.flat[0] * 0.5 * kernel.gap_floor
+        degree = np.bincount(np.concatenate(kernel.edges), minlength=2 * n).max()
+        huge[:] = 0.9 * np.finfo(float).max / max(2 * degree, 1)
+        huge[:n] += kernel.sign.reshape(n) * 2.0**-20 * huge[:n]
+        assert np.isfinite(huge).all()
+        overflows = not math.isfinite(np.add.reduce(huge))
         start = kernel.evaluations
         passed, *values = dynamics._end_states(kernel, rows, kernel.gap_floor)
-        assert kernel.evaluations - start == np.count_nonzero(passed) >= 3
+        assert kernel.evaluations - start == np.count_nonzero(passed) >= 4
         evaluated = zip(*(column.tolist() for column in values))
         for row, ok in zip(rows, passed.tolist()):
             kernel.stage.flat[:] = row
             end = dynamics._end_state(kernel, kernel.stage, kernel.k2, math.inf)
+            assert ok is not isinstance(end, str)
             if ok:
                 assert next(evaluated) == (end[1], end[2], float(end[3]))
-            else:
-                assert isinstance(end, str)
-    assert not passed[9:].any()
+    assert passed.tolist()[9:] == [False, False, False, True]
+    assert overflows == (0.9 * n > degree)
 
 
 @pytest.mark.parametrize("exact_jacobian", [True, False], ids=["exact J", "fixed wrong W"])
