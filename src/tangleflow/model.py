@@ -48,11 +48,14 @@ __all__ = [
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    """A frozen copy of values as an array of dtype; text, or nested
-    sequences of unequal lengths, raise MismatchedVertexSet."""
+    """A frozen copy of values as an array of dtype; entries that are not
+    real numbers (text, complex, None), nested sequences of unequal lengths
+    and a single value raise MismatchedVertexSet."""
     try:
         arr = np.array(values, dtype=dtype)
-    except ValueError as exc:
+        if arr.ndim == 0:
+            raise ValueError(f"got the single value {values!r}")
+    except (TypeError, ValueError) as exc:
         raise MismatchedVertexSet(f"per-vertex values are not an array of numbers: {exc}") from None
     return _freeze(arr)
 

@@ -506,12 +506,19 @@ def test_make_configuration_rejects_heights_that_are_not_a_real_vector(z_blue, e
         ("z_blue", ("1.0", "x")),  # text heights
         ("z_blue", ((1.0, 2.0), (3.0,))),  # ragged heights
         ("z_red", (1.0, (2.0, 3.0))),  # ragged, one entry a sequence
+        ("x", [[1j, 0.0], [0.0, 1.0]]),  # complex planar coordinates
+        ("z_blue", (object(), 1.0)),  # an entry that is no number
+        ("x", None),  # no array at all
     ],
-    ids=["text x", "text z_blue", "ragged z_blue", "ragged z_red"],
+    ids=[
+        "text x", "text z_blue", "ragged z_blue", "ragged z_red", "complex x", "object z_blue", "None x",
+    ],
 )
 def test_configuration_rejects_values_that_are_not_an_array(field, value):
-    """A `Configuration` built directly from text or ragged values raises
-    MismatchedVertexSet, still a ValueError, not numpy's raw ValueError."""
+    """A `Configuration` built directly from text, complex, ragged or
+    non-numeric values, or from None, raises MismatchedVertexSet, still a
+    ValueError, not numpy's raw ValueError or TypeError, and None no longer
+    becomes a 0-d NaN array."""
     fields = dict(x=np.zeros((2, 2)), z_blue=(1.0, -1.0), z_red=(-1.0, 1.0))
     fields[field] = value
     with pytest.raises(MismatchedVertexSet, match="per-vertex values are not an array of numbers"):
