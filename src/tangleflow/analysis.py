@@ -27,7 +27,7 @@ from .errors import (
     UnknownComponent,
 )
 from .model import _laplacian_entries
-from .topology import Classification, classify_entangled_graph, tangle_decomposition
+from .topology import is_entangled, tangle_decomposition
 
 __all__ = [
     "Series",
@@ -221,22 +221,16 @@ def separation_series(trajectory):
     """
     system = trajectory.system
     times = trajectory.t
+    if is_entangled(system):
+        kind = "graph" if system.kind == "entangled-graph" else "weave"
+        raise EntangledInput(f"separation is undefined for an entangled {kind} run")
     if system.kind == "entangled-graph":
-        if classify_entangled_graph(system) is Classification.ENTANGLED:
-            raise EntangledInput("separation is undefined for an entangled graph run")
         return [Series("separation", times, np.abs(trajectory.m_blue - trajectory.m_red))]
-
-    k_total = tangle_decomposition(system).k
-    if k_total == 1:
-        raise EntangledInput("separation is undefined for an entangled weave run")
-    out = []
-    components = trajectory.m_components
-    for k in range(1, k_total):
-        values = np.abs(
-            components[:, :k].sum(axis=1) - components[:, k:].sum(axis=1)
-        )
-        out.append(Series(f"separation_cut_{k}", times, values))
-    return out
+    m = trajectory.m_components  # one column per tangle component, top to bottom
+    return [
+        Series(f"separation_cut_{k}", times, np.abs(m[:, :k].sum(axis=1) - m[:, k:].sum(axis=1)))
+        for k in range(1, m.shape[1])
+    ]
 
 
 def _flatness(heights) -> np.ndarray:
