@@ -25,6 +25,7 @@ from .errors import (
     NotConverged,
     NotSymmetric,
     UnknownComponent,
+    WrongKind,
 )
 from .model import _laplacian_entries
 from .topology import is_entangled, tangle_decomposition
@@ -134,7 +135,7 @@ def weave_spectrum(system) -> np.ndarray:
     §4.4).  No n x n matrix is built.
     """
     if system.kind != "weave":
-        raise TypeError(f"expected a weave system, got kind={system.kind!r}")
+        raise WrongKind(f"expected a weave system, got kind={system.kind!r}")
     n_blue, n_red = system._grid.shape
     return np.sort(np.add.outer(_cycle_spectrum(n_blue), _cycle_spectrum(n_red)), axis=None)
 
@@ -170,7 +171,7 @@ def commutation_check(system) -> float:
     (exactly zero for every weave), from the height edges: no n x n matrix
     is built."""
     if system.kind != "weave":
-        raise TypeError(f"expected a weave system, got kind={system.kind!r}")
+        raise WrongKind(f"expected a weave system, got kind={system.kind!r}")
     return _commutator_norm(*system._height_edges, system.n_vertices)
 
 

@@ -65,14 +65,10 @@ def _load_system(path):
         raise DesignSemanticError(str(exc)) from None
 
 
-def _flow_params(args, default_t_max) -> FlowParams:
-    defaults = FlowParams()
+def _flow_params(args) -> FlowParams:
+    # the flow options this subcommand's parser has, each with its default there
     try:
-        return FlowParams(
-            dt_init=args.dt_init if getattr(args, "dt_init", None) is not None else defaults.dt_init,
-            t_max=args.t_max if args.t_max is not None else default_t_max,
-            grad_tol=args.grad_tol if getattr(args, "grad_tol", None) is not None else defaults.grad_tol,
-        )
+        return FlowParams(**{k: v for k, v in vars(args).items() if k in ("dt_init", "t_max", "grad_tol")})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -109,7 +105,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_relax(args) -> int:
     system = _load_system(args.design)
-    params = _flow_params(args, default_t_max=FlowParams().t_max)
+    params = _flow_params(args)
     config = _initial_configuration(system, args.seed)
     _LOG.info("integrating to t_max=%g", params.t_max)
     trajectory = integrate(system, config, params)
@@ -135,7 +131,7 @@ def _cmd_scaling(args) -> int:
         raise EntangledInput(
             "scaling requires an untangled design; this one is entangled"
         )
-    params = _flow_params(args, default_t_max=1e5)
+    params = _flow_params(args)
     config = _initial_configuration(system, args.seed)
     _LOG.info("integrating to t_max=%g", params.t_max)
     trajectory = integrate(system, config, params)
@@ -180,7 +176,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_verify(args) -> int:
     system = _load_system(args.design)
-    params = _flow_params(args, default_t_max=50.0)
+    params = _flow_params(args)
     trajectory = integrate(system, random_initial_configuration(system, seed=1), params)
     n, heights = system.n_vertices, trajectory.heights
     # the first sample holds the initial heights and their energy
@@ -238,9 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relax", help="integrate the descent flow")
     p.add_argument("design")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--grad-tol", type=float, default=None)
-    p.add_argument("--dt-init", type=float, default=None)
+    p.add_argument("--t-max", type=float, default=FlowParams.t_max)
+    p.add_argument("--grad-tol", type=float, default=FlowParams.grad_tol)
+    p.add_argument("--dt-init", type=float, default=FlowParams.dt_init)
     p.add_argument("--out-traj", default=None, help="write trajectory CSV here")
     p.add_argument("--out-config", default=None, help="write final configuration JSON here")
     p.set_defaults(func=_cmd_relax)
@@ -248,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling", help="fit the separation growth law")
     p.add_argument("design")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t-max", type=float, default=None)
+    p.add_argument("--t-max", type=float, default=1e5)
     p.set_defaults(func=_cmd_scaling)
 
     p = sub.add_parser("spectrum", help="print Laplacian eigenvalues")
@@ -257,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite on a design")
     p.add_argument("design")
-    p.add_argument("--t-max", type=float, default=None)
+    p.add_argument("--t-max", type=float, default=50.0)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DesignSemanticError, DesignSyntaxError, IoError
+from .errors import DesignSemanticError, DesignSyntaxError, IoError, WrongKind
 from .model import (
     GraphDesign,
     PeriodicQuotientGraph,
@@ -228,7 +228,7 @@ def serialize_design(design) -> str:
         for row in design.sign:
             lines.append("sign " + " ".join(_sign_token(s) for s in row))
     else:
-        raise TypeError(f"not a design: {design!r}")
+        raise WrongKind(f"not a design: {design!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -247,7 +247,7 @@ def design_to_system(design):
         return build_entangled_system(design.graph, design.sign)
     if isinstance(design, WeaveDesign):
         return build_weave_system(design)
-    raise TypeError(f"not a design: {design!r}")
+    raise WrongKind(f"not a design: {design!r}")
 
 
 def write_trajectory_csv(path, trajectory):

@@ -48,11 +48,11 @@ derives the barycenters and component sums there, row by row; a `Sample`
 with its `Configuration` is built only when `Trajectory.samples` is read.
 The run's exact step and evaluation counts go to `Trajectory.stats`.
 
-Each `integrate`, `step` or `gradient` call builds a `_StepKernel` and
-drops it when it returns: it derives the run's gap floor, energy cushion
-and planar term once, counts the velocity evaluations, and holds the
-buffers, with per-family views, of every stage and end state; energy calls
-read only edges.
+Each `integrate`, `step` or `gradient` call builds a `_StepKernel` from
+its configuration and drops it when it returns: it checks the heights and
+layout, derives the run's gap floor, energy cushion and planar term once,
+counts the velocity evaluations, and holds the buffers, with per-family
+views, of every stage and end state; energy calls read only edges.
 """
 from __future__ import annotations
 
@@ -70,6 +70,7 @@ from .errors import (
     MismatchedVertexSet,
     NonFiniteHeights,
     StepUnderflow,
+    WrongKind,
     ZeroGap,
 )
 from .model import Configuration, _laplacian
@@ -281,7 +282,7 @@ class Trajectory:
 
 def _checked_heights(system, config) -> tuple:
     """The stacked heights [z_blue; z_red] and absolute gaps |z_blue - z_red|
-    of heights that fit the system, are finite and nowhere touch."""
+    of a config that fits the system, is finite and whose heights never touch."""
     n = system.n_vertices
     zb, zr = config.z_blue, config.z_red
     if zb.shape != (n,) or zr.shape != (n,):
@@ -292,6 +293,8 @@ def _checked_heights(system, config) -> tuple:
         raise MismatchedVertexSet(f"planar coordinates must have shape ({n}, 2), got {config.x.shape}")
     if not (np.all(np.isfinite(zb)) and np.all(np.isfinite(zr))):
         raise NonFiniteHeights("heights must be finite")
+    if not np.all(np.isfinite(config.x)):
+        raise NonFiniteHeights("planar coordinates must be finite")
     d = zb - zr
     zero = np.nonzero(d == 0.0)[0]
     if zero.size:
@@ -315,14 +318,14 @@ def _total_energy(system, config) -> float:
 def energy_entangled(system, config) -> float:
     """Energy of a quotient-graph realization."""
     if system.kind != "entangled-graph":
-        raise TypeError(f"expected an entangled-graph system, got kind={system.kind!r}")
+        raise WrongKind(f"expected an entangled-graph system, got kind={system.kind!r}")
     return _total_energy(system, config)
 
 
 def energy_weave(system, config) -> float:
     """Energy of a weave realization."""
     if system.kind != "weave":
-        raise TypeError(f"expected a weave system, got kind={system.kind!r}")
+        raise WrongKind(f"expected a weave system, got kind={system.kind!r}")
     return _total_energy(system, config)
 
 
@@ -364,13 +367,13 @@ class _StepKernel:
     Z_r.  Only `_jacobian` forms the dense blocks, from the stacked edges.
     Doubling is exact, so (2 L) z equals 2 (L z) bit for bit.
 
-    Run constants, derived here only: the planar term `x_term` of the run's
-    layout x; from the energy `e0` of its initial heights y (whose gaps are
-    overwritten), the `gap_floor` gap_safety / e0 and the energy `cushion`
-    _ENERGY_CUSHION |e0|, with y and its velocity in `y` and `v`.  Without
-    x or y these are None or 0.  `evaluations` counts the states whose
-    velocity is evaluated: one per `_velocity` call and one per row that
-    `_end_states` evaluates.
+    Run constants, derived here only, from the run's `Configuration` config
+    once it passes `_checked_heights`: its stacked heights and their velocity
+    in `y` and `v`, its layout's planar term `x_term`, and from their energy
+    `e0` (finite or not) the `gap_floor` gap_safety / e0 and the energy
+    `cushion` _ENERGY_CUSHION |e0|.  Without config these are None or 0.
+    `evaluations` counts the states whose velocity is evaluated: one per
+    `_velocity` call and one per row that `_end_states` evaluates.
 
     Buffers, each a `_Heights` but for the last four, reused by every step
     of a run: the accepted state `y` and its velocity `v`; the candidate end
@@ -380,7 +383,7 @@ class _StepKernel:
     `u`; the absolute gaps `gaps`, with their view `gap_view` in the
     families' shape; the repulsion; and scratch rows."""
 
-    def __init__(self, system, x=None, y=None, gaps=None, gap_safety=FlowParams.gap_safety):
+    def __init__(self, system, config=None, gap_safety=FlowParams.gap_safety):
         self.n = n = system.n_vertices
         if system.kind == "weave":
             shape = system._grid.shape
@@ -407,14 +410,15 @@ class _StepKernel:
         self.repulsion = np.empty(shape)
         self.scratch = tuple(np.empty((2, 2 * n)))
         self.evaluations = 0
-        self.x_term = None if x is None else _planar_term(system, x)
-        self.gap_floor = self.cushion = 0.0
-        if y is not None:
-            self.y.flat[:] = y
-            self.e0 = _energy(self.edges, self.y.flat, gaps, self.x_term)
-            self.gap_floor = gap_safety / self.e0
-            self.cushion = _ENERGY_CUSHION * abs(self.e0)
-            _velocity(self, self.y, self.v)
+        self.x_term, self.gap_floor, self.cushion = None, 0.0, 0.0
+        if config is not None:
+            self.y.flat[:], gaps = _checked_heights(system, config)
+            with np.errstate(**_QUIET):
+                self.x_term = _planar_term(system, config.x)
+                self.e0 = _energy(self.edges, self.y.flat, gaps, self.x_term)
+                self.gap_floor = gap_safety / self.e0
+                self.cushion = _ENERGY_CUSHION * abs(self.e0)
+                _velocity(self, self.y, self.v)
 
     def accept(self):
         """Make the candidate end state and its velocity the accepted ones."""
@@ -478,11 +482,7 @@ def _jacobian(kernel, y):
 
 def gradient(system, config):
     """Descent direction (v_blue, v_red) of the height flow at config."""
-    y, _ = _checked_heights(system, config)
-    kernel = _StepKernel(system)
-    kernel.y.flat[:] = y
-    with np.errstate(**_QUIET):
-        v = _velocity(kernel, kernel.y, kernel.v).flat
+    v = _StepKernel(system, config).v.flat
     return v[: system.n_vertices], v[system.n_vertices:]
 
 
@@ -615,13 +615,15 @@ def step(system, config, dt) -> Configuration:
     The end state must keep finite heights and every crossing sign, no gap
     may fall below the default gap_safety divided by the energy at the input
     configuration, and the energy may not rise beyond the integrator's
-    rounding cushion.  Otherwise GapGuardTripped is raised.
+    rounding cushion.  Otherwise GapGuardTripped is raised.  An input of
+    infinite energy, which leaves no floor, raises InvalidInitial.
     """
     if isinstance(dt, bool) or not isinstance(dt, (int, float, np.integer, np.floating)):
         raise InvalidParameter(f"dt must be an int or float, got {dt!r}")
-    y, gaps = _checked_heights(system, config)
+    kernel = _StepKernel(system, config)
+    if not math.isfinite(kernel.e0):
+        raise InvalidInitial(f"energy {kernel.e0!r} at the input configuration is not finite")
     with np.errstate(**_QUIET):
-        kernel = _StepKernel(system, config.x, y, gaps)
         end = _rk4_step(kernel, dt, kernel.e0)
     if isinstance(end, str):
         raise GapGuardTripped(f"step of size {dt!r} rejected: {end}")
@@ -825,18 +827,14 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     crossing signs, or a non-finite energy or velocity raise InvalidInitial.
     """
     n = system.n_vertices
-    z_blue, z_red, x0 = config0.z_blue, config0.z_red, config0.x
-    if z_blue.shape != (n,) or z_red.shape != (n,) or x0.shape != (n, 2):
-        raise InvalidInitial(f"initial heights must have shape ({n},), planar coordinates ({n}, 2)")
-    if not (np.all(np.isfinite(z_blue)) and np.all(np.isfinite(z_red)) and np.all(np.isfinite(x0))):
-        raise InvalidInitial("initial heights and planar coordinates must be finite")
-    d0 = z_blue - z_red
-    flipped = np.nonzero(np.sign(d0) != system.sign)[0]  # a zero gap has sign 0
+    try:
+        kernel = _StepKernel(system, config0, params.gap_safety)
+    except (MismatchedVertexSet, NonFiniteHeights, ZeroGap) as exc:
+        raise InvalidInitial(f"unusable initial state: {exc}") from None
+    d0 = kernel.y.flat[:n] - kernel.y.flat[n:]
+    flipped = np.nonzero(np.sign(d0) != system.sign)[0]
     if flipped.size:
         raise InvalidInitial(f"initial heights violate the crossing sign at vertex {flipped[0]}")
-
-    with np.errstate(**_QUIET):
-        kernel = _StepKernel(system, x0, np.concatenate((z_blue, z_red)), np.abs(d0), params.gap_safety)
     v, e0 = kernel.v.flat, kernel.e0
     grad_norm = float(np.maximum.reduce(np.abs(v)))
     if not (math.isfinite(e0) and math.isfinite(grad_norm)):
@@ -928,4 +926,4 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     )
     for column in columns.values():
         column.setflags(write=False)
-    return Trajectory(system=system, status=status, x=x0, stats=stats, **columns)
+    return Trajectory(system=system, status=status, x=config0.x, stats=stats, **columns)

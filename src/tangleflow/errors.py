@@ -16,6 +16,11 @@ class InvalidParameter(TangleflowError, ValueError):
     initial seed and gap scale, fit window) lies outside its valid range."""
 
 
+class WrongKind(TangleflowError, TypeError):
+    """A function made for one kind of system (entangled graph or weave) was
+    handed the other kind, or a design function an object that is no design."""
+
+
 # --------------------------------------------------------------------------
 # model construction
 
@@ -123,13 +128,14 @@ class StepUnderflow(TangleflowError):
 
 
 class NonFiniteHeights(TangleflowError):
-    """Heights handed to an energy or gradient function are not finite, or
-    heights handed to `make_configuration` are not real numbers."""
+    """Heights or planar coordinates handed to the flow or its energy are not
+    finite, or heights handed to `make_configuration` are not real numbers."""
 
 
 class InvalidInitial(TangleflowError):
-    """The initial configuration handed to the integrator is not
-    sign-consistent (or not finite)."""
+    """The configuration `integrate` starts from is misshapen, not finite or
+    not sign-consistent, or its energy or velocity is not finite; or the one
+    `step` starts from has an infinite energy."""
 
 
 # --------------------------------------------------------------------------

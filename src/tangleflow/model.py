@@ -52,7 +52,10 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     real numbers (text, complex, None), nested sequences of unequal lengths
     and a single value raise MismatchedVertexSet."""
     try:
-        arr = np.array(values, dtype=dtype)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biufO":  # complex, text, dates: never cast
+            raise ValueError(f"got {arr.dtype} entries")
+        arr = np.array(arr, dtype=dtype)
         if arr.ndim == 0:
             raise ValueError(f"got the single value {values!r}")
     except (TypeError, ValueError) as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, WrongKind
 
 __all__ = [
     "Classification",
@@ -76,7 +76,7 @@ def classify_entangled_graph(system) -> Classification:
     """A quotient-graph system is entangled iff some vertex crosses upward
     and another downward."""
     if system.kind != "entangled-graph":
-        raise TypeError(f"expected an entangled-graph system, got kind={system.kind!r}")
+        raise WrongKind(f"expected an entangled-graph system, got kind={system.kind!r}")
     values = set(int(s) for s in system.sign)
     return Classification.ENTANGLED if values == {1, -1} else Classification.UNTANGLED
 
@@ -85,7 +85,7 @@ def minimal_weaved_components(system) -> tuple:
     """All interlocked 2x2 blocks, enumerated lexicographically by
     (blue_pair, red_pair)."""
     if system.kind != "weave":
-        raise TypeError(f"expected a weave system, got kind={system.kind!r}")
+        raise WrongKind(f"expected a weave system, got kind={system.kind!r}")
     sign = system.design.sign
     nb, nr = system.design.n_blue, system.design.n_red
     found = []
@@ -125,7 +125,7 @@ def _thread_classes(system):
     Returns each class's (blue, red) thread tuples (1-indexed), top to bottom.
     """
     if system.kind != "weave":
-        raise TypeError(f"expected a weave system, got kind={system.kind!r}")
+        raise WrongKind(f"expected a weave system, got kind={system.kind!r}")
     nb, nr = system.design.n_blue, system.design.n_red
     over = system.sign.reshape(nb, nr) > 0
     # slots: blue 0..nb-1, red nb..; reach[a, b] if a == b or crossings lead down from a to b

@@ -96,8 +96,7 @@ def energy_of(system):
 
 def end_state_energy(system, config) -> float:
     """The energy `_end_state` gives config, as recorded on a sample."""
-    kernel = dynamics._StepKernel(system, config.x)
-    np.concatenate((config.z_blue, config.z_red), out=kernel.y.flat)
+    kernel = dynamics._StepKernel(system, config)
     with np.errstate(**dynamics._QUIET):
         end = dynamics._end_state(kernel, kernel.y, kernel.v, np.inf)
     return end[1]
@@ -890,7 +889,7 @@ def test_batched_end_states_match_end_state_row_for_row(system):
     y = np.concatenate((config.z_blue, config.z_red))
     n = system.n_vertices
     with np.errstate(**dynamics._QUIET):
-        kernel = dynamics._StepKernel(system, config.x, y, np.abs(config.z_blue - config.z_red))
+        kernel = dynamics._StepKernel(system, config)
         scales = np.repeat([0.0, 1e-3, 0.1, 1.0, 0.0], [3, 3, 3, 3, 1])
         rows = y + rng.normal(size=(13, 2 * n)) * scales[:, None]
         rows[9:] = y
@@ -1279,3 +1278,28 @@ def test_energy_and_gradient_reject_unusable_heights(z_blue, z_red, expected):
     weave = load_system("split_2x2.weave")
     with pytest.raises(MismatchedVertexSet):
         energy_weave(weave, config)
+
+
+def test_step_rejects_an_input_of_infinite_energy():
+    """`step` builds its kernel as `integrate` does: heights whose stretching
+    energy overflows raise InvalidInitial, where the step would otherwise run
+    with no gap floor (gap_safety / inf = 0) and an infinite energy cushion."""
+    system = load_system("entangled_pair.graph")
+    config = Configuration(x=system.planar_x, z_blue=(1e200, -1e200), z_red=(-1e200, 1e200))
+    with pytest.raises(InvalidInitial, match="^energy inf at the input configuration is not finite$"):
+        step(system, config, 1e-3)
+
+
+def test_flow_entry_points_reject_non_finite_planar_coordinates():
+    """One infinite planar coordinate, which makes the planar energy
+    infinite: the energy, the gradient and a step raise NonFiniteHeights,
+    and integrate raises InvalidInitial."""
+    system = load_system("entangled_pair.graph")
+    x = np.array(system.planar_x)
+    x[1, 0] = np.inf
+    config = Configuration(x=x, z_blue=(0.5, -0.5), z_red=(-0.5, 0.5))
+    for fn in (energy_entangled, gradient, lambda s, c: step(s, c, 1e-3)):
+        with pytest.raises(NonFiniteHeights, match="^planar coordinates must be finite$"):
+            fn(system, config)
+    with pytest.raises(InvalidInitial, match="planar coordinates must be finite"):
+        integrate(system, config, FlowParams(t_max=1.0))

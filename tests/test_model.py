@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import WEAVE_DESIGNS, load_system, random_graph_system, random_weave_system
+from tangleflow.analysis import commutation_check, weave_spectrum
 from tangleflow.cli import main
 from tangleflow.designio import design_to_system, load_design, serialize_design
 from tangleflow.errors import (
@@ -20,6 +21,8 @@ from tangleflow.errors import (
     MismatchedVertexSet,
     NonFiniteHeights,
     SignViolation,
+    TangleflowError,
+    WrongKind,
     ZeroSignEntry,
 )
 from tangleflow.model import (
@@ -33,7 +36,13 @@ from tangleflow.model import (
     make_configuration,
     random_initial_configuration,
 )
-from tangleflow.topology import tangle_decomposition
+from tangleflow.dynamics import energy_entangled, energy_weave
+from tangleflow.topology import (
+    _thread_classes,
+    classify_entangled_graph,
+    minimal_weaved_components,
+    tangle_decomposition,
+)
 
 SQUARE_BASIS = ((1.0, 0.0), (0.0, 1.0))
 
@@ -256,6 +265,38 @@ def test_value_errors_are_tangleflow_errors():
             build()
         assert isinstance(err.value, TangleflowError)
         assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "function, design, message",
+    [
+        (lambda system: energy_entangled(system, None), "split_2x2.weave", "an entangled-graph"),
+        (lambda system: energy_weave(system, None), "entangled_pair.graph", "a weave"),
+        (weave_spectrum, "entangled_pair.graph", "a weave"),
+        (commutation_check, "entangled_pair.graph", "a weave"),
+        (classify_entangled_graph, "split_2x2.weave", "an entangled-graph"),
+        (minimal_weaved_components, "entangled_pair.graph", "a weave"),
+        (_thread_classes, "entangled_pair.graph", "a weave"),
+        (serialize_design, None, None),
+        (design_to_system, None, None),
+    ],
+    ids=[
+        "energy_entangled", "energy_weave", "weave_spectrum", "commutation_check", "classify_entangled_graph",
+        "minimal_weaved_components", "_thread_classes", "serialize_design", "design_to_system",
+    ],
+)
+def test_kind_mismatches_are_tangleflow_errors(function, design, message):
+    """A system of the other kind, or an object that is no design, raises
+    WrongKind, both TangleflowError and TypeError, with its message kept."""
+    if design is None:
+        argument, expected = "kind weave", "^not a design: 'kind weave'$"
+    else:
+        argument = load_system(design)
+        expected = rf"^expected {message} system, got kind='{argument.kind}'$"
+    with pytest.raises(WrongKind, match=expected) as err:
+        function(argument)
+    assert isinstance(err.value, TangleflowError)
+    assert isinstance(err.value, TypeError)
 
 
 def test_weave_thread_structure():
@@ -485,6 +526,7 @@ def test_make_configuration_valid_and_invalid():
         (((1.0, 2.0), (3.0,)), MismatchedVertexSet),  # ragged
         ((1.0, (2.0, 3.0)), MismatchedVertexSet),  # ragged, one entry a sequence
         ((object(), 1.0), NonFiniteHeights),  # an object float() cannot convert
+        ((1.0, -1.0, 1.0), MismatchedVertexSet),  # three heights for two vertices
     ],
 )
 def test_make_configuration_rejects_heights_that_are_not_a_real_vector(z_blue, error):
@@ -509,20 +551,27 @@ def test_make_configuration_rejects_heights_that_are_not_a_real_vector(z_blue, e
         ("x", [[1j, 0.0], [0.0, 1.0]]),  # complex planar coordinates
         ("z_blue", (object(), 1.0)),  # an entry that is no number
         ("x", None),  # no array at all
+        ("z_blue", ["1.5", "2"]),  # text that would parse as numbers
+        ("z_blue", np.array([1 + 1j, -1])),  # a complex array, not cast to its real part
     ],
     ids=[
         "text x", "text z_blue", "ragged z_blue", "ragged z_red", "complex x", "object z_blue", "None x",
+        "numeric text z_blue", "complex array z_blue",
     ],
 )
 def test_configuration_rejects_values_that_are_not_an_array(field, value):
     """A `Configuration` built directly from text, complex, ragged or
     non-numeric values, or from None, raises MismatchedVertexSet, still a
-    ValueError, not numpy's raw ValueError or TypeError, and None no longer
-    becomes a 0-d NaN array."""
+    ValueError, not numpy's raw ValueError or TypeError, and no numpy
+    warning; None no longer becomes a 0-d NaN array, and text or complex
+    values are rejected before any conversion, as `make_configuration`
+    rejects them."""
     fields = dict(x=np.zeros((2, 2)), z_blue=(1.0, -1.0), z_red=(-1.0, 1.0))
     fields[field] = value
-    with pytest.raises(MismatchedVertexSet, match="per-vertex values are not an array of numbers"):
-        Configuration(**fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MismatchedVertexSet, match="per-vertex values are not an array of numbers"):
+            Configuration(**fields)
     assert issubclass(MismatchedVertexSet, ValueError)
 
 

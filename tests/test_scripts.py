@@ -22,3 +22,18 @@ def test_trajectory_digest_runs_its_corpus_without_errors():
     lines = done.stdout.splitlines()
     assert [lines[0], lines[2]] == ["runs 79", "errors 0"]
     assert lines[3].startswith("sha256 ") and len(lines) == 4
+
+
+def test_parse_corpus_runs_its_mutations_without_faults():
+    """`scripts/parse_corpus.py` parses the bundled designs, its edge texts
+    and 300 seeded mutations (319 texts) and exits 0: every text ends in a
+    design or a parse error.  The sha256 is not pinned: any parser change
+    that moves an error's message or position moves it."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "parse_corpus.py"), "--mutations", "300"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "texts 319"
+    assert lines[-1].startswith("sha256 ") and len(lines[-1].split()[1]) == 64
