@@ -579,6 +579,26 @@ def test_rosenbrock_phase_is_pinned(caplog, name, n_samples, energy, counts):
     ]
 
 
+@pytest.mark.parametrize(
+    "name, t_final, counts",
+    [
+        ("untangled_pair.graph", 167.02968086899432, RunStats(120, 0, 849, 46, 1, 10, 181, 0)),
+        ("three_blocks_6x6.weave", 218.22968086899436, RunStats(120, 0, 935, 64, 0, 11, 198, 0)),
+    ],
+    ids=["untangled_pair.graph", "three_blocks_6x6.weave"],
+)
+def test_rosenbrock_phase_converges(name, t_final, counts):
+    """At grad_tol 1e-2 an untangled run converges inside the Rosenbrock
+    phase, long before t_max: its final time and every count, exactly, and
+    the last recorded point, the converged step, is below grad_tol."""
+    system = load_system(name)
+    params = FlowParams(t_max=1e5, grad_tol=1e-2)
+    traj = integrate(system, random_initial_configuration(system, seed=11), params)
+    assert (traj.status, traj.t[-1], traj.stats) == ("converged", t_final, counts)
+    assert traj.grad_norm[-1] < params.grad_tol
+    assert len(traj.t) == 1 + counts.rk4_accepted // params.record_stride + counts.ros_accepted + counts.grid_recorded
+
+
 @pytest.mark.parametrize("name", ["untangled_pair.graph", "three_blocks_6x6.weave"])
 def test_kernel_counts_every_velocity_evaluation(caplog, monkeypatch, name):
     """A run's `_StepKernel` counts every call of the module-level
