@@ -11,7 +11,9 @@ corpus is, in this order:
   and 1e5, all past the switch to Rosenbrock steps;
 - three_blocks_6x6.weave, seed 11, to t_max 1e14, whose grid samples skip;
 - every entangled bundled design x seeds 1, 2 and 11 at the default
-  `FlowParams`, as `relax` runs them.
+  `FlowParams`, as `relax` runs them;
+- every untangled bundled design, seed 11, to t_max 1e5 at grad_tol 1e-2,
+  which converges inside the Rosenbrock phase.
 
 For each run the script hashes the bytes of every `Trajectory` column, in
 the order of the dataclass fields, then `repr` of its status and
@@ -57,6 +59,8 @@ def corpus():
     for name, system in entangled:
         for seed in SEEDS:
             yield name, system, seed, FlowParams()
+    for name, system in untangled:
+        yield name, system, 11, FlowParams(t_max=1e5, grad_tol=1e-2)
 
 
 def main(argv=None) -> int:

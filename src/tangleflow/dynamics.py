@@ -14,21 +14,24 @@ Runge-Kutta, rejected when the end state breaks a structural guard
 (finiteness, crossing signs, gap floor) or raises the energy; `integrate`
 adapts dt between the configured bounds.
 
-`integrate` runs in two phases.  Untangled systems never converge: their
-components drift apart like t^(1/3), and RK4 would crawl along that smooth
-tail at dt_max.  So once an untangled run has held dt at its cap for
-`_SWITCH_STEPS` consecutive accepted steps, it switches to the L-stable
-Rosenbrock-W method ROS34PW2 (Rang and Angermann 2005) with step-size
-control from its embedded second-order estimate, in the manner of LSODA's
-nonstiff-to-stiff switch.  ROS34PW2 is third order for any W, but its error
-estimate is only as good as W = I - gamma h J is close to the current
-Jacobian.  So W is inverted anew when h changes or t has doubled since it
-was built (the coupling between components fades like 1/t), and reused
-otherwise.  Every Rosenbrock step passes the same guards as an RK4 step,
-and since its steps grow to thousands in t, the phase also records the flow
-on a log grid of t (`_GRID_PER_DECADE` times per decade) from each step's
-cubic Hermite dense output.  Entangled runs and runs that end before the
-switch (t ~ 10 on the bundled designs) stay on RK4 throughout.
+`integrate` takes every step in one loop.  Untangled systems never
+converge: their components drift apart like t^(1/3), and RK4 would crawl
+along that smooth tail at dt_max.  So once an untangled run has held dt at
+its cap for `_SWITCH_STEPS` consecutive accepted steps, the loop switches to
+the L-stable Rosenbrock-W method ROS34PW2 (Rang and Angermann 2005) with
+step-size control from its embedded second-order estimate, in the manner of
+LSODA's nonstiff-to-stiff switch; a `_Rosenbrock` made there holds that
+method's state.  The loop keeps what both methods share: the convergence
+and t_max tests, the halving on a rejection down to dt_min, and the counts.
+ROS34PW2 is third order for any W, but its error estimate is only as good
+as W = I - gamma h J is close to the current Jacobian.  So W is inverted
+anew when h changes or t has doubled since it was built (the coupling
+between components fades like 1/t), and reused otherwise.  Every Rosenbrock
+step passes the same guards as an RK4 step, and since its steps grow to
+thousands in t, the phase also records the flow on a log grid of t
+(`_GRID_PER_DECADE` times per decade) from each step's cubic Hermite dense
+output.  Entangled runs and runs that end before the switch (t ~ 10 on
+the bundled designs) stay on RK4 throughout.
 
 Both phases evaluate a candidate end state in one place, `_end_state`: the
 guard, then the velocity there, once, which gives the sup-norm convergence
@@ -59,7 +62,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -609,6 +612,18 @@ def _rk4_step(kernel, dt, energy):
     return _end_state(kernel, kernel.y_new, kernel.v_new, energy)
 
 
+def _flow_kernel(system, config, gap_safety=FlowParams.gap_safety):
+    """The `_StepKernel` of a flow from config, as `step` and `integrate`
+    build it: config's heights must also keep every crossing sign, or
+    InvalidInitial is raised."""
+    kernel = _StepKernel(system, config, gap_safety)
+    y, n = kernel.y.flat, kernel.n
+    flipped = np.nonzero(np.sign(y[:n] - y[n:]) != system.sign)[0]
+    if flipped.size:
+        raise InvalidInitial(f"initial heights violate the crossing sign at vertex {flipped[0]}")
+    return kernel
+
+
 def step(system, config, dt) -> Configuration:
     """One guarded Runge-Kutta step of size dt: the step `integrate` takes.
 
@@ -620,7 +635,7 @@ def step(system, config, dt) -> Configuration:
     """
     if isinstance(dt, bool) or not isinstance(dt, (int, float, np.integer, np.floating)):
         raise InvalidParameter(f"dt must be an int or float, got {dt!r}")
-    kernel = _StepKernel(system, config)
+    kernel = _flow_kernel(system, config)
     if not math.isfinite(kernel.e0):
         raise InvalidInitial(f"energy {kernel.e0!r} at the input configuration is not finite")
     with np.errstate(**_QUIET):
@@ -658,7 +673,7 @@ def _ros_step(kernel, h, w_inv):
 
 
 def _record_steps(kernel, steps, record):
-    """Record the queued accepted steps of `_rosenbrock_phase` in time
+    """Record the queued accepted steps of a `_Rosenbrock` phase in time
     order: each step's grid samples, then the step itself.  A step is
     (t, h, grid times, y, y_new, v, v_new, energy, end): its start time and
     size, the grid times strictly inside it, copies of its end states and
@@ -706,135 +721,127 @@ def _record_steps(kernel, steps, record):
     return recorded, skipped
 
 
-def _rosenbrock_phase(kernel, t, end, h, params, record, stats):
-    """Continue the flow from time t at the kernel's accepted state `y`,
-    whose `_end_state` is `end`, with guarded ROS34PW2 steps, starting at
-    step size h, after the RK4 steps counted in the `RunStats` stats.
+class _Rosenbrock:
+    """The Rosenbrock phase of one run, made by `integrate`'s loop when it
+    switches at time t after accepted and rejected RK4 steps: the counts at
+    the switch, W^-1 = (I - gamma h J)^-1, the grid index, and the queued
+    steps and recorded batches of grid samples.
 
-    A step is rejected, and h halved, when its error estimate exceeds the
-    tolerance (before its end state is evaluated), it trips a structural
-    guard, or its energy exceeds the last accepted one by more than the
-    kernel's cushion; rejection at dt_min raises StepUnderflow.  h doubles
-    after a step well inside the tolerance.  W is refreshed, from the Jacobian at
-    the current state, when h changes or t has doubled since the last
-    refresh; the doubling keeps W near the Jacobian as the coupling between
-    components fades like 1/t, for O(log t) refreshes.  record(t, y, end) is
-    called on every accepted step and, before it, at each grid time
-    10^(k / _GRID_PER_DECADE) strictly inside the step, on the cubic Hermite
-    interpolant of the step's end states and velocities; it reads end[1:],
-    the energy, velocity sup norm and minimum gap.  A grid state is
-    skipped, not recorded, when it trips a guard, its energy exceeds the
-    previous state's by more than the cushion, or it lies more than the
-    cushion below the step end's.  The grid states are evaluated in
+    A step is rejected when its error estimate exceeds the tolerance (before
+    its end state is evaluated), it trips a structural guard, or its energy
+    exceeds the last accepted one by more than the kernel's cushion; h
+    doubles after a step well inside the tolerance.  W is refreshed, from
+    the Jacobian at the current state, when h changes or t has doubled since
+    the last refresh; the doubling keeps W near the Jacobian as the coupling
+    between components fades like 1/t, for O(log t) refreshes.
+    record(t, y, end) is called on every accepted step and, before it, at
+    each grid time 10^(k / _GRID_PER_DECADE) strictly inside the step, on
+    the cubic Hermite interpolant of the step's end states and velocities;
+    it reads end[1:], the energy, velocity sup norm and minimum gap.  A grid
+    state is skipped, not recorded, when it trips a guard, its energy
+    exceeds the previous state's by more than the cushion, or it lies more
+    than the cushion below the step end's.  The grid states are evaluated in
     batches, which never steer the steps: accepted steps queue up, and
     `_record_steps` records them once they span `_GRID_PER_DECADE` grid
-    times, about a decade of t, and before the phase returns.
-    Returns (t, end, status, stats), with the final state in the kernel's
-    `y` and the counts of both phases in stats, whose velocity evaluations
-    count states (a batched grid state is one), not `_velocity` calls.
-    """
-    size = 2 * kernel.n
-    accepted = rejected = refreshes = 0
-    h_w = t_w = None  # the step size and the time W^-1 was built for
-    # the accepted steps not yet recorded, the grid times they span, and the
-    # (recorded, skipped) grid samples of each batch
-    steps, queued, batches = [], 0, []
-    # an index below every grid time after t, whatever the rounding of log10
-    grid = math.floor(_GRID_PER_DECADE * math.log10(t)) - 1
-    v, energy, grad_norm, _ = end
-    while True:
-        if grad_norm < params.grad_tol:
-            status = "converged"
-            break
-        if t >= params.t_max:
-            status = "truncated"
-            break
-        h_eff = min(h, params.t_max - t)
+    times, about a decade of t, and when the run ends."""
+
+    def __init__(self, kernel, record, t, accepted, rejected):
+        _LOG.info(
+            "switching to Rosenbrock steps at t=%g after %d accepted, %d rejected RK4 steps", t, accepted, rejected
+        )
+        self.kernel, self.record, self.switch = kernel, record, (accepted, rejected, kernel.evaluations)
+        self.h_w = self.t_w = None  # the step size and time W^-1 was built for
+        self.steps, self.batches, self.refreshes, self.queued = [], [], 0, 0
+        # an index below every grid time after t, whatever the rounding of log10
+        self.grid = math.floor(_GRID_PER_DECADE * math.log10(t)) - 1
+
+    def attempt(self, t, h, energy):
+        """One ROS34PW2 step of size h from time t and the kernel's accepted
+        state, of energy energy: why it is rejected, as a string, or the
+        `_end_state` of its end state `y_new`."""
+        kernel = self.kernel
         y = kernel.y.flat
-        if h_eff != h_w or t >= 2.0 * t_w:
+        if h != self.h_w or t >= 2.0 * self.t_w:
             W = _jacobian(kernel, y)
-            W *= -_ROS_GAMMA * h_eff
-            W.flat[:: size + 1] += 1.0
-            w_inv = np.linalg.inv(W)
+            W *= -_ROS_GAMMA * h
+            W.flat[:: 2 * kernel.n + 1] += 1.0
+            self.w_inv = np.linalg.inv(W)
             # 1^T J = 0 gives 1^T W^-1 = 1^T, and every right-hand side below
             # sums to zero but for the rounding of its velocity, which a long
             # step would carry into the barycenter: project each u onto the
             # zero-sum states by giving every column of W^-1 zero mean
-            w_inv -= w_inv.mean(axis=0)
-            h_w, t_w = h_eff, t
-            refreshes += 1
-        y_new, error = _ros_step(kernel, h_eff, w_inv)
+            self.w_inv -= self.w_inv.mean(axis=0)
+            self.h_w, self.t_w = h, t
+            self.refreshes += 1
+        y_new, error = _ros_step(kernel, h, self.w_inv)
         # a non-finite stage makes the error NaN, which fails the test below
-        error = float(np.maximum.reduce(np.abs(error, out=error)))
-        error /= _ROS_TOL * max(1.0, float(np.maximum.reduce(np.abs(y, out=kernel.scratch[0]))))
-        new_end = (
-            _end_state(kernel, y_new, kernel.v_new, energy) if error <= 1.0 else "error estimate above tolerance"
-        )
-        if isinstance(new_end, str):
-            if h_eff <= params.dt_min:
-                raise StepUnderflow(t, h_eff)
-            h = max(h_eff / 2.0, params.dt_min)
-            rejected += 1
-            continue
-        t_new = t + h_eff
+        self.error = float(np.maximum.reduce(np.abs(error, out=error)))
+        self.error /= _ROS_TOL * max(1.0, float(np.maximum.reduce(np.abs(y, out=kernel.scratch[0]))))
+        if not self.error <= 1.0:
+            return "error estimate above tolerance"
+        return _end_state(kernel, y_new, kernel.v_new, energy)
+
+    def queue(self, t, h, energy, end):
+        """Queue the accepted step of size h from time t, before the kernel
+        accepts it, with its start energy and the `_end_state` of its end;
+        record the queue once it spans a batch of grid times.  Returns the
+        next step size."""
+        kernel = self.kernel
         times = []
-        while (t_grid := 10.0 ** ((grid + 1) / _GRID_PER_DECADE)) < t_new:
-            grid += 1
+        while (t_grid := 10.0 ** ((self.grid + 1) / _GRID_PER_DECADE)) < t + h:
+            self.grid += 1
             if t_grid > t:
                 times.append(t_grid)
-        steps.append((t, h_eff, times, y.copy(), y_new.flat.copy(), v.copy(), new_end[0].copy(), energy, new_end))
-        queued += len(times)
-        t = t_new
-        kernel.accept()
-        end = new_end
-        v, energy, grad_norm, _ = end
-        accepted += 1
-        if queued >= _GRID_PER_DECADE:
-            batches.append(_record_steps(kernel, steps, record))
-            steps, queued = [], 0
-        h = 2.0 * h_eff if error < _ROS_GROW else h_eff
-    batches.append(_record_steps(kernel, steps, record))
-    on_grid, skipped = map(sum, zip(*batches))
-    phase = replace(
-        stats, ros_accepted=accepted, ros_rejected=rejected, w_refreshes=refreshes,
-        velocity_evaluations=kernel.evaluations, grid_recorded=on_grid, grid_skipped=skipped,
-    )
-    _LOG.info(
-        "Rosenbrock phase ended at t=%g: %d accepted, %d rejected steps, %d W refreshes, "
-        "%d velocity evaluations, %d grid samples recorded, %d skipped",
-        t, phase.ros_accepted, phase.ros_rejected, phase.w_refreshes,
-        phase.velocity_evaluations - stats.velocity_evaluations, phase.grid_recorded, phase.grid_skipped,
-    )
-    return t, end, status, phase
+        states = (kernel.y.flat, kernel.y_new.flat, kernel.v.flat, end[0])
+        self.steps.append((t, h, times, *(state.copy() for state in states), energy, end))
+        self.queued += len(times)
+        if self.queued >= _GRID_PER_DECADE:
+            self.batches.append(_record_steps(kernel, self.steps, self.record))
+            self.steps, self.queued = [], 0
+        return 2.0 * h if self.error < _ROS_GROW else h
+
+    def finish(self, t, accepted, rejected) -> RunStats:
+        """Record the queued steps of the run, which ended at time t after
+        accepted and rejected steps of both methods, and return its
+        `RunStats`."""
+        self.batches.append(_record_steps(self.kernel, self.steps, self.record))
+        rk4_accepted, rk4_rejected, at_switch = self.switch
+        stats = RunStats(
+            rk4_accepted, rk4_rejected, self.kernel.evaluations, accepted - rk4_accepted, rejected - rk4_rejected,
+            self.refreshes, *map(sum, zip(*self.batches)),
+        )
+        _LOG.info(
+            "Rosenbrock phase ended at t=%g: %d accepted, %d rejected steps, %d W refreshes, "
+            "%d velocity evaluations, %d grid samples recorded, %d skipped",
+            t, stats.ros_accepted, stats.ros_rejected, stats.w_refreshes,
+            stats.velocity_evaluations - at_switch, stats.grid_recorded, stats.grid_skipped,
+        )
+        return stats
 
 
 def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     """Run the guarded descent flow from config0.
 
     Stops with status "converged" when the sup-norm velocity drops below
-    grad_tol, or "truncated" at t_max.  The flow starts on adaptive RK4:
-    samples are recorded at t = 0, after every record_stride-th accepted
-    step, and at the final state, and a step is rejected (and dt halved)
-    when it trips a structural guard or raises the energy; rejection at
-    dt_min raises StepUnderflow.  An untangled system (a graph with one
-    crossing sign, or a weave with two or more tangle components) switches,
-    once dt has stayed at its cap for `_SWITCH_STEPS` consecutive accepted
-    steps, to error-controlled ROS34PW2 steps under the same guards, each
-    recorded as a sample, with samples of the interpolated flow at the
-    times 10^(k / 150) between them.  Every sample keeps the planar layout
-    config0.x.
+    grad_tol, or "truncated" at t_max.  One loop takes every step, clipped
+    to t_max; a step is rejected (and its size halved) when it trips a
+    structural guard or raises the energy, and rejection at dt_min raises
+    StepUnderflow.  The flow starts on adaptive RK4, with samples recorded
+    at t = 0, after every record_stride-th accepted step, and at the final
+    state.  An untangled system (a graph with one crossing sign, or a weave
+    with two or more tangle components) switches, once dt has stayed at its
+    cap for `_SWITCH_STEPS` consecutive accepted steps, to error-controlled
+    ROS34PW2 steps (`_Rosenbrock`), each recorded as a sample, with samples
+    of the interpolated flow at the times 10^(k / 150) between them.  Every
+    sample keeps the planar layout config0.x.
     Initial states with misshapen or non-finite coordinates, violated
     crossing signs, or a non-finite energy or velocity raise InvalidInitial.
     """
     n = system.n_vertices
     try:
-        kernel = _StepKernel(system, config0, params.gap_safety)
+        kernel = _flow_kernel(system, config0, params.gap_safety)
     except (MismatchedVertexSet, NonFiniteHeights, ZeroGap) as exc:
         raise InvalidInitial(f"unusable initial state: {exc}") from None
-    d0 = kernel.y.flat[:n] - kernel.y.flat[n:]
-    flipped = np.nonzero(np.sign(d0) != system.sign)[0]
-    if flipped.size:
-        raise InvalidInitial(f"initial heights violate the crossing sign at vertex {flipped[0]}")
     v, e0 = kernel.v.flat, kernel.e0
     grad_norm = float(np.maximum.reduce(np.abs(v)))
     if not (math.isfinite(e0) and math.isfinite(grad_norm)):
@@ -861,53 +868,40 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
         rows.append(y.copy())
         diagnostics.append(end[1:])
 
-    t = 0.0
-    dt = params.dt_init
-    energy = e0
-    end = (v, energy, grad_norm, np.minimum.reduce(np.abs(d0)))
+    t, h, energy = 0.0, params.dt_init, e0
+    end = (v, energy, grad_norm, np.minimum.reduce(np.abs(kernel.y.flat[:n] - kernel.y.flat[n:])))
     record(t, kernel.y.flat, end)
-    accepted = rejected = held = 0  # held: consecutive accepted steps with dt at its cap
+    accepted = rejected = held = 0  # held: consecutive accepted RK4 steps with h at its cap
+    ros = None  # the Rosenbrock phase, from the switch on
 
     with np.errstate(**_QUIET):
-        while True:
-            if grad_norm < params.grad_tol:
-                status = "converged"
-                break
-            if t >= params.t_max:
-                status = "truncated"
-                break
-            if untangled and held >= _SWITCH_STEPS:
-                status = None  # the run goes on with Rosenbrock steps
-                break
-            dt_eff = min(dt, params.t_max - t)
-            new_end = _rk4_step(kernel, dt_eff, energy)
+        while not grad_norm < params.grad_tol and t < params.t_max:
+            if held >= _SWITCH_STEPS and untangled and ros is None:
+                ros = _Rosenbrock(kernel, record, t, accepted, rejected)
+            h_eff = min(h, params.t_max - t)
+            new_end = _rk4_step(kernel, h_eff, energy) if ros is None else ros.attempt(t, h_eff, energy)
             if isinstance(new_end, str):
-                if dt_eff <= params.dt_min:
-                    raise StepUnderflow(t, dt_eff)
-                dt = max(dt_eff / 2.0, params.dt_min)
+                if h_eff <= params.dt_min:
+                    raise StepUnderflow(t, h_eff)
+                h = max(h_eff / 2.0, params.dt_min)
                 rejected += 1
                 held = 0
                 continue
-            t += dt_eff
-            kernel.accept()
-            end = new_end
-            _, energy, grad_norm, min_gap = end
             accepted += 1
-            # an overflowing gap cube is an infinite one: no repulsion limit
-            stable_dt = _STABILITY_MARGIN / (quad_rate + 4.0 / float(min_gap ** 3))
-            cap = min(params.dt_max, stable_dt)
-            dt = max(params.dt_min, min(dt * 1.25, cap))
-            held = held + 1 if dt == cap else 0
-            if accepted % params.record_stride == 0:
-                record(t, kernel.y.flat, end)
-
-        stats = RunStats(accepted, rejected, kernel.evaluations)
-        if status is None:
-            _LOG.info(
-                "switching to Rosenbrock steps at t=%g after %d accepted, %d rejected RK4 steps",
-                t, stats.rk4_accepted, stats.rk4_rejected,
-            )
-            t, end, status, stats = _rosenbrock_phase(kernel, t, end, dt, params, record, stats)
+            if ros is None:
+                # an overflowing gap cube is an infinite one: no repulsion limit
+                cap = min(params.dt_max, _STABILITY_MARGIN / (quad_rate + 4.0 / float(new_end[3] ** 3)))
+                h = max(params.dt_min, min(h * 1.25, cap))
+                held = held + 1 if h == cap else 0
+                if accepted % params.record_stride == 0:
+                    record(t + h_eff, kernel.y_new.flat, new_end)
+            else:
+                h = ros.queue(t, h_eff, energy, new_end)
+            t += h_eff
+            kernel.accept()
+            _, energy, grad_norm, _ = end = new_end
+        status = "converged" if grad_norm < params.grad_tol else "truncated"
+        stats = RunStats(accepted, rejected, kernel.evaluations) if ros is None else ros.finish(t, accepted, rejected)
 
     if times[-1] < t:
         record(t, kernel.y.flat, end)

@@ -608,7 +608,6 @@ def test_kernel_counts_every_velocity_evaluation(caplog, monkeypatch, name):
     INFO line reports the count's change over that phase."""
     caplog.set_level(logging.INFO, logger="tangleflow")
     velocity, end_states = dynamics._velocity, dynamics._end_states
-    rosenbrock_phase = dynamics._rosenbrock_phase
     evaluated, phases = [], []  # per call: (kernel, states whose velocity it evaluated)
 
     def counted_velocity(kernel, *args):
@@ -620,18 +619,18 @@ def test_kernel_counts_every_velocity_evaluation(caplog, monkeypatch, name):
         evaluated.append((kernel, int(np.count_nonzero(passed))))
         return (passed, *values)
 
-    def watched_phase(kernel, *args):
-        start = kernel.evaluations
-        result = rosenbrock_phase(kernel, *args)
-        phases.append((kernel, kernel.evaluations - start))
-        return result
+    class WatchedPhase(dynamics._Rosenbrock):  # the switch: the count when the phase starts
+        def __init__(self, kernel, *args):
+            phases.append((kernel, kernel.evaluations))
+            super().__init__(kernel, *args)
 
     monkeypatch.setattr(dynamics, "_velocity", counted_velocity)
     monkeypatch.setattr(dynamics, "_end_states", counted_end_states)
-    monkeypatch.setattr(dynamics, "_rosenbrock_phase", watched_phase)
+    monkeypatch.setattr(dynamics, "_Rosenbrock", WatchedPhase)
     system = load_system(name)
     integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=50.0))
-    [(kernel, in_phase)] = phases
+    [(kernel, at_switch)] = phases
+    in_phase = kernel.evaluations - at_switch
     kernels, counts = zip(*evaluated)
     assert all(k is kernel for k in kernels)
     assert any(count > 1 for count in counts)  # a batch of grid rows
@@ -672,11 +671,12 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
         ends.append((calls["_ros_step"] > 0, v is kernel.k2, isinstance(end, str)))
         return end
 
-    rosenbrock_phase, at_switch = dynamics._rosenbrock_phase, []
+    at_switch = []
 
-    def watched_phase(*args):
-        at_switch.append(calls["_velocity"])
-        return rosenbrock_phase(*args)
+    class WatchedPhase(dynamics._Rosenbrock):
+        def __init__(self, *args):
+            at_switch.append(calls["_velocity"])
+            super().__init__(*args)
 
     end_states, batches = dynamics._end_states, []  # per batch: (rows, rows that pass)
 
@@ -687,7 +687,7 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
 
     monkeypatch.setattr(dynamics, "_end_state", watched_end_state)
     monkeypatch.setattr(dynamics, "_end_states", watched_end_states)
-    monkeypatch.setattr(dynamics, "_rosenbrock_phase", watched_phase)
+    monkeypatch.setattr(dynamics, "_Rosenbrock", WatchedPhase)
     system = load_system(name)
     params = FlowParams(t_max=50.0, record_stride=stride)
     traj = integrate(system, random_initial_configuration(system, seed=11), params)
@@ -1308,6 +1308,25 @@ def test_step_rejects_an_input_of_infinite_energy():
     config = Configuration(x=system.planar_x, z_blue=(1e200, -1e200), z_red=(-1e200, 1e200))
     with pytest.raises(InvalidInitial, match="^energy inf at the input configuration is not finite$"):
         step(system, config, 1e-3)
+
+
+@pytest.mark.parametrize("name", ["entangled_pair.graph", "split_2x2.weave"])
+def test_flow_entry_points_reject_a_flipped_crossing_sign(name):
+    """An input whose heights violate a crossing sign is an invalid initial
+    state, not a failed step: `step`, at any dt, and `integrate` raise the
+    same InvalidInitial, while the gradient is still defined there."""
+    system = load_system(name)
+    config = random_initial_configuration(system, seed=3)
+    z_blue, z_red = config.z_blue.copy(), config.z_red.copy()
+    z_blue[1], z_red[1] = z_red[1], z_blue[1]
+    flipped = Configuration(x=config.x, z_blue=z_blue, z_red=z_red)
+    message = "^initial heights violate the crossing sign at vertex 1$"
+    for dt in (1e-3, 1e-9):
+        with pytest.raises(InvalidInitial, match=message):
+            step(system, flipped, dt)
+    with pytest.raises(InvalidInitial, match=message):
+        integrate(system, flipped, FlowParams(t_max=1.0))
+    assert math.isfinite(stationarity_residual(system, flipped))
 
 
 def test_flow_entry_points_reject_non_finite_planar_coordinates():
