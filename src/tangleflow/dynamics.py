@@ -630,8 +630,9 @@ def step(system, config, dt) -> Configuration:
     The end state must keep finite heights and every crossing sign, no gap
     may fall below the default gap_safety divided by the energy at the input
     configuration, and the energy may not rise beyond the integrator's
-    rounding cushion.  Otherwise GapGuardTripped is raised.  An input of
-    infinite energy, which leaves no floor, raises InvalidInitial.
+    rounding cushion.  Otherwise GapGuardTripped is raised.  An input that
+    violates a crossing sign, or of infinite energy, which leaves no floor,
+    raises InvalidInitial.
     """
     if isinstance(dt, bool) or not isinstance(dt, (int, float, np.integer, np.floating)):
         raise InvalidParameter(f"dt must be an int or float, got {dt!r}")
@@ -757,8 +758,8 @@ class _Rosenbrock:
 
     def attempt(self, t, h, energy):
         """One ROS34PW2 step of size h from time t and the kernel's accepted
-        state, of energy energy: why it is rejected, as a string, or the
-        `_end_state` of its end state `y_new`."""
+        state, of energy energy, whose scaled error estimate stays in `error`:
+        why it is rejected, as a string, or the `_end_state` of `y_new`."""
         kernel = self.kernel
         y = kernel.y.flat
         if h != self.h_w or t >= 2.0 * self.t_w:
@@ -793,7 +794,7 @@ class _Rosenbrock:
             if t_grid > t:
                 times.append(t_grid)
         states = (kernel.y.flat, kernel.y_new.flat, kernel.v.flat, end[0])
-        self.steps.append((t, h, times, *(state.copy() for state in states), energy, end))
+        self.steps.append((t, h, times, *map(np.ndarray.copy, states), energy, end))
         self.queued += len(times)
         if self.queued >= _GRID_PER_DECADE:
             self.batches.append(_record_steps(kernel, self.steps, self.record))

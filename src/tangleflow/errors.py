@@ -135,7 +135,7 @@ class NonFiniteHeights(TangleflowError):
 class InvalidInitial(TangleflowError):
     """The configuration `integrate` starts from is misshapen, not finite or
     not sign-consistent, or its energy or velocity is not finite; or the one
-    `step` starts from has an infinite energy."""
+    `step` starts from is not sign-consistent or has an infinite energy."""
 
 
 # --------------------------------------------------------------------------
