@@ -28,7 +28,7 @@ from .errors import (
     WrongKind,
 )
 from .model import _laplacian_entries
-from .topology import is_entangled, tangle_decomposition
+from .topology import is_entangled
 
 __all__ = [
     "Series",
@@ -255,16 +255,16 @@ def flatness_series(trajectory, component) -> Series:
         half = trajectory.heights[:, :n] if component == "blue" else trajectory.heights[:, n:]
         return Series(f"flatness_{component}", trajectory.t, _flatness(half))
 
-    decomp = tangle_decomposition(system)
+    k = len(system._components)
     if (
         isinstance(component, bool)
         or not isinstance(component, (int, np.integer))
-        or not 1 <= int(component) <= decomp.k
+        or not 1 <= int(component) <= k
     ):
         raise UnknownComponent(
-            f"weave components are 1..{decomp.k}, got {component!r}"
+            f"weave components are 1..{k}, got {component!r}"
         )
-    blue_vertices, red_vertices = system._component_vertices(decomp.components[int(component) - 1])
+    blue_vertices, red_vertices = system._components[int(component) - 1]
     # a C-ordered gather, so each row's mean sums in the order of a 1-D mean
     heights = np.take(trajectory.heights, np.concatenate((blue_vertices, red_vertices + n)), axis=1)
     return Series(f"flatness_W{int(component)}", trajectory.t, _flatness(heights))

@@ -77,7 +77,6 @@ from .errors import (
     ZeroGap,
 )
 from .model import Configuration, _laplacian
-from .topology import Classification, classify_entangled_graph, tangle_decomposition
 
 __all__ = [
     "FlowParams",
@@ -823,18 +822,19 @@ class _Rosenbrock:
 def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     """Run the guarded descent flow from config0.
 
-    Stops with status "converged" when the sup-norm velocity drops below
-    grad_tol, or "truncated" at t_max.  One loop takes every step, clipped
-    to t_max; a step is rejected (and its size halved) when it trips a
-    structural guard or raises the energy, and rejection at dt_min raises
-    StepUnderflow.  The flow starts on adaptive RK4, with samples recorded
-    at t = 0, after every record_stride-th accepted step, and at the final
-    state.  An untangled system (a graph with one crossing sign, or a weave
-    with two or more tangle components) switches, once dt has stayed at its
-    cap for `_SWITCH_STEPS` consecutive accepted steps, to error-controlled
-    ROS34PW2 steps (`_Rosenbrock`), each recorded as a sample, with samples
-    of the interpolated flow at the times 10^(k / 150) between them.  Every
-    sample keeps the planar layout config0.x.
+    Stops with status "converged" at the end of the first step whose end
+    velocity tests below grad_tol in sup norm, or "truncated" at t_max.  One
+    loop takes every step, clipped to t_max; a step is rejected (and its size
+    halved) when it trips a structural guard or raises the energy, and
+    rejection at dt_min raises StepUnderflow.  The flow starts on adaptive
+    RK4, with samples recorded at t = 0, after every record_stride-th
+    accepted step, and at the final state.  An untangled system (a graph with
+    one crossing sign, or a weave with two or more tangle components)
+    switches, once dt has stayed at its cap for `_SWITCH_STEPS` consecutive
+    accepted steps, to error-controlled ROS34PW2 steps (`_Rosenbrock`), each
+    recorded as a sample, with samples of the interpolated flow at the times
+    10^(k / 150) between them; these never end a run, so in a run converging
+    there, one can already read below grad_tol.  Every sample keeps config0.x.
     Initial states with misshapen or non-finite coordinates, violated
     crossing signs, or a non-finite energy or velocity raise InvalidInitial.
     """
@@ -848,13 +848,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     if not (math.isfinite(e0) and math.isfinite(grad_norm)):
         raise InvalidInitial(f"initial energy {e0!r} or velocity {grad_norm!r} is not finite")
 
-    # per tangle component, top to bottom: the vertices its barycenter sums
-    if system.kind == "weave":
-        members = [system._component_vertices(c) for c in tangle_decomposition(system).components]
-        untangled = len(members) >= 2
-    else:
-        members = ()
-        untangled = classify_entangled_graph(system) is Classification.UNTANGLED
+    untangled = len(system._components) >= 2
     # Gershgorin bound on the stretching part 2 L of the flow Jacobian: a row
     # of 2 |L| sums to four times its vertex's degree in the family (a 1x1
     # weave has no edges); the gap repulsion adds at most 4/min_gap^3 on top
@@ -908,6 +902,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
         record(t, kernel.y.flat, end)
     heights = np.array(rows)
     energy, grad_norm, min_gap = np.array(diagnostics).T
+    members = system._components if system.kind == "weave" else ()  # graph samples carry no component sums
     # each sum runs along a C-ordered row, in the order of a 1-D sum: a
     # gather from a column slice would be F-ordered and summed in another
     m_components = np.empty((len(rows), len(members)))

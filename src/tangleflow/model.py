@@ -31,6 +31,7 @@ from .errors import (
     SingularSystem,
     ZeroSignEntry,
 )
+from .topology import tangle_decomposition
 
 __all__ = [
     "PeriodicQuotientGraph",
@@ -137,6 +138,7 @@ class _SystemBase:
     planar_x: np.ndarray
     planar_energy: float
     _edge_arrays: tuple  # (u, v, shift): edge endpoints u -> v and planar shift vectors
+    _components: tuple  # tangle components top to bottom, as frozen (blue, red) vertex indices
 
     def _frozen_edge_arrays(self, u_idx, v_idx, counts) -> tuple:
         """The edge endpoint arrays u_idx -> v_idx with the planar shift
@@ -185,6 +187,10 @@ class EntangledSystem(_SystemBase):
         self._edge_arrays = self._frozen_edge_arrays(table[:, 0], table[:, 1], table[:, 2:])
         self.planar_x = _freeze(_solve_harmonic(self))
         self.planar_energy = self.planar_term(self.planar_x)
+        # both copies in one when both crossing signs occur, else the upper copy, then the lower
+        every, none = _freeze(np.arange(self.n_vertices)), _freeze(np.arange(0))
+        copies = ((every, none), (none, every))[:: int(self.sign[0])]  # blue on top where sign is +1
+        self._components = ((every, every),) if self.sign.min() < self.sign.max() else copies
 
 
 class WeaveSystem(_SystemBase):
@@ -196,11 +202,11 @@ class WeaveSystem(_SystemBase):
     `lattice_basis`.  The rest is built on first read and cached, frozen:
     `blue_threads`, `red_threads`, `edges`, `_height_edges`,
     `_thread_cycles`, `blue_laplacian`, `red_laplacian`, `laplacian`,
-    `planar_x`, `planar_energy` and the edge arrays behind `planar_term` and
-    `_edge_tension`.  So classifying a weave, which reads only `sign`, builds
-    no n x n matrix, and neither do its energy and commutator, which read only
-    the edges, its flow, which reads the `_thread_cycles`, nor its spectrum,
-    which reads only the thread counts.
+    `planar_x`, `planar_energy`, `_components` and the edge arrays behind
+    `planar_term` and `_edge_tension`.  So classifying a weave, which reads
+    only `sign`, builds no n x n matrix, and neither do its energy and
+    commutator, which read only the edges, its flow, which reads the
+    `_thread_cycles`, nor its spectrum, which reads only the thread counts.
     """
 
     kind = "weave"
@@ -287,12 +293,14 @@ class WeaveSystem(_SystemBase):
     def planar_energy(self) -> float:
         return self.planar_term(self.planar_x)
 
-    def _component_vertices(self, component):
-        """The vertex indices of a tangle component's blue threads and of its
-        red threads, thread by thread in the component's order."""
-        blue = self._grid[[i - 1 for i in component.blue]].ravel()
-        red = self._grid.T[[j - 1 for j in component.red]].ravel()
-        return blue, red
+    @cached_property
+    def _components(self) -> tuple:
+        # from one `tangle_decomposition`: each component's vertices, thread by thread in its order
+        grid = self._grid
+        return tuple(
+            (_freeze(grid[[i - 1 for i in c.blue]].ravel()), _freeze(grid.T[[j - 1 for j in c.red]].ravel()))
+            for c in tangle_decomposition(self).components
+        )
 
 
 def _sorted_edges(u, v) -> np.ndarray:

@@ -74,11 +74,10 @@ class TangleDecomposition:
 
 def classify_entangled_graph(system) -> Classification:
     """A quotient-graph system is entangled iff some vertex crosses upward
-    and another downward."""
+    and another downward: its two copies are then one component."""
     if system.kind != "entangled-graph":
         raise WrongKind(f"expected an entangled-graph system, got kind={system.kind!r}")
-    values = set(int(s) for s in system.sign)
-    return Classification.ENTANGLED if values == {1, -1} else Classification.UNTANGLED
+    return Classification.ENTANGLED if is_entangled(system) else Classification.UNTANGLED
 
 
 def minimal_weaved_components(system) -> tuple:
@@ -185,8 +184,5 @@ def boundary_weight(decomposition: TangleDecomposition, k: int) -> int:
 
 
 def is_entangled(system) -> bool:
-    """Entangledness for either system kind: sign values for quotient graphs,
-    a single tangle component for weaves."""
-    if system.kind == "entangled-graph":
-        return classify_entangled_graph(system) is Classification.ENTANGLED
-    return tangle_decomposition(system).k == 1
+    """Entangledness for either system kind: one component in `system._components`."""
+    return len(system._components) == 1

@@ -13,7 +13,7 @@ import pytest
 
 import tangleflow
 from conftest import DESIGN_DIR, nan_error_ros_step
-from tangleflow import cli
+from tangleflow import cli, topology
 from tangleflow.cli import main
 
 
@@ -223,6 +223,34 @@ def test_verify_reports_a_failed_check(capsys, monkeypatch):
         "energy_monotone FAIL\nbarycenter_conserved ok\ngap_floor ok\nsigns_preserved ok\nunique_limit ok\n"
     )
     assert err == "error: verification failed: energy_monotone\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scaling", "three_blocks_6x6.weave", "--t-max", "13"),
+        ("relax", "three_blocks_6x6.weave", "--t-max", "13"),
+        ("verify", "three_blocks_6x6.weave"),
+        ("verify", "checker_4x4.weave"),
+    ],
+    ids=["scaling", "relax", "verify", "verify-two-runs"],
+)
+def test_one_decomposition_per_weave_op(capsys, monkeypatch, argv):
+    """An op decomposes its weave once: `scaling`'s entangledness check, its
+    run and its separation series, and both of `verify`'s runs on an
+    entangled weave that converges, read one component table."""
+    calls = []
+    thread_classes = topology._thread_classes
+
+    def counted(system):
+        calls.append(system)
+        return thread_classes(system)
+
+    monkeypatch.setattr(topology, "_thread_classes", counted)
+    command, name, *flags = argv
+    code, _, err = run_cli(capsys, command, design(name), *flags)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
 
 
 def test_bad_design_file_exits_2(capsys, tmp_path):

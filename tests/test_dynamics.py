@@ -535,10 +535,7 @@ def test_sample_diagnostics_match_reference_formulas():
     system = load_system("three_blocks_6x6.weave")
     runs.append((system, random_initial_configuration(system, seed=1), FlowParams(t_max=1e4)))
     for system, config, params in runs:
-        if system.kind == "weave":
-            members = [system._component_vertices(c) for c in tangle_decomposition(system).components]
-        else:
-            members = []
+        members = system._components if system.kind == "weave" else []
         energy = energy_of(system)
         traj = integrate(system, config, params)
         assert len(traj.samples) > 2
@@ -752,9 +749,7 @@ def test_lazy_samples_are_the_recorded_rows(name):
     config0 = random_initial_configuration(system, seed=11)
     traj = integrate(system, config0, FlowParams(t_max=500.0))
     n = system.n_vertices
-    members = []
-    if system.kind == "weave":
-        members = [system._component_vertices(c) for c in tangle_decomposition(system).components]
+    members = system._components if system.kind == "weave" else []
     energy = energy_of(system)
     samples = traj.samples
     assert traj.samples is samples and len(samples) == len(traj.t) > 300

@@ -6,13 +6,21 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import GRAPH_DESIGNS, WEAVE_DESIGNS, load_system, random_weave_system, smallest_first_order
+from conftest import (
+    GRAPH_DESIGNS,
+    WEAVE_DESIGNS,
+    load_system,
+    random_graph_system,
+    random_weave_system,
+    smallest_first_order,
+)
 from tangleflow.errors import IndexOutOfRange
-from tangleflow.model import WeaveDesign, build_weave_system
+from tangleflow.model import WeaveDesign, build_weave_system, random_initial_configuration
 from tangleflow.topology import (
     Classification,
     boundary_weight,
     classify_entangled_graph,
+    is_entangled,
     minimal_weaved_components,
     tangle_decomposition,
     weavely_connected_components,
@@ -32,6 +40,35 @@ def test_classify_by_sign_values():
     assert classify_entangled_graph(load_system("square_checker.graph")) is Classification.ENTANGLED
     assert classify_entangled_graph(load_system("honeycomb.graph")) is Classification.ENTANGLED
     assert classify_entangled_graph(load_system("square_flat.graph")) is Classification.UNTANGLED
+
+
+def test_graph_is_entangled_agrees_with_the_classifier_and_the_signs():
+    """On bundled and random graphs, `is_entangled` is the classifier's
+    verdict and holds exactly when both crossing signs occur.  The component
+    table is then both copies in one; otherwise it is the upper copy, whose
+    heights all lie above the lower's, then the lower.  Per family the
+    components' vertices partition range(n)."""
+    rng = np.random.default_rng(29)
+    systems = [load_system(name) for name in GRAPH_DESIGNS]
+    systems += [random_graph_system(rng, max_vertices=4) for _ in range(60)]
+    verdicts = []
+    for system in systems:
+        entangled = is_entangled(system)
+        verdicts.append(entangled)
+        assert entangled == (classify_entangled_graph(system) is Classification.ENTANGLED)
+        assert entangled == (set(system.sign.tolist()) == {1, -1})
+        n, members = system.n_vertices, system._components
+        assert len(members) == (1 if entangled else 2)
+        for family in (0, 1):
+            vertices = np.concatenate([m[family] for m in members])
+            assert np.array_equal(np.sort(vertices), np.arange(n))
+            assert all(not m[family].flags.writeable for m in members)
+        if not entangled:
+            config = random_initial_configuration(system, seed=3)
+            heights = np.concatenate((config.z_blue, config.z_red))
+            upper, lower = (heights[np.concatenate((blue, red + n))] for blue, red in members)
+            assert upper.size == lower.size == n and upper.min() > lower.max()
+    assert True in verdicts and False in verdicts
 
 
 def test_minimal_components_smallest_cases():
@@ -216,18 +253,21 @@ def thread_by_thread_vertices(system, comp):
 
 
 def test_component_vertices_expand_threads_in_order():
-    """The component-vertex map equals the thread-by-thread expansion, order
-    included, and per family the components' vertices partition range(n)."""
+    """The component table, built once, holds per tangle component the
+    thread-by-thread expansion of its threads, order included, frozen, and
+    per family the components' vertices partition range(n)."""
     rng = np.random.default_rng(17)  # the random weaves of the partition test above
     systems = [load_system(name) for name in WEAVE_DESIGNS]
     systems += [random_weave_system(rng) for _ in range(40)]
     for system in systems:
         components = tangle_decomposition(system).components
-        members = [system._component_vertices(c) for c in components]
+        members = system._components
+        assert len(members) == len(components) and system._components is members
         for comp, (blue, red) in zip(components, members):
             expected_blue, expected_red = thread_by_thread_vertices(system, comp)
             assert np.array_equal(blue, expected_blue) and blue.dtype.kind == "i"
             assert np.array_equal(red, expected_red) and red.dtype.kind == "i"
+            assert not (blue.flags.writeable or red.flags.writeable)
         for family in (0, 1):
             vertices = np.concatenate([m[family] for m in members])
             assert np.array_equal(np.sort(vertices), np.arange(system.n_vertices))
