@@ -8,8 +8,9 @@ imported.  For each n x n checkerboard weave (n^2 vertices) it prints one
 line with:
 
 - `build_ms`: building the step loop's `_StepKernel` on a freshly built
-  system (this includes building its two thread-cycle matrices), best of
-  --repeats;
+  system from its `random_initial_configuration` at seed 1 (this includes
+  building its two thread-cycle matrices and admitting that configuration:
+  its checks, energy and velocity), best of --repeats;
 - `velocity_us`: one `_velocity` evaluation in the kernel's buffers, median
   of 200 calls (50 at n >= 48);
 - `relax_s`: wall time of `tangleflow relax <design> --t-max 5 --seed 1`,
@@ -78,10 +79,10 @@ def main(argv=None) -> int:
             builds = []
             for _ in range(args.repeats):
                 system = design_to_system(load_design(path))
+                config = random_initial_configuration(system, seed=1)
                 start = time.perf_counter()
-                kernel = dynamics._StepKernel(system)
+                kernel = dynamics._StepKernel(system, config)
                 builds.append(time.perf_counter() - start)
-            config = random_initial_configuration(system, seed=1)
             call = velocity_call(kernel, np.concatenate((config.z_blue, config.z_red)))
             with np.errstate(**dynamics._QUIET):
                 calls = []

@@ -51,11 +51,12 @@ derives the barycenters and component sums there, row by row; a `Sample`
 with its `Configuration` is built only when `Trajectory.samples` is read.
 The run's exact step and evaluation counts go to `Trajectory.stats`.
 
-Each `integrate`, `step` or `gradient` call builds a `_StepKernel` from
-its configuration and drops it when it returns: it checks the heights and
-layout, derives the run's gap floor, energy cushion and planar term once,
-counts the velocity evaluations, and holds the buffers, with per-family
-views, of every stage and end state; energy calls read only edges.
+Each `integrate`, `step`, `gradient` or `stationarity_residual` call builds
+one `_StepKernel`, the flow's one gate: it admits a configuration that fits,
+is finite, keeps every crossing sign and has a finite energy and velocity,
+derives the run's constants once, counts the velocity evaluations, and
+holds the buffers, with per-family views, of every stage and end state.
+The energy functions build no kernel; they check with `_checked_heights` only.
 """
 from __future__ import annotations
 
@@ -283,8 +284,8 @@ class Trajectory:
 
 
 def _checked_heights(system, config) -> tuple:
-    """The stacked heights [z_blue; z_red] and absolute gaps |z_blue - z_red|
-    of a config that fits the system, is finite and whose heights never touch."""
+    """The stacked heights [z_blue; z_red] and signed gaps z_blue - z_red of
+    a config that fits the system, is finite and whose heights never touch."""
     n = system.n_vertices
     zb, zr = config.z_blue, config.z_red
     if zb.shape != (n,) or zr.shape != (n,):
@@ -301,7 +302,7 @@ def _checked_heights(system, config) -> tuple:
     zero = np.nonzero(d == 0.0)[0]
     if zero.size:
         raise ZeroGap(int(zero[0]))
-    return np.concatenate((zb, zr)), np.abs(d)
+    return np.concatenate((zb, zr)), d
 
 
 def _planar_term(system, x) -> float:
@@ -313,8 +314,8 @@ def _planar_term(system, x) -> float:
 
 
 def _total_energy(system, config) -> float:
-    y, gaps = _checked_heights(system, config)
-    return _energy(_stacked_edges(system), y, gaps, _planar_term(system, config.x))
+    y, d = _checked_heights(system, config)
+    return _energy(_stacked_edges(system), y, np.abs(d, out=d), _planar_term(system, config.x))
 
 
 def energy_entangled(system, config) -> float:
@@ -369,11 +370,14 @@ class _StepKernel:
     Z_r.  Only `_jacobian` forms the dense blocks, from the stacked edges.
     Doubling is exact, so (2 L) z equals 2 (L z) bit for bit.
 
-    Run constants, derived here only, from the run's `Configuration` config
-    once it passes `_checked_heights`: its stacked heights and their velocity
-    in `y` and `v`, its layout's planar term `x_term`, and from their energy
-    `e0` (finite or not) the `gap_floor` gap_safety / e0 and the energy
-    `cushion` _ENERGY_CUSHION |e0|.  Without config these are None or 0.
+    Run constants, derived here only, from the `Configuration` config that
+    the kernel admits as the flow's start: `_checked_heights` raises on a
+    misshapen or non-finite config or touching heights, and InvalidInitial
+    on a violated crossing sign or a start energy or velocity that is not
+    finite.  They are its stacked heights and velocity in `y` and `v`, its
+    layout's planar term `x_term`, from its energy e0 the `gap_floor`
+    gap_safety / e0 and the `cushion` _ENERGY_CUSHION |e0|, and the `start`,
+    an `_end_state`: (v, e0, the sup norm of v, the minimum gap).
     `evaluations` counts the states whose velocity is evaluated: one per
     `_velocity` call and one per row that `_end_states` evaluates.
 
@@ -385,7 +389,7 @@ class _StepKernel:
     `u`; the absolute gaps `gaps`, with their view `gap_view` in the
     families' shape; the repulsion; and scratch rows."""
 
-    def __init__(self, system, config=None, gap_safety=FlowParams.gap_safety):
+    def __init__(self, system, config, gap_safety=FlowParams.gap_safety):
         self.n = n = system.n_vertices
         if system.kind == "weave":
             shape = system._grid.shape
@@ -412,15 +416,22 @@ class _StepKernel:
         self.repulsion = np.empty(shape)
         self.scratch = tuple(np.empty((2, 2 * n)))
         self.evaluations = 0
-        self.x_term, self.gap_floor, self.cushion = None, 0.0, 0.0
-        if config is not None:
-            self.y.flat[:], gaps = _checked_heights(system, config)
-            with np.errstate(**_QUIET):
-                self.x_term = _planar_term(system, config.x)
-                self.e0 = _energy(self.edges, self.y.flat, gaps, self.x_term)
-                self.gap_floor = gap_safety / self.e0
-                self.cushion = _ENERGY_CUSHION * abs(self.e0)
-                _velocity(self, self.y, self.v)
+        self.y.flat[:], gaps = _checked_heights(system, config)
+        gaps *= self.sign.reshape(n)  # positive exactly where the crossing sign holds, so |d|
+        min_gap = np.minimum.reduce(gaps)
+        if not min_gap > 0.0:
+            flipped = np.argmax(gaps < 0.0)
+            raise InvalidInitial(f"initial heights violate the crossing sign at vertex {flipped}")
+        with np.errstate(**_QUIET):
+            self.x_term = _planar_term(system, config.x)
+            e0 = _energy(self.edges, self.y.flat, gaps, self.x_term)
+            v = _velocity(self, self.y, self.v).flat
+            grad_norm = float(np.maximum.reduce(np.abs(v, out=self.scratch[0])))
+        if not (math.isfinite(e0) and math.isfinite(grad_norm)):
+            raise InvalidInitial(f"initial energy {e0!r} or velocity {grad_norm!r} is not finite")
+        self.gap_floor = gap_safety / e0
+        self.cushion = _ENERGY_CUSHION * abs(e0)
+        self.start = (v, e0, grad_norm, min_gap)
 
     def accept(self):
         """Make the candidate end state and its velocity the accepted ones."""
@@ -483,14 +494,17 @@ def _jacobian(kernel, y):
 
 
 def gradient(system, config):
-    """Descent direction (v_blue, v_red) of the height flow at config."""
-    v = _StepKernel(system, config).v.flat
+    """Descent direction (v_blue, v_red) of the height flow at config, which
+    must be a state the flow admits (`_StepKernel`): one whose energy
+    overflows raises InvalidInitial even if its velocity is finite."""
+    v = _StepKernel(system, config).start[0]
     return v[: system.n_vertices], v[system.n_vertices:]
 
 
 def stationarity_residual(system, config) -> float:
-    """Sup norm of the descent velocity; zero exactly at stationary points."""
-    return float(np.max(np.abs(np.concatenate(gradient(system, config)))))
+    """Sup norm of the descent velocity; zero exactly at stationary points.
+    It admits config as `gradient` does."""
+    return _StepKernel(system, config).start[2]
 
 
 def _guard_reason(kernel, y, gap_floor):
@@ -611,35 +625,21 @@ def _rk4_step(kernel, dt, energy):
     return _end_state(kernel, kernel.y_new, kernel.v_new, energy)
 
 
-def _flow_kernel(system, config, gap_safety=FlowParams.gap_safety):
-    """The `_StepKernel` of a flow from config, as `step` and `integrate`
-    build it: config's heights must also keep every crossing sign, or
-    InvalidInitial is raised."""
-    kernel = _StepKernel(system, config, gap_safety)
-    y, n = kernel.y.flat, kernel.n
-    flipped = np.nonzero(np.sign(y[:n] - y[n:]) != system.sign)[0]
-    if flipped.size:
-        raise InvalidInitial(f"initial heights violate the crossing sign at vertex {flipped[0]}")
-    return kernel
-
-
 def step(system, config, dt) -> Configuration:
     """One guarded Runge-Kutta step of size dt: the step `integrate` takes.
 
     The end state must keep finite heights and every crossing sign, no gap
     may fall below the default gap_safety divided by the energy at the input
     configuration, and the energy may not rise beyond the integrator's
-    rounding cushion.  Otherwise GapGuardTripped is raised.  An input that
-    violates a crossing sign, or of infinite energy, which leaves no floor,
-    raises InvalidInitial.
+    rounding cushion.  Otherwise GapGuardTripped is raised.  The input is
+    admitted as `gradient`'s is: one that violates a crossing sign or whose
+    energy or velocity is not finite raises InvalidInitial.
     """
     if isinstance(dt, bool) or not isinstance(dt, (int, float, np.integer, np.floating)):
         raise InvalidParameter(f"dt must be an int or float, got {dt!r}")
-    kernel = _flow_kernel(system, config)
-    if not math.isfinite(kernel.e0):
-        raise InvalidInitial(f"energy {kernel.e0!r} at the input configuration is not finite")
+    kernel = _StepKernel(system, config)
     with np.errstate(**_QUIET):
-        end = _rk4_step(kernel, dt, kernel.e0)
+        end = _rk4_step(kernel, dt, kernel.start[1])
     if isinstance(end, str):
         raise GapGuardTripped(f"step of size {dt!r} rejected: {end}")
     n = system.n_vertices
@@ -840,13 +840,9 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     """
     n = system.n_vertices
     try:
-        kernel = _flow_kernel(system, config0, params.gap_safety)
+        kernel = _StepKernel(system, config0, params.gap_safety)
     except (MismatchedVertexSet, NonFiniteHeights, ZeroGap) as exc:
         raise InvalidInitial(f"unusable initial state: {exc}") from None
-    v, e0 = kernel.v.flat, kernel.e0
-    grad_norm = float(np.maximum.reduce(np.abs(v)))
-    if not (math.isfinite(e0) and math.isfinite(grad_norm)):
-        raise InvalidInitial(f"initial energy {e0!r} or velocity {grad_norm!r} is not finite")
 
     untangled = len(system._components) >= 2
     # Gershgorin bound on the stretching part 2 L of the flow Jacobian: a row
@@ -863,8 +859,8 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
         rows.append(y.copy())
         diagnostics.append(end[1:])
 
-    t, h, energy = 0.0, params.dt_init, e0
-    end = (v, energy, grad_norm, np.minimum.reduce(np.abs(kernel.y.flat[:n] - kernel.y.flat[n:])))
+    t, h = 0.0, params.dt_init
+    _, energy, grad_norm, _ = end = kernel.start
     record(t, kernel.y.flat, end)
     accepted = rejected = held = 0  # held: consecutive accepted RK4 steps with h at its cap
     ros = None  # the Rosenbrock phase, from the switch on

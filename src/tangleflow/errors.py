@@ -133,9 +133,9 @@ class NonFiniteHeights(TangleflowError):
 
 
 class InvalidInitial(TangleflowError):
-    """The configuration `integrate` starts from is misshapen, not finite or
-    not sign-consistent, or its energy or velocity is not finite; or the one
-    `step` starts from is not sign-consistent or has an infinite energy."""
+    """A configuration the flow does not admit: it violates a crossing sign or
+    its energy or velocity is not finite, or (from `integrate`) it is misshapen,
+    not finite or has touching heights."""
 
 
 # --------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def test_weave_velocity_matches_the_dense_formula(sign, seed, log_scale):
     (double edge kept) included, and builds no family Laplacian."""
     system = build_weave_system(WeaveDesign(n_blue=len(sign), n_red=len(sign[0]), sign=sign))
     config = random_initial_configuration(system, seed=seed, gap_scale=10.0 ** log_scale)
-    got = kernel_velocity(dynamics._StepKernel(system), np.concatenate((config.z_blue, config.z_red)))
+    got = kernel_velocity(dynamics._StepKernel(system, config), np.concatenate((config.z_blue, config.z_red)))
     assert not {"blue_laplacian", "red_laplacian"} & set(vars(system))
     dense, magnitude = dense_velocity(system, config)
     assert np.all(np.abs(got - dense) <= 4 * np.finfo(float).eps * magnitude)

@@ -421,7 +421,7 @@ def test_jacobian_matches_finite_differences():
         cases.append((system, int(rng.integers(1 << 30))))
     for system, seed in cases:
         config = random_initial_configuration(system, seed=seed)
-        kernel = dynamics._StepKernel(system)
+        kernel = dynamics._StepKernel(system, config)
         y = np.concatenate((config.z_blue, config.z_red))
         J = dynamics._jacobian(kernel, y)
         scale = np.max(np.abs(J))
@@ -955,7 +955,8 @@ def test_rosenbrock_step_is_third_order(monkeypatch, exact_jacobian):
 
     monkeypatch.setattr(dynamics, "_velocity", velocity)
     # a 1x1 weave's kernel has buffers of the problem's two unknowns
-    kernel = dynamics._StepKernel(build_weave_system(WeaveDesign(1, 1, ((1,),))))
+    system = build_weave_system(WeaveDesign(1, 1, ((1,),)))
+    kernel = dynamics._StepKernel(system, random_initial_configuration(system, seed=0))
 
     def error_at_1(n):
         h = 1.0 / n
@@ -978,7 +979,7 @@ def test_guard_reason_returns_gaps_or_reason():
     """An acceptable state yields its absolute gaps and their minimum, bit
     for bit; each kind of unacceptable state yields its reason."""
     system = load_system("entangled_pair.graph")  # signs (+1, -1)
-    kernel = dynamics._StepKernel(system)
+    kernel = dynamics._StepKernel(system, random_initial_configuration(system, seed=0))
 
     def guard(z_blue, z_red, floor=1e-3):
         kernel.y.flat[:] = z_blue + z_red
@@ -1028,7 +1029,7 @@ def test_step_kernel_matches_reference_arithmetic():
     systems = [load_system(name) for name in ["untangled_pair.graph", "honeycomb.graph"] + WEAVE_DESIGNS]
     systems += [random_graph_system(rng) for _ in range(4)] + [random_weave_system(rng) for _ in range(4)]
     for system in systems:
-        kernel = dynamics._StepKernel(system)
+        kernel = dynamics._StepKernel(system, random_initial_configuration(system, seed=0))
         energy = energy_of(system)
         for trial in range(10):
             scale = 10.0 ** rng.uniform(-2, 2)
@@ -1062,7 +1063,7 @@ def test_weave_step_kernel_holds_no_n_by_n_array():
     its buffers nor in its stretching products, and builds no family
     Laplacian."""
     system = checkerboard(12)
-    kernel = dynamics._StepKernel(system)
+    kernel = dynamics._StepKernel(system, random_initial_configuration(system, seed=0))
     n = system.n_vertices
 
     def arrays(value):
@@ -1295,21 +1296,40 @@ def test_energy_and_gradient_reject_unusable_heights(z_blue, z_red, expected):
         energy_weave(weave, config)
 
 
-def test_step_rejects_an_input_of_infinite_energy():
-    """`step` builds its kernel as `integrate` does: heights whose stretching
-    energy overflows raise InvalidInitial, where the step would otherwise run
-    with no gap floor (gap_safety / inf = 0) and an infinite energy cushion."""
+@pytest.mark.parametrize(
+    "z_blue, z_red, message",
+    [
+        ((1e200, -1e200), (-1e200, 1e200), r"^initial energy inf or velocity 8e\+200 is not finite$"),
+        ((1e-160, -1.0), (0.0, 1.0), r"^initial energy 1e\+160 or velocity inf is not finite$"),
+    ],
+    ids=["energy-overflow", "velocity-overflow"],
+)
+@pytest.mark.parametrize(
+    "fn",
+    [lambda s, c: step(s, c, 1e-3), lambda s, c: step(s, c, 1e-12), gradient, stationarity_residual],
+    ids=["step-1e-3", "step-1e-12", "gradient", "stationarity_residual"],
+)
+def test_step_rejects_an_input_of_infinite_energy(z_blue, z_red, message, fn):
+    """`step`, `gradient` and `stationarity_residual` admit their input as
+    `integrate` does, with one message: heights whose stretching energy
+    overflows raise InvalidInitial, where a step would otherwise run with no
+    gap floor (gap_safety / inf = 0) and an infinite energy cushion, and so
+    does a gap of 1e-160, whose repulsion 1 / d^2 overflows, where a step
+    would otherwise fail at every dt as if dt were too large and the
+    gradient would be infinite."""
     system = load_system("entangled_pair.graph")
-    config = Configuration(x=system.planar_x, z_blue=(1e200, -1e200), z_red=(-1e200, 1e200))
-    with pytest.raises(InvalidInitial, match="^energy inf at the input configuration is not finite$"):
-        step(system, config, 1e-3)
+    config = Configuration(x=system.planar_x, z_blue=z_blue, z_red=z_red)
+    with pytest.raises(InvalidInitial, match=message):
+        fn(system, config)
 
 
 @pytest.mark.parametrize("name", ["entangled_pair.graph", "split_2x2.weave"])
 def test_flow_entry_points_reject_a_flipped_crossing_sign(name):
     """An input whose heights violate a crossing sign is an invalid initial
-    state, not a failed step: `step`, at any dt, and `integrate` raise the
-    same InvalidInitial, while the gradient is still defined there."""
+    state, not a failed step: `step`, at any dt, `integrate`, `gradient` and
+    `stationarity_residual` raise the same InvalidInitial.  The velocity
+    formula takes the design's sign where the energy takes |d|, so it is not
+    the energy's gradient there."""
     system = load_system(name)
     config = random_initial_configuration(system, seed=3)
     z_blue, z_red = config.z_blue.copy(), config.z_red.copy()
@@ -1321,7 +1341,9 @@ def test_flow_entry_points_reject_a_flipped_crossing_sign(name):
             step(system, flipped, dt)
     with pytest.raises(InvalidInitial, match=message):
         integrate(system, flipped, FlowParams(t_max=1.0))
-    assert math.isfinite(stationarity_residual(system, flipped))
+    for fn in (gradient, stationarity_residual):
+        with pytest.raises(InvalidInitial, match=message):
+            fn(system, flipped)
 
 
 def test_flow_entry_points_reject_non_finite_planar_coordinates():

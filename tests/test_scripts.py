@@ -37,3 +37,16 @@ def test_parse_corpus_runs_its_mutations_without_faults():
     lines = done.stdout.splitlines()
     assert lines[0] == "texts 319"
     assert lines[-1].startswith("sha256 ") and len(lines[-1].split()[1]) == 64
+
+
+def test_time_large_weaves_runs():
+    """`scripts/time_large_weaves.py` times its kernel build, velocity and
+    `relax` run on a 4x4 checkerboard and exits 0 with one data row after
+    its two header lines.  Its times are not pinned."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_large_weaves.py"), "--sizes", "4", "--repeats", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3 and lines[2].split()[:2] == ["4x4", "16"]
