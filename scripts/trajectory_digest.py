@@ -13,7 +13,10 @@ corpus is, in this order:
 - every entangled bundled design x seeds 1, 2 and 11 at the default
   `FlowParams`, as `relax` runs them;
 - every untangled bundled design, seed 11, to t_max 1e5 at grad_tol 1e-2,
-  which converges inside the Rosenbrock phase.
+  which converges inside the Rosenbrock phase;
+- the checkerboard weaves 3x3, 4x6 and 12x12 (sign (-1)^(i+j) at blue
+  thread i and red thread j) x seeds 1, 2 and 11 at the default
+  `FlowParams`, as `relax` runs generated weaves.
 
 For each run the script hashes the bytes of every `Trajectory` column, in
 the order of the dataclass fields, then `repr` of its status and
@@ -39,11 +42,12 @@ import numpy as np  # noqa: E402
 
 from tangleflow.designio import design_to_system, load_design  # noqa: E402
 from tangleflow.dynamics import FlowParams, Trajectory, integrate  # noqa: E402
-from tangleflow.model import random_initial_configuration  # noqa: E402
+from tangleflow.model import WeaveDesign, build_weave_system, random_initial_configuration  # noqa: E402
 from tangleflow.topology import is_entangled  # noqa: E402
 
 SEEDS = (1, 2, 11)
 HORIZONS = (50.0, 500.0, 1e5)
+CHECKERBOARDS = ((3, 3), (4, 6), (12, 12))
 COLUMNS = [f.name for f in dataclasses.fields(Trajectory) if f.name not in ("system", "status", "stats")]
 
 
@@ -61,6 +65,11 @@ def corpus():
             yield name, system, seed, FlowParams()
     for name, system in untangled:
         yield name, system, 11, FlowParams(t_max=1e5, grad_tol=1e-2)
+    for n_blue, n_red in CHECKERBOARDS:
+        sign = tuple(tuple((-1) ** (i + j) for j in range(n_red)) for i in range(n_blue))
+        system = build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign))
+        for seed in SEEDS:
+            yield f"checker {n_blue}x{n_red}", system, seed, FlowParams()
 
 
 def main(argv=None) -> int:

@@ -37,12 +37,23 @@ Both phases evaluate a candidate end state in one place, `_end_state`: the
 guard, then the velocity there, once, which gives the sup-norm convergence
 test and the next step's first stage (RK4's k1, the Rosenbrock step's v), as
 in the "first same as last" Runge-Kutta pairs of Dormand and Prince (1980),
-then the energy, from `_energy` as everywhere.  The guard's minimum gap sets
-the RK4 stability cap on dt.  Grid samples never steer a step, so the phase
-queues its accepted steps and evaluates their grid samples a decade of t at
-a time, as the rows of one array, in `_end_states`: the same guard verdict,
-velocity and energy, bit for bit.  Per sample, numpy dispatch on arrays of
-n <= 36 heights costs more than the arithmetic.
+then the energy test.  An RK4 step certifies it without the energy: the
+energy is convex on the states that keep every crossing sign, which holds
+along the whole step since the guard passed at both of its ends, so
+E(y_new) <= E(y) - v_new . (y_new - y), and v_new . (y_new - y) >= 0
+proves that the energy did not rise (the first-order condition of convex
+functions).  Only when that test fails is the energy evaluated, from
+`_energy` as everywhere, and compared.  An RK4 state's energy is therefore
+evaluated only where it is read: at a recorded row, at the switch to the
+Rosenbrock phase (whose steps and grid samples compare energies), and on a
+failed certificate; each time from |d| computed as the guard computes it,
+so a recorded energy has the bits `energy_entangled`/`energy_weave` give.
+The guard's minimum gap sets the RK4 stability cap on dt.  Grid samples
+never steer a step, so the phase queues its accepted steps and evaluates
+their grid samples a decade of t at a time, as the rows of one array, in
+`_end_states`: the same guard verdict, velocity and energy, bit for bit.
+Per sample, numpy dispatch on arrays of n <= 36 heights costs more than the
+arithmetic.
 
 `integrate` records each point as one row: its time, a copy of its stacked
 heights, and its energy, velocity sup norm and minimum gap.  Once the run
@@ -55,8 +66,9 @@ Each `integrate`, `step`, `gradient` or `stationarity_residual` call builds
 one `_StepKernel`, the flow's one gate: it admits a configuration that fits,
 is finite, keeps every crossing sign and has a finite energy and velocity,
 derives the run's constants once, counts the velocity evaluations, and
-holds the buffers, with per-family views, of every stage and end state.
-The energy functions build no kernel; they check with `_checked_heights` only.
+holds the buffers, with per-family views, of every stage and end state
+(unless it only admits, for `gradient` or `stationarity_residual`).  The
+energy functions build no kernel; they check with `_checked_heights` only.
 """
 from __future__ import annotations
 
@@ -382,20 +394,22 @@ class _StepKernel:
     `_velocity` call and one per row that `_end_states` evaluates.
 
     Buffers, each a `_Heights` but for the last four, reused by every step
-    of a run: the accepted state `y` and its velocity `v`; the candidate end
-    state `y_new` and its velocity `v_new` (`accept` swaps the two pairs);
-    the RK4 stage state `stage` and stage velocities `k2`, `k3`, `k4`, of
-    which a Rosenbrock stage uses `stage` and `k2`; the Rosenbrock stages
-    `u`; the absolute gaps `gaps`, with their view `gap_view` in the
-    families' shape; the repulsion; and scratch rows."""
+    of a run: the accepted state `y` and its velocity `v`, and the
+    repulsion, which admission fills; and the step buffers, which a kernel
+    made with stepping=False (`gradient`, `stationarity_residual`) does not
+    build: the candidate end state `y_new` and its velocity `v_new`
+    (`accept` swaps the two pairs); the RK4 stage state `stage` and stage
+    velocities `k2`, `k3`, `k4`, of which a Rosenbrock stage uses `stage`
+    and `k2`; the Rosenbrock stages `u`; the absolute gaps `gaps`, with
+    their view `gap_view` in the families' shape; and scratch rows."""
 
-    def __init__(self, system, config, gap_safety=FlowParams.gap_safety):
+    def __init__(self, system, config, gap_safety=FlowParams.gap_safety, stepping=True):
         self.n = n = system.n_vertices
         if system.kind == "weave":
             shape = system._grid.shape
             two_nb, two_nr = (2.0 * c for c in system._thread_cycles)
-            self.blue_dot = lambda z, out: np.dot(z, two_nr, out)
-            self.red_dot = lambda z, out: np.dot(two_nb, z, out)
+            self.blue_dot = lambda z, out: z.dot(two_nr, out)
+            self.red_dot = two_nb.dot
             self.blue_dots = lambda z, out: np.matmul(z, two_nr, out=out)
             self.red_dots = lambda z, out: np.matmul(two_nb, z, out=out)
         else:
@@ -405,16 +419,9 @@ class _StepKernel:
             self.blue_dots = self.red_dots = lambda z, out: np.matmul(two_l, z[..., None], out=out[..., None])
         self.sign = system.sign.astype(float).reshape(shape)
         self.edges = _stacked_edges(system)
-        flat = np.empty((8, 2 * n))
-        self.y, self.v, self.y_new, self.v_new, self.stage, self.k2, self.k3, self.k4 = map(
-            _Heights, flat, flat.reshape((8, 2) + shape)
-        )
-        self.u = np.empty((4, 2 * n))
-        self.u_heads = tuple(self.u[:i] for i in range(4))  # u_1..u_i, read by stage i + 1
-        self.gaps = np.empty(n)
-        self.gap_view = self.gaps.reshape(shape)
+        flat = np.empty((2, 2 * n))
+        self.y, self.v = map(_Heights, flat, flat.reshape((2, 2) + shape))
         self.repulsion = np.empty(shape)
-        self.scratch = tuple(np.empty((2, 2 * n)))
         self.evaluations = 0
         self.y.flat[:], gaps = _checked_heights(system, config)
         gaps *= self.sign.reshape(n)  # positive exactly where the crossing sign holds, so |d|
@@ -426,12 +433,23 @@ class _StepKernel:
             self.x_term = _planar_term(system, config.x)
             e0 = _energy(self.edges, self.y.flat, gaps, self.x_term)
             v = _velocity(self, self.y, self.v).flat
-            grad_norm = float(np.maximum.reduce(np.abs(v, out=self.scratch[0])))
+            grad_norm = float(np.maximum.reduce(np.abs(v)))
         if not (math.isfinite(e0) and math.isfinite(grad_norm)):
             raise InvalidInitial(f"initial energy {e0!r} or velocity {grad_norm!r} is not finite")
         self.gap_floor = gap_safety / e0
         self.cushion = _ENERGY_CUSHION * abs(e0)
         self.start = (v, e0, grad_norm, min_gap)
+        if not stepping:
+            return
+        flat = np.empty((6, 2 * n))
+        self.y_new, self.v_new, self.stage, self.k2, self.k3, self.k4 = map(
+            _Heights, flat, flat.reshape((6, 2) + shape)
+        )
+        self.u = np.empty((4, 2 * n))
+        self.u_heads = tuple(self.u[:i] for i in range(4))  # u_1..u_i, read by stage i + 1
+        self.gaps = np.empty(n)
+        self.gap_view = self.gaps.reshape(shape)
+        self.scratch = tuple(np.empty((2, 2 * n)))
 
     def accept(self):
         """Make the candidate end state and its velocity the accepted ones."""
@@ -497,14 +515,14 @@ def gradient(system, config):
     """Descent direction (v_blue, v_red) of the height flow at config, which
     must be a state the flow admits (`_StepKernel`): one whose energy
     overflows raises InvalidInitial even if its velocity is finite."""
-    v = _StepKernel(system, config).start[0]
+    v = _StepKernel(system, config, stepping=False).start[0]
     return v[: system.n_vertices], v[system.n_vertices:]
 
 
 def stationarity_residual(system, config) -> float:
     """Sup norm of the descent velocity; zero exactly at stationary points.
     It admits config as `gradient` does."""
-    return _StepKernel(system, config).start[2]
+    return _StepKernel(system, config, stepping=False).start[2]
 
 
 def _guard_reason(kernel, y, gap_floor):
@@ -529,7 +547,7 @@ def _guard_reason(kernel, y, gap_floor):
     return gaps, min_gap  # only the sum overflowed; the signs hold, so these are |d|
 
 
-def _end_state(kernel, y, v, reference):
+def _end_state(kernel, y, v, reference, step=None):
     """Evaluate the candidate end state of a step, the `_Heights` y: the
     guard at the kernel's gap floor, then, if it passes, the velocity there,
     once, into the `_Heights` v, from the guard's gaps.  Returns why y is
@@ -537,16 +555,51 @@ def _end_state(kernel, y, v, reference):
     velocity (the next step's k1), the energy (`_energy`), the sup norm of v
     and the minimum gap.  The state is also rejected when its energy exceeds
     reference by more than the kernel's cushion (or is NaN).
-    """
+
+    An RK4 step passes its increment y - y_start as step, and its energy
+    test is certified instead where it can be: on the sign-feasible set,
+    where every signed gap is positive, the energy is convex, so
+    E(y) <= E(y_start) - v . step, and the guard has passed at both ends of
+    the straight segment between them, along which every signed gap is
+    linear.  So v . step >= 0 (and finite) proves that the energy did not
+    rise, up to the rounding of y_start + step, far below the cushion; the
+    end state is then accepted with its energy unevaluated, None.  When the
+    certificate fails (a negative dt, an overshooting step, a NaN), the
+    energy is evaluated and tested as above; a reference of None, an
+    unevaluated energy, is then evaluated at the kernel's accepted state
+    `y`, the step's start."""
     guard = _guard_reason(kernel, y, kernel.gap_floor)
     if isinstance(guard, str):
         return guard
     gaps, min_gap = guard
     velocity = _velocity(kernel, y, v, kernel.gap_view).flat
-    energy = _energy(kernel.edges, y.flat, gaps, kernel.x_term)
-    if not energy <= reference + kernel.cushion:
-        return "energy increased"
+    if step is not None and 0.0 <= velocity.dot(step) < math.inf:
+        energy = None
+    else:
+        energy = _energy(kernel.edges, y.flat, gaps, kernel.x_term)
+        if reference is None:
+            reference = _energy_at(kernel, kernel.y)
+        if not energy <= reference + kernel.cushion:
+            return "energy increased"
     return velocity, energy, float(np.maximum.reduce(np.abs(velocity, out=kernel.scratch[0]))), min_gap
+
+
+def _energy_at(kernel, y):
+    """The energy of the `_Heights` y, a state that passed the guard, from
+    its |d| recomputed as `_guard_reason` computes them: the same bits as
+    the energy `_end_state` evaluates there.  Overwrites the kernel's
+    `gaps`."""
+    signed = np.subtract(y.blue, y.red, out=kernel.gap_view)
+    signed *= kernel.sign
+    return _energy(kernel.edges, y.flat, kernel.gaps, kernel.x_term)
+
+
+def _evaluated(kernel, y, end):
+    """The `_end_state` end of the `_Heights` y with its energy evaluated
+    (`_energy_at`) if a certified RK4 step left it unevaluated."""
+    if end[1] is not None:
+        return end
+    return end[0], _energy_at(kernel, y), *end[2:]
 
 
 def _end_states(kernel, heights, gap_floor):
@@ -597,9 +650,13 @@ def _end_states(kernel, heights, gap_floor):
 
 def _rk4_step(kernel, dt, energy):
     """One Runge-Kutta step of size dt from the kernel's accepted state `y`,
-    whose velocity `v` is k1 and whose energy is energy, to its candidate
-    `y_new`, with the stages in the kernel's buffers.  Returns the
-    `_end_state` of `y_new`, whose velocity goes to `v_new`."""
+    whose velocity `v` is k1 and whose energy is energy (None if it was left
+    unevaluated), to its candidate `y_new`, with the stages in the kernel's
+    buffers.  Returns the `_end_state` of `y_new`, whose velocity goes to
+    `v_new`, with the step's increment, held in `k2`, for its certificate:
+    an accepted end state carries the energy None when the certificate
+    proved its descent, and the evaluated energy when the fallback test
+    passed."""
     y, k1 = kernel.y.flat, kernel.v.flat
     stage = kernel.stage
     k2, k3, k4 = kernel.k2.flat, kernel.k3.flat, kernel.k4.flat
@@ -622,7 +679,7 @@ def _rk4_step(kernel, dt, energy):
     k2 += k4
     k2 *= dt / 6.0
     np.add(k2, y, out=kernel.y_new.flat)
-    return _end_state(kernel, kernel.y_new, kernel.v_new, energy)
+    return _end_state(kernel, kernel.y_new, kernel.v_new, energy, k2)
 
 
 def step(system, config, dt) -> Configuration:
@@ -631,12 +688,16 @@ def step(system, config, dt) -> Configuration:
     The end state must keep finite heights and every crossing sign, no gap
     may fall below the default gap_safety divided by the energy at the input
     configuration, and the energy may not rise beyond the integrator's
-    rounding cushion.  Otherwise GapGuardTripped is raised.  The input is
-    admitted as `gradient`'s is: one that violates a crossing sign or whose
-    energy or velocity is not finite raises InvalidInitial.
+    rounding cushion.  Otherwise GapGuardTripped is raised.  A dt that is
+    not positive and finite raises InvalidParameter, as `FlowParams` does
+    for its step sizes.  The input is admitted as `gradient`'s is: one that
+    violates a crossing sign or whose energy or velocity is not finite
+    raises InvalidInitial.
     """
     if isinstance(dt, bool) or not isinstance(dt, (int, float, np.integer, np.floating)):
         raise InvalidParameter(f"dt must be an int or float, got {dt!r}")
+    if not 0 < dt < math.inf:  # also rejects NaN
+        raise InvalidParameter(f"dt must be positive and finite, got {dt!r}")
     kernel = _StepKernel(system, config)
     with np.errstate(**_QUIET):
         end = _rk4_step(kernel, dt, kernel.start[1])
@@ -869,6 +930,8 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
         while not grad_norm < params.grad_tol and t < params.t_max:
             if held >= _SWITCH_STEPS and untangled and ros is None:
                 ros = _Rosenbrock(kernel, record, t, accepted, rejected)
+                # the phase's steps and grid samples compare energies
+                _, energy, grad_norm, _ = end = _evaluated(kernel, kernel.y, end)
             h_eff = min(h, params.t_max - t)
             new_end = _rk4_step(kernel, h_eff, energy) if ros is None else ros.attempt(t, h_eff, energy)
             if isinstance(new_end, str):
@@ -885,6 +948,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
                 h = max(params.dt_min, min(h * 1.25, cap))
                 held = held + 1 if h == cap else 0
                 if accepted % params.record_stride == 0:
+                    new_end = _evaluated(kernel, kernel.y_new, new_end)
                     record(t + h_eff, kernel.y_new.flat, new_end)
             else:
                 h = ros.queue(t, h_eff, energy, new_end)
@@ -893,9 +957,9 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
             _, energy, grad_norm, _ = end = new_end
         status = "converged" if grad_norm < params.grad_tol else "truncated"
         stats = RunStats(accepted, rejected, kernel.evaluations) if ros is None else ros.finish(t, accepted, rejected)
+        if times[-1] < t:
+            record(t, kernel.y.flat, _evaluated(kernel, kernel.y, end))
 
-    if times[-1] < t:
-        record(t, kernel.y.flat, end)
     heights = np.array(rows)
     energy, grad_norm, min_gap = np.array(diagnostics).T
     members = system._components if system.kind == "weave" else ()  # graph samples carry no component sums

@@ -7,8 +7,9 @@ tangle decomposition partitions the threads with K == 1 exactly for
 entangled weaves, every crossing agrees with the component order
 `classify` prints, the flow ends with every two crossing components at
 mean heights in that order, component weights count the crossings with
-the other components, and the flow keeps its invariants on small weaves
-and graphs."""
+the other components, the flow keeps its invariants on small weaves
+and graphs, and an RK4 step whose descent is certified does not raise the
+energy."""
 from __future__ import annotations
 
 import contextlib
@@ -24,7 +25,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conftest import dense_velocity, kernel_velocity, random_graph_system  # noqa: E402
+from conftest import (  # noqa: E402
+    GRAPH_DESIGNS,
+    WEAVE_DESIGNS,
+    dense_velocity,
+    kernel_velocity,
+    load_system,
+    random_graph_system,
+)
 from tangleflow import dynamics  # noqa: E402
 from tangleflow.analysis import commutation_check, weave_spectrum  # noqa: E402
 from tangleflow.cli import main  # noqa: E402
@@ -32,6 +40,7 @@ from tangleflow.designio import _syntax_error, _tokenize, parse_design, serializ
 from tangleflow.errors import DesignSyntaxError, InvalidGraph, InvalidWeave, TangleflowError, ZeroSignEntry  # noqa: E402
 from tangleflow.dynamics import FlowParams, integrate  # noqa: E402
 from tangleflow.model import (  # noqa: E402
+    Configuration,
     GraphDesign,
     PeriodicQuotientGraph,
     WeaveDesign,
@@ -380,3 +389,30 @@ def test_flow_keeps_its_invariants_on_generated_systems(system, seed):
         assert abs(float(np.sum(s.config.z_blue + s.config.z_red)) - m0) <= 1e-8
         assert np.all(np.sign(s.config.z_blue - s.config.z_red) == system.sign)
         assert s.min_gap >= params.gap_safety / e0
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(GRAPH_DESIGNS + WEAVE_DESIGNS), st.integers(0, 2**16), st.floats(0.0, 1.0))
+@example("chained_4x4.weave", 9, 1.0)
+@example("honeycomb.graph", 0, 0.0)
+def test_a_certified_rk4_step_does_not_raise_the_energy(name, seed, fraction):
+    """Whenever `_end_state`'s certificate accepts an RK4 candidate (its
+    energy left unevaluated), the energy at the candidate, evaluated apart,
+    is at most the start's plus the kernel's cushion: on the 12 bundled
+    designs, from random starts, with dt log-uniform from 1e-4 to twice
+    the RK4 stability cap at the start, where steps overshoot."""
+    system = load_system(name)
+    config = random_initial_configuration(system, seed=seed)
+    kernel = dynamics._StepKernel(system, config)
+    # `integrate`'s cap: Gershgorin on 2 L plus the gap repulsion's 4 / gap^3
+    quad_rate = 4.0 * int(np.max(np.bincount(np.concatenate(kernel.edges), minlength=2 * system.n_vertices)))
+    cap = dynamics._STABILITY_MARGIN / (quad_rate + 4.0 / kernel.start[3] ** 3)
+    dt = 1e-4 * (2.0 * cap / 1e-4) ** fraction
+    with np.errstate(**dynamics._QUIET):
+        end = dynamics._rk4_step(kernel, dt, kernel.start[1])
+    if isinstance(end, str) or end[1] is not None:
+        return
+    n = system.n_vertices
+    y_new = kernel.y_new.flat
+    stepped = Configuration(x=config.x, z_blue=y_new[:n].copy(), z_red=y_new[n:].copy())
+    assert dynamics._total_energy(system, stepped) <= dynamics._total_energy(system, config) + kernel.cushion

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -298,14 +299,12 @@ def test_step_rejects_a_dt_that_is_not_a_real_number():
     for dt in ("a", None, True, 1j):  # "a" and None ended in raw TypeErrors, True stepped by 1
         with pytest.raises(InvalidParameter, match=f"dt must be an int or float, got {dt!r}"):
             step(system, config, dt)
-    # every numeric dt keeps its outcome
-    for dt in (0.0, 0):
-        new = step(system, config, dt)
-        assert np.array_equal(new.z_blue, config.z_blue) and np.array_equal(new.z_red, config.z_red)
-    assert not np.array_equal(step(system, config, np.float32(1e-3)).z_blue, config.z_blue)
-    for dt, reason in [(-0.1, "energy increased"), (np.nan, "non-finite heights"), (np.inf, "non-finite heights")]:
-        with pytest.raises(GapGuardTripped, match=f"rejected: {reason}$"):
+    # a zero step returned the input, and a negative, NaN or infinite one
+    # tripped the guard; each is a bad parameter, as in `FlowParams`
+    for dt in (0.0, -0.0, 0, -1e-3, -0.1, np.nan, np.inf, -np.inf, np.float64(np.nan), np.int64(-1)):
+        with pytest.raises(InvalidParameter, match=f"^dt must be positive and finite, got {re.escape(repr(dt))}$"):
             step(system, config, dt)
+    assert not np.array_equal(step(system, config, np.float32(1e-3)).z_blue, config.z_blue)
 
 
 def test_integrate_pair_converges_to_closed_form():
@@ -663,8 +662,8 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
         monkeypatch.setattr(dynamics, fn_name, counted(fn_name, getattr(dynamics, fn_name)))
     end_state = dynamics._end_state
 
-    def watched_end_state(kernel, y, v, reference):
-        end = end_state(kernel, y, v, reference)
+    def watched_end_state(kernel, y, v, *args):
+        end = end_state(kernel, y, v, *args)
         ends.append((calls["_ros_step"] > 0, v is kernel.k2, isinstance(end, str)))
         return end
 
@@ -713,6 +712,67 @@ def test_run_stats_are_the_counts_of_both_phases(caplog, monkeypatch, name, stri
         f"{stats.velocity_evaluations - at_switch[0]} velocity evaluations, "
         f"{stats.grid_recorded} grid samples recorded, {stats.grid_skipped} skipped"
     )
+
+
+def test_an_entangled_run_evaluates_the_energy_only_where_it_is_read(monkeypatch):
+    """An RK4-only run (chained_4x4, seed 9, default stride) calls `_energy`
+    once for E0, once per later recorded row, and inside `_end_state` only
+    for the steps whose certificate fails, at most twice each (the candidate
+    and an unevaluated reference): here the 2 rejected steps, of 368."""
+    energy, end_state = dynamics._energy, dynamics._end_state
+    calls, fallbacks = [0], []  # per uncertified RK4 end state: `_energy` calls inside it
+
+    def counted_energy(*args):
+        calls[0] += 1
+        return energy(*args)
+
+    def watched_end_state(*args):
+        before = calls[0]
+        end = end_state(*args)
+        if isinstance(end, str) or end[1] is not None:
+            fallbacks.append(calls[0] - before)
+        else:
+            assert calls[0] == before
+        return end
+
+    monkeypatch.setattr(dynamics, "_energy", counted_energy)
+    monkeypatch.setattr(dynamics, "_end_state", watched_end_state)
+    system = load_system("chained_4x4.weave")
+    traj = integrate(system, random_initial_configuration(system, seed=9), FlowParams())
+    stats = traj.stats
+    assert (stats.rk4_accepted, stats.rk4_rejected, len(traj.t)) == (366, 2, 5)
+    assert fallbacks == [2, 2]
+    assert calls[0] == 1 + (len(traj.t) - 1) + sum(fallbacks)
+
+
+def test_rk4_step_falls_back_to_the_energy_test_when_the_certificate_fails(monkeypatch):
+    """A backward step (dt = -0.1) climbs the energy, so v_new . step < 0
+    and `_rk4_step` still returns "energy increased", from `_energy` at the
+    candidate, and at the start too when its energy is unevaluated (None);
+    a forward step is certified with no `_energy` call and its energy left
+    None."""
+    calls = [0]
+    energy = dynamics._energy
+
+    def counted_energy(*args):
+        calls[0] += 1
+        return energy(*args)
+
+    monkeypatch.setattr(dynamics, "_energy", counted_energy)
+    system = load_system("entangled_pair.graph")
+    kernel = dynamics._StepKernel(system, make_configuration(system, (0.6, -0.5), (-0.55, 0.62)))
+    calls[0] = 0
+    with np.errstate(**dynamics._QUIET):
+        for reference, evaluations in ((kernel.start[1], 1), (None, 2)):
+            assert dynamics._rk4_step(kernel, -0.1, reference) == "energy increased"
+            assert calls[0] == evaluations
+            calls[0] = 0
+        end = dynamics._rk4_step(kernel, 1e-3, None)
+    assert end[1] is None and calls[0] == 0
+    n = system.n_vertices
+    stepped = kernel.y_new.flat
+    stepped = make_configuration(system, stepped[:n], stepped[n:])
+    assert energy_entangled(system, stepped) <= kernel.start[1]
 
 
 def test_run_stats_of_a_run_that_stays_on_rk4(monkeypatch):
