@@ -16,7 +16,10 @@ line with:
 - `relax_s`: wall time of `tangleflow relax <design> --t-max 5 --seed 1`,
   in process, outputs discarded, best of --repeats;
 - `accepted`, `rejected`: the RK4 steps of that run, read from the
-  `stats` of a second, untimed run of `integrate`.
+  `stats` of the same flow run by `integrate` alone;
+- `step_us`: the wall time of that `integrate` call divided by its
+  accepted RK4 steps, best of --repeats: the cost of one step with its
+  share of set-up, samples and rejected attempts.
 
 Step counts are exact and repeat; times depend on the machine and its load.
 """
@@ -56,13 +59,17 @@ def velocity_call(kernel, y):
     return lambda: dynamics._velocity(kernel, kernel.stage, kernel.k2)
 
 
-def step_counts(path) -> tuple:
-    """Accepted and rejected RK4 steps of `relax --t-max 5 --seed 1` on the design."""
+def step_counts(path, repeats) -> tuple:
+    """Accepted and rejected RK4 steps of `relax --t-max 5 --seed 1` on the
+    design, and the best of repeats `integrate` wall times per accepted step."""
     system = design_to_system(load_design(path))
-    stats = dynamics.integrate(
-        system, random_initial_configuration(system, seed=1), dynamics.FlowParams(t_max=5.0)
-    ).stats
-    return stats.rk4_accepted, stats.rk4_rejected
+    config, params = random_initial_configuration(system, seed=1), dynamics.FlowParams(t_max=5.0)
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        stats = dynamics.integrate(system, config, params).stats
+        walls.append(time.perf_counter() - start)
+    return stats.rk4_accepted, stats.rk4_rejected, min(walls) / stats.rk4_accepted
 
 
 def main(argv=None) -> int:
@@ -71,7 +78,10 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     print(f"python {sys.version.split()[0]}, numpy {np.__version__}, nproc {os.cpu_count()}, BLAS threads 1")
-    print(f"{'weave':>7} {'n':>5} {'build_ms':>9} {'velocity_us':>12} {'relax_s':>8} {'accepted':>8} {'rejected':>8}")
+    print(
+        f"{'weave':>7} {'n':>5} {'build_ms':>9} {'velocity_us':>12} {'relax_s':>8} {'accepted':>8} {'rejected':>8} "
+        f"{'step_us':>8}"
+    )
     with tempfile.TemporaryDirectory() as tmp:
         for size in args.sizes:
             path = Path(tmp) / f"checker_{size}.weave"
@@ -99,10 +109,11 @@ def main(argv=None) -> int:
                 if code != 0:
                     print(f"relax exited {code} on the {size}x{size} checkerboard", file=sys.stderr)
                     return 1
-            accepted, rejected = step_counts(path)
+            accepted, rejected, per_step = step_counts(path, args.repeats)
             print(
                 f"{size}x{size:<4} {size * size:>5} {min(builds) * 1e3:>9.2f} "
-                f"{statistics.median(calls) * 1e6:>12.1f} {min(runs):>8.3f} {accepted:>8} {rejected:>8}"
+                f"{statistics.median(calls) * 1e6:>12.1f} {min(runs):>8.3f} {accepted:>8} {rejected:>8} "
+                f"{per_step * 1e6:>8.1f}"
             )
     return 0
 

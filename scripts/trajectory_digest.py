@@ -16,7 +16,11 @@ corpus is, in this order:
   which converges inside the Rosenbrock phase;
 - the checkerboard weaves 3x3, 4x6 and 12x12 (sign (-1)^(i+j) at blue
   thread i and red thread j) x seeds 1, 2 and 11 at the default
-  `FlowParams`, as `relax` runs generated weaves.
+  `FlowParams`, as `relax` runs generated weaves;
+- three untangled systems with heights on no height edge, whose end states
+  keep the guard's height-sum test, seed 11 to t_max 500, past the switch
+  to Rosenbrock steps: the alternating 1x4 and 4x1 weaves (a one-crossing
+  thread has no edge) and the one-vertex graph with two shifted loops.
 
 For each run the script hashes the bytes of every `Trajectory` column, in
 the order of the dataclass fields, then `repr` of its status and
@@ -42,7 +46,13 @@ import numpy as np  # noqa: E402
 
 from tangleflow.designio import design_to_system, load_design  # noqa: E402
 from tangleflow.dynamics import FlowParams, Trajectory, integrate  # noqa: E402
-from tangleflow.model import WeaveDesign, build_weave_system, random_initial_configuration  # noqa: E402
+from tangleflow.model import (  # noqa: E402
+    PeriodicQuotientGraph,
+    WeaveDesign,
+    build_entangled_system,
+    build_weave_system,
+    random_initial_configuration,
+)
 from tangleflow.topology import is_entangled  # noqa: E402
 
 SEEDS = (1, 2, 11)
@@ -70,6 +80,12 @@ def corpus():
         system = build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign))
         for seed in SEEDS:
             yield f"checker {n_blue}x{n_red}", system, seed, FlowParams()
+    for n_blue, n_red in ((1, 4), (4, 1)):
+        sign = tuple(tuple((-1) ** (i + j) for j in range(n_red)) for i in range(n_blue))
+        system = build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign))
+        yield f"alternating {n_blue}x{n_red}", system, 11, FlowParams(t_max=500.0)
+    loops = PeriodicQuotientGraph(n_vertices=1, edges=((0, 0, (1, 0)), (0, 0, (0, 1))), lattice_basis=((1, 0), (0, 1)))
+    yield "one vertex, two loops", build_entangled_system(loops, (1,)), 11, FlowParams(t_max=500.0)
 
 
 def main(argv=None) -> int:

@@ -37,18 +37,27 @@ Both phases evaluate a candidate end state in one place, `_end_state`: the
 guard, then the velocity there, once, which gives the sup-norm convergence
 test and the next step's first stage (RK4's k1, the Rosenbrock step's v), as
 in the "first same as last" Runge-Kutta pairs of Dormand and Prince (1980),
-then the energy test.  An RK4 step certifies it without the energy: the
-energy is convex on the states that keep every crossing sign, which holds
-along the whole step since the guard passed at both of its ends, so
-E(y_new) <= E(y) - v_new . (y_new - y), and v_new . (y_new - y) >= 0
-proves that the energy did not rise (the first-order condition of convex
-functions).  Only when that test fails is the energy evaluated, from
-`_energy` as everywhere, and compared.  An RK4 state's energy is therefore
-evaluated only where it is read: at a recorded row, at the switch to the
-Rosenbrock phase (whose steps and grid samples compare energies), and on a
-failed certificate; each time from |d| computed as the guard computes it,
-so a recorded energy has the bits `energy_entangled`/`energy_weave` give.
-The guard's minimum gap sets the RK4 stability cap on dt.  Grid samples
+then the energy test.  An RK4 step certifies three of these checks instead
+of computing them:
+- the energy test: the energy is convex on the states that keep every
+  crossing sign, which holds along the whole step since the guard passed at
+  both of its ends, so E(y_new) <= E(y) - v_new . (y_new - y), and
+  v_new . (y_new - y) >= 0 proves that the energy did not rise (the
+  first-order condition of convex functions);
+- the guard's finiteness test, on a system whose every height lies on a
+  height edge: an infinite height makes its own 2 L z entry of v_new
+  non-finite, so that dot is then no finite number;
+- the convergence test, in `integrate`: a velocity of 2n entries with
+  v . v >= 4n grad_tol^2 (`_speed_floor`) has a sup norm of at least
+  grad_tol.
+Only when the descent certificate fails are the finiteness and the energy
+tested, and only when the speed floor is not reached is the sup norm
+computed.  An RK4 state's energy and sup norm are therefore evaluated only
+where they are read: at a recorded row, at the switch to the Rosenbrock
+phase (whose steps and grid samples compare energies), and on an undecided
+step; each time as the uncertified path would, so a recorded energy has the
+bits `energy_entangled`/`energy_weave` give.  The guard's minimum gap sets
+the RK4 stability cap on dt.  Grid samples
 never steer a step, so the phase queues its accepted steps and evaluates
 their grid samples a decade of t at a time, as the rows of one array, in
 `_end_states`: the same guard verdict, velocity and energy, bit for bit.
@@ -75,6 +84,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +99,7 @@ from .errors import (
     WrongKind,
     ZeroGap,
 )
-from .model import Configuration, _laplacian
+from .model import Configuration, _finite, _laplacian
 
 __all__ = [
     "FlowParams",
@@ -206,15 +216,16 @@ class FlowParams:
             raise InvalidParameter(
                 f"dt_max ({self.dt_max!r}) must be at least dt_init ({self.dt_init!r})"
             )
-        if not (self.t_max > 0 and math.isfinite(self.t_max)):
+        if not (self.t_max > 0 and _finite(self.t_max)):
             raise InvalidParameter(f"t_max must be positive and finite, got {self.t_max!r}")
-        if not (self.grad_tol > 0 and math.isfinite(self.grad_tol)):
+        if not (self.grad_tol > 0 and _finite(self.grad_tol)):
             raise InvalidParameter(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
         if not 0.0 < self.gap_safety < 1.0:
             raise InvalidParameter(
                 f"gap_safety must lie strictly between 0 and 1, got {self.gap_safety!r}"
             )
-        if not (isinstance(self.record_stride, int) and self.record_stride >= 1):
+        stride = self.record_stride
+        if isinstance(stride, bool) or not (isinstance(stride, int) and stride >= 1):
             raise InvalidParameter(
                 f"record_stride must be a positive integer, got {self.record_stride!r}"
             )
@@ -389,7 +400,12 @@ class _StepKernel:
     finite.  They are its stacked heights and velocity in `y` and `v`, its
     layout's planar term `x_term`, from its energy e0 the `gap_floor`
     gap_safety / e0 and the `cushion` _ENERGY_CUSHION |e0|, and the `start`,
-    an `_end_state`: (v, e0, the sup norm of v, the minimum gap).
+    an `_end_state`: (v, e0, the sup norm of v, the minimum gap).  A
+    stepping kernel also derives, from the stacked edges' degree count, the
+    `quad_rate` of `integrate`'s stability cap and `sum_test`, whether some
+    height lies on no height edge (a 1 x m or m x 1 weave, a one-vertex
+    graph), so that its end states keep the guard's height-sum test; and
+    from grad_tol the `speed_floor` (`_speed_floor`; NaN with no grad_tol).
     `evaluations` counts the states whose velocity is evaluated: one per
     `_velocity` call and one per row that `_end_states` evaluates.
 
@@ -403,7 +419,7 @@ class _StepKernel:
     and `k2`; the Rosenbrock stages `u`; the absolute gaps `gaps`, with
     their view `gap_view` in the families' shape; and scratch rows."""
 
-    def __init__(self, system, config, gap_safety=FlowParams.gap_safety, stepping=True):
+    def __init__(self, system, config, gap_safety=FlowParams.gap_safety, grad_tol=None, stepping=True):
         self.n = n = system.n_vertices
         if system.kind == "weave":
             shape = system._grid.shape
@@ -433,7 +449,7 @@ class _StepKernel:
             self.x_term = _planar_term(system, config.x)
             e0 = _energy(self.edges, self.y.flat, gaps, self.x_term)
             v = _velocity(self, self.y, self.v).flat
-            grad_norm = float(np.maximum.reduce(np.abs(v)))
+            grad_norm = _sup_norm(v)
         if not (math.isfinite(e0) and math.isfinite(grad_norm)):
             raise InvalidInitial(f"initial energy {e0!r} or velocity {grad_norm!r} is not finite")
         self.gap_floor = gap_safety / e0
@@ -441,6 +457,14 @@ class _StepKernel:
         self.start = (v, e0, grad_norm, min_gap)
         if not stepping:
             return
+        # a row of 2 |L| sums to four times its height's degree in the family
+        # (a 1x1 weave has no edges): the Gershgorin bound on the stretching
+        # part of the flow Jacobian; the gap repulsion adds at most
+        # 4/min_gap^3 on top
+        degree = np.bincount(np.concatenate(self.edges), minlength=2 * n)
+        self.quad_rate = 4.0 * int(np.max(degree))
+        self.sum_test = not degree.all()
+        self.speed_floor = _speed_floor(2 * n, grad_tol)
         flat = np.empty((6, 2 * n))
         self.y_new, self.v_new, self.stage, self.k2, self.k3, self.k4 = map(
             _Heights, flat, flat.reshape((6, 2) + shape)
@@ -525,10 +549,13 @@ def stationarity_residual(system, config) -> float:
     return _StepKernel(system, config, stepping=False).start[2]
 
 
-def _guard_reason(kernel, y, gap_floor):
+def _guard_reason(kernel, y, gap_floor, sum_test=True):
     """Why the stacked heights in the `_Heights` y are structurally
     unacceptable, as a string; when they are acceptable, their absolute gaps
-    |z_blue - z_red| (the kernel's `gaps`) and the minimum gap instead."""
+    |z_blue - z_red| (the kernel's `gaps`) and the minimum gap instead.
+    With sum_test False, heights whose signed gaps all reach the floor pass
+    without the height-sum test of finiteness, which the caller, an RK4
+    `_end_state`, then certifies or runs itself."""
     gaps = kernel.gaps
     signed = np.subtract(y.blue, y.red, out=kernel.gap_view)
     signed *= kernel.sign  # positive exactly where the crossing sign holds
@@ -536,7 +563,7 @@ def _guard_reason(kernel, y, gap_floor):
     # every signed gap at or above the floor (false for NaN) and a finite sum
     # (false for any inf or NaN entry) imply that all the checks below pass;
     # the signed gaps are then the absolute ones
-    if min_gap >= gap_floor and math.isfinite(np.add.reduce(y.flat)):
+    if min_gap >= gap_floor and (not sum_test or math.isfinite(np.add.reduce(y.flat))):
         return gaps, min_gap
     if not np.all(np.isfinite(y.flat)):
         return "non-finite heights"
@@ -553,35 +580,68 @@ def _end_state(kernel, y, v, reference, step=None):
     once, into the `_Heights` v, from the guard's gaps.  Returns why y is
     rejected, as a string, or (v.flat, energy, grad_norm, min_gap): the
     velocity (the next step's k1), the energy (`_energy`), the sup norm of v
-    and the minimum gap.  The state is also rejected when its energy exceeds
-    reference by more than the kernel's cushion (or is NaN).
+    (`_sup_norm`) and the minimum gap.  The state is also rejected when its
+    energy exceeds reference by more than the kernel's cushion (or is NaN).
 
-    An RK4 step passes its increment y - y_start as step, and its energy
-    test is certified instead where it can be: on the sign-feasible set,
-    where every signed gap is positive, the energy is convex, so
-    E(y) <= E(y_start) - v . step, and the guard has passed at both ends of
-    the straight segment between them, along which every signed gap is
-    linear.  So v . step >= 0 (and finite) proves that the energy did not
-    rise, up to the rounding of y_start + step, far below the cushion; the
-    end state is then accepted with its energy unevaluated, None.  When the
-    certificate fails (a negative dt, an overshooting step, a NaN), the
-    energy is evaluated and tested as above; a reference of None, an
-    unevaluated energy, is then evaluated at the kernel's accepted state
-    `y`, the step's start."""
-    guard = _guard_reason(kernel, y, kernel.gap_floor)
+    An RK4 step passes its increment y - y_start as step, and three checks
+    are certified instead where they can be:
+    - the energy test: on the sign-feasible set, where every signed gap is
+      positive, the energy is convex, so E(y) <= E(y_start) - v . step, and
+      the guard has passed at both ends of the straight segment between
+      them, along which every signed gap is linear.  So v . step >= 0 (and
+      finite) proves that the energy did not rise, up to the rounding of
+      y_start + step, far below the cushion; the end state is then accepted
+      with its energy unevaluated, None;
+    - finiteness, unless the kernel's `sum_test` holds: the guard skips its
+      height-sum test, since an infinite height on a height edge makes its
+      own entry of v non-finite, and so v . step no finite number;
+    - the sup norm: on a certified step with v . v at or above the kernel's
+      `speed_floor`, it is at least grad_tol and left unevaluated, None.
+    When the descent certificate fails (a negative dt, an overshooting step,
+    a NaN), heights the guard did not sum are tested for finiteness
+    ("non-finite heights", as the guard would say), and the energy is
+    evaluated and tested as above; a reference of None, an unevaluated
+    energy, is then evaluated at the kernel's accepted state `y`, the
+    step's start."""
+    sum_test = step is None or kernel.sum_test
+    guard = _guard_reason(kernel, y, kernel.gap_floor, sum_test)
     if isinstance(guard, str):
         return guard
     gaps, min_gap = guard
     velocity = _velocity(kernel, y, v, kernel.gap_view).flat
     if step is not None and 0.0 <= velocity.dot(step) < math.inf:
+        if velocity.dot(velocity) >= kernel.speed_floor:
+            return velocity, None, None, min_gap
         energy = None
     else:
+        if not (sum_test or np.isfinite(y.flat).all()):
+            return "non-finite heights"
         energy = _energy(kernel.edges, y.flat, gaps, kernel.x_term)
         if reference is None:
             reference = _energy_at(kernel, kernel.y)
         if not energy <= reference + kernel.cushion:
             return "energy increased"
-    return velocity, energy, float(np.maximum.reduce(np.abs(velocity, out=kernel.scratch[0]))), min_gap
+    return velocity, energy, _sup_norm(velocity, kernel.scratch[0]), min_gap
+
+
+def _sup_norm(v, out=None) -> float:
+    """The sup norm of the flat velocity v, with |v| written into out."""
+    return float(np.maximum.reduce(np.abs(v, out=out)))
+
+
+def _speed_floor(size, grad_tol) -> float:
+    """The v . v at or above which a velocity of size entries has a sup norm
+    of at least grad_tol: 2 size grad_tol^2.  A sup norm below grad_tol
+    gives v . v < size grad_tol^2, and the factor 2 covers the rounding of
+    the dot and of the floor itself while grad_tol^2 is a normal float and
+    the floor is finite.  Otherwise, and with no grad_tol, NaN, which no
+    v . v reaches."""
+    if grad_tol is None:
+        return math.nan
+    tol = float(grad_tol)
+    square = tol * tol
+    floor = 2.0 * size * square
+    return floor if square >= sys.float_info.min and floor < math.inf else math.nan
 
 
 def _energy_at(kernel, y):
@@ -595,11 +655,15 @@ def _energy_at(kernel, y):
 
 
 def _evaluated(kernel, y, end):
-    """The `_end_state` end of the `_Heights` y with its energy evaluated
-    (`_energy_at`) if a certified RK4 step left it unevaluated."""
-    if end[1] is not None:
-        return end
-    return end[0], _energy_at(kernel, y), *end[2:]
+    """The `_end_state` end of the `_Heights` y with the energy
+    (`_energy_at`) and the velocity's sup norm that a certified RK4 step
+    left unevaluated, None, filled in."""
+    velocity, energy, grad_norm, min_gap = end
+    if energy is None:
+        energy = _energy_at(kernel, y)
+    if grad_norm is None:
+        grad_norm = _sup_norm(velocity, kernel.scratch[0])
+    return velocity, energy, grad_norm, min_gap
 
 
 def _end_states(kernel, heights, gap_floor):
@@ -653,10 +717,10 @@ def _rk4_step(kernel, dt, energy):
     whose velocity `v` is k1 and whose energy is energy (None if it was left
     unevaluated), to its candidate `y_new`, with the stages in the kernel's
     buffers.  Returns the `_end_state` of `y_new`, whose velocity goes to
-    `v_new`, with the step's increment, held in `k2`, for its certificate:
+    `v_new`, with the step's increment, held in `k2`, for its certificates:
     an accepted end state carries the energy None when the certificate
     proved its descent, and the evaluated energy when the fallback test
-    passed."""
+    passed, and the sup norm None when its speed floor proved it."""
     y, k1 = kernel.y.flat, kernel.v.flat
     stage = kernel.stage
     k2, k3, k4 = kernel.k2.flat, kernel.k3.flat, kernel.k4.flat
@@ -696,7 +760,7 @@ def step(system, config, dt) -> Configuration:
     """
     if isinstance(dt, bool) or not isinstance(dt, (int, float, np.integer, np.floating)):
         raise InvalidParameter(f"dt must be an int or float, got {dt!r}")
-    if not 0 < dt < math.inf:  # also rejects NaN
+    if not (dt > 0 and _finite(dt)):  # also rejects NaN
         raise InvalidParameter(f"dt must be positive and finite, got {dt!r}")
     kernel = _StepKernel(system, config)
     with np.errstate(**_QUIET):
@@ -884,7 +948,10 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     """Run the guarded descent flow from config0.
 
     Stops with status "converged" at the end of the first step whose end
-    velocity tests below grad_tol in sup norm, or "truncated" at t_max.  One
+    velocity tests below grad_tol in sup norm, or "truncated" at t_max; an
+    RK4 step whose v . v reaches 4n grad_tol^2 skips that test, since its
+    sup norm is then at least grad_tol, and only recorded rows evaluate
+    it.  One
     loop takes every step, clipped to t_max; a step is rejected (and its size
     halved) when it trips a structural guard or raises the energy, and
     rejection at dt_min raises StepUnderflow.  The flow starts on adaptive
@@ -901,15 +968,11 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     """
     n = system.n_vertices
     try:
-        kernel = _StepKernel(system, config0, params.gap_safety)
+        kernel = _StepKernel(system, config0, params.gap_safety, params.grad_tol)
     except (MismatchedVertexSet, NonFiniteHeights, ZeroGap) as exc:
         raise InvalidInitial(f"unusable initial state: {exc}") from None
 
     untangled = len(system._components) >= 2
-    # Gershgorin bound on the stretching part 2 L of the flow Jacobian: a row
-    # of 2 |L| sums to four times its vertex's degree in the family (a 1x1
-    # weave has no edges); the gap repulsion adds at most 4/min_gap^3 on top
-    quad_rate = 4.0 * int(np.max(np.bincount(np.concatenate(kernel.edges), minlength=2 * n)))
 
     # one row per recorded point: its time, heights and (energy, grad_norm,
     # min_gap)
@@ -927,7 +990,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
     ros = None  # the Rosenbrock phase, from the switch on
 
     with np.errstate(**_QUIET):
-        while not grad_norm < params.grad_tol and t < params.t_max:
+        while (grad_norm is None or not grad_norm < params.grad_tol) and t < params.t_max:
             if held >= _SWITCH_STEPS and untangled and ros is None:
                 ros = _Rosenbrock(kernel, record, t, accepted, rejected)
                 # the phase's steps and grid samples compare energies
@@ -944,7 +1007,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
             accepted += 1
             if ros is None:
                 # an overflowing gap cube is an infinite one: no repulsion limit
-                cap = min(params.dt_max, _STABILITY_MARGIN / (quad_rate + 4.0 / float(new_end[3] ** 3)))
+                cap = min(params.dt_max, _STABILITY_MARGIN / (kernel.quad_rate + 4.0 / float(new_end[3] ** 3)))
                 h = max(params.dt_min, min(h * 1.25, cap))
                 held = held + 1 if h == cap else 0
                 if accepted % params.record_stride == 0:
@@ -955,7 +1018,7 @@ def integrate(system, config0, params: FlowParams = FlowParams()) -> Trajectory:
             t += h_eff
             kernel.accept()
             _, energy, grad_norm, _ = end = new_end
-        status = "converged" if grad_norm < params.grad_tol else "truncated"
+        status = "converged" if grad_norm is not None and grad_norm < params.grad_tol else "truncated"
         stats = RunStats(accepted, rejected, kernel.evaluations) if ros is None else ros.finish(t, accepted, rejected)
         if times[-1] < t:
             record(t, kernel.y.flat, _evaluated(kernel, kernel.y, end))

@@ -64,6 +64,15 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return _freeze(arr)
 
 
+def _finite(value) -> bool:
+    """Whether the real number value is finite as a float; an int too large
+    for one is not.  It converts as float() does, so no numpy scalar warns."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """Make a freshly built array read-only in place, without copying it."""
     arr.setflags(write=False)
@@ -535,18 +544,25 @@ def random_initial_configuration(system, seed: int, gap_scale: float = 1.0) -> C
 
     Each copy starts at signed distance between gap_scale and 2*gap_scale from
     the plane, so every gap is at least 2*gap_scale wide; the global height
-    barycenter is shifted to zero.  The seed must be a non-negative integer.
+    barycenter is shifted to zero.  The seed must be a non-negative integer,
+    and a gap_scale so large that 2*gap_scale or the shifted heights
+    overflow raises InvalidParameter.
     """
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
-    if not (isinstance(gap_scale, Real) and 0 < gap_scale < np.inf):  # also rejects NaN
+    if not (isinstance(gap_scale, Real) and gap_scale > 0 and _finite(gap_scale)):  # also rejects NaN
         raise InvalidParameter(f"gap_scale must be positive and finite, got {gap_scale!r}")
+    if not 2.0 * float(gap_scale) < math.inf:
+        raise InvalidParameter(f"gap_scale {gap_scale!r} is too large: heights up to 2*gap_scale overflow")
     rng = np.random.default_rng(seed)
     n = system.n_vertices
     sign = system.sign.astype(float)
-    zb = sign * (gap_scale + rng.uniform(0.0, gap_scale, n))
-    zr = -sign * (gap_scale + rng.uniform(0.0, gap_scale, n))
-    shift = float(np.sum(zb + zr)) / (2 * n)
-    zb -= shift
-    zr -= shift
+    with np.errstate(over="ignore", invalid="ignore"):
+        zb = sign * (gap_scale + rng.uniform(0.0, gap_scale, n))
+        zr = -sign * (gap_scale + rng.uniform(0.0, gap_scale, n))
+        shift = float(np.sum(zb + zr)) / (2 * n)
+        zb -= shift
+        zr -= shift
+    if not (np.isfinite(zb).all() and np.isfinite(zr).all()):
+        raise InvalidParameter(f"gap_scale {gap_scale!r} is too large: the shifted heights overflow")
     return Configuration(x=system.planar_x, z_blue=zb, z_red=zr)

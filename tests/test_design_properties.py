@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -392,6 +393,32 @@ def test_flow_keeps_its_invariants_on_generated_systems(system, seed):
 
 
 @settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(1, 200),
+    st.floats(1e-300, 1e10),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=400),
+)
+@example(1, 1e-10, [1.0])
+@example(200, 1.5e-154, [-1.0])
+def test_the_speed_floor_never_skips_a_velocity_below_grad_tol(n, grad_tol, entries):
+    """`integrate` leaves the sup norm of a certified RK4 end state
+    unevaluated when v . v reaches `_speed_floor(2n, grad_tol)`.  That must
+    never happen to a velocity of 2n entries whose sup norm is below
+    grad_tol: one of the drawn entries scaled by the largest float below
+    grad_tol, cycled to 2n entries, or every entry that float.  A floor
+    that is a number also decides a velocity of sup norm 2 grad_tol."""
+    floor = dynamics._speed_floor(2 * n, grad_tol)
+    below = np.nextafter(grad_tol, 0.0)
+    drawn = np.resize(np.array(entries) * below, 2 * n)
+    for v in (drawn, np.full(2 * n, below)):
+        assert np.max(np.abs(v)) < grad_tol
+        assert not v.dot(v) >= floor
+    if not math.isnan(floor):
+        v = np.full(2 * n, 2.0 * grad_tol)
+        assert v.dot(v) >= floor
+
+
+@settings(max_examples=300, deadline=None, database=None)
 @given(st.sampled_from(GRAPH_DESIGNS + WEAVE_DESIGNS), st.integers(0, 2**16), st.floats(0.0, 1.0))
 @example("chained_4x4.weave", 9, 1.0)
 @example("honeycomb.graph", 0, 0.0)
@@ -405,8 +432,7 @@ def test_a_certified_rk4_step_does_not_raise_the_energy(name, seed, fraction):
     config = random_initial_configuration(system, seed=seed)
     kernel = dynamics._StepKernel(system, config)
     # `integrate`'s cap: Gershgorin on 2 L plus the gap repulsion's 4 / gap^3
-    quad_rate = 4.0 * int(np.max(np.bincount(np.concatenate(kernel.edges), minlength=2 * system.n_vertices)))
-    cap = dynamics._STABILITY_MARGIN / (quad_rate + 4.0 / kernel.start[3] ** 3)
+    cap = dynamics._STABILITY_MARGIN / (kernel.quad_rate + 4.0 / kernel.start[3] ** 3)
     dt = 1e-4 * (2.0 * cap / 1e-4) ** fraction
     with np.errstate(**dynamics._QUIET):
         end = dynamics._rk4_step(kernel, dt, kernel.start[1])

@@ -301,7 +301,8 @@ def test_step_rejects_a_dt_that_is_not_a_real_number():
             step(system, config, dt)
     # a zero step returned the input, and a negative, NaN or infinite one
     # tripped the guard; each is a bad parameter, as in `FlowParams`
-    for dt in (0.0, -0.0, 0, -1e-3, -0.1, np.nan, np.inf, -np.inf, np.float64(np.nan), np.int64(-1)):
+    # 10**400 ended in a raw OverflowError from 0.5 * dt
+    for dt in (0.0, -0.0, 0, -1e-3, -0.1, np.nan, np.inf, -np.inf, np.float64(np.nan), np.int64(-1), 10**400):
         with pytest.raises(InvalidParameter, match=f"^dt must be positive and finite, got {re.escape(repr(dt))}$"):
             step(system, config, dt)
     assert not np.array_equal(step(system, config, np.float32(1e-3)).z_blue, config.z_blue)
@@ -743,6 +744,87 @@ def test_an_entangled_run_evaluates_the_energy_only_where_it_is_read(monkeypatch
     assert (stats.rk4_accepted, stats.rk4_rejected, len(traj.t)) == (366, 2, 5)
     assert fallbacks == [2, 2]
     assert calls[0] == 1 + (len(traj.t) - 1) + sum(fallbacks)
+
+
+def test_an_entangled_run_evaluates_the_sup_norm_only_where_it_is_read(monkeypatch):
+    """An RK4-only run (chained_4x4, seed 9, default stride) calls
+    `_sup_norm` once at the start, once per later recorded row whose end
+    left it unevaluated, and inside `_end_state` only for an accepted step
+    that is not certified or whose v . v falls below the kernel's
+    `speed_floor`, as it does near convergence.  Every other accepted step
+    carries the sup norm None, and its true sup norm is at least grad_tol."""
+    sup_norm, end_state, evaluated = dynamics._sup_norm, dynamics._end_state, dynamics._evaluated
+    calls, undecided, filled = [0], [], [0]
+
+    def counted_sup_norm(*args):
+        calls[0] += 1
+        return sup_norm(*args)
+
+    def watched_end_state(kernel, y, v, reference, step=None):
+        before = calls[0]
+        end = end_state(kernel, y, v, reference, step)
+        if isinstance(end, str):
+            assert calls[0] == before
+        elif end[2] is None:
+            assert calls[0] == before and end[1] is None
+            assert end[0].dot(end[0]) >= kernel.speed_floor
+            assert sup_norm(end[0]) >= FlowParams().grad_tol
+        else:
+            assert calls[0] == before + 1
+            undecided.append(end[1] is None)
+        return end
+
+    def watched_evaluated(kernel, y, end):
+        filled[0] += end[2] is None
+        return evaluated(kernel, y, end)
+
+    monkeypatch.setattr(dynamics, "_sup_norm", counted_sup_norm)
+    monkeypatch.setattr(dynamics, "_end_state", watched_end_state)
+    monkeypatch.setattr(dynamics, "_evaluated", watched_evaluated)
+    system = load_system("chained_4x4.weave")
+    traj = integrate(system, random_initial_configuration(system, seed=9), FlowParams())
+    stats = traj.stats
+    assert (stats.rk4_accepted, stats.rk4_rejected, len(traj.t)) == (366, 2, 5)
+    # every accepted step is certified; the last ones, near convergence, are undecided
+    assert undecided == [True] * 17
+    assert filled[0] == 3  # the rows after steps 100, 200 and 300; the final row's norm is exact
+    assert calls[0] == 1 + filled[0] + len(undecided)
+    assert traj.status == "converged" and traj.grad_norm[-1] < FlowParams().grad_tol
+
+
+def alternating_weave(n_blue, n_red):
+    """The weave of sign (-1)^(i+j) at blue thread i and red thread j."""
+    sign = tuple(tuple((-1) ** (i + j) for j in range(n_red)) for i in range(n_blue))
+    return build_weave_system(WeaveDesign(n_blue=n_blue, n_red=n_red, sign=sign))
+
+
+@pytest.mark.parametrize(
+    "system, sum_test",
+    [(load_system("checker_4x4.weave"), False), (alternating_weave(1, 4), True)],
+    ids=["checker_4x4", "alternating 1x4"],
+)
+def test_end_state_reports_an_infinite_height_whose_gap_keeps_its_sign(system, sum_test):
+    """A candidate whose first red height is infinite, on the side that
+    keeps its crossing sign, passes the gap test.  `_end_state` returns
+    "non-finite heights" for it with a step and without one: on
+    checker_4x4, where every height lies on a height edge and an RK4 end
+    state skips the guard's height-sum test, the infinite velocity entry
+    fails the descent certificate and the fallback tests finiteness; the
+    1x4 weave's red heights lie on no edge, so its guard keeps the sum
+    test."""
+    config = random_initial_configuration(system, seed=1)
+    kernel = dynamics._StepKernel(system, config)
+    assert kernel.sum_test is sum_test
+    n = system.n_vertices
+    candidate = kernel.stage
+    candidate.flat[:] = kernel.y.flat
+    candidate.flat[n] = -kernel.sign.flat[0] * math.inf
+    increment = candidate.flat - kernel.y.flat
+    with np.errstate(**dynamics._QUIET):
+        gaps, min_gap = dynamics._guard_reason(kernel, candidate, kernel.gap_floor, False)
+        assert min_gap >= kernel.gap_floor
+        for step_ in (increment, None):
+            assert dynamics._end_state(kernel, candidate, kernel.k2, kernel.start[1], step_) == "non-finite heights"
 
 
 def test_rk4_step_falls_back_to_the_energy_test_when_the_certificate_fails(monkeypatch):

@@ -252,6 +252,9 @@ def test_value_errors_are_tangleflow_errors():
         (InvalidParameter, lambda: FlowParams(t_max=float("inf"))),
         (InvalidParameter, lambda: FlowParams(grad_tol=-1.0)),
         (InvalidParameter, lambda: FlowParams(record_stride=0)),
+        (InvalidParameter, lambda: FlowParams(record_stride=True)),  # was a stride of 1
+        (InvalidParameter, lambda: FlowParams(t_max=10**400)),  # a raw OverflowError
+        (InvalidParameter, lambda: FlowParams(grad_tol=10**400)),  # a raw OverflowError
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=0.0)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=float("nan"))),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=float("inf"))),
@@ -259,6 +262,12 @@ def test_value_errors_are_tangleflow_errors():
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), -1)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 1.5)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), "3")),
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), True)),
+        # NaN heights and an overflow warning, then InvalidInitial from integrate
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=1e308)),
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=10**400)),
+        # at this seed the 16 heights overflow when shifted to a zero barycenter
+        (InvalidParameter, lambda: random_initial_configuration(load_system("checker_4x4.weave"), 7, gap_scale=5e307)),
     ]
     for expected, build in cases:
         with pytest.raises(expected) as err:

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_trajectory_digest_runs_its_corpus_without_errors():
-    """`scripts/trajectory_digest.py` integrates its whole corpus (95 runs)
+    """`scripts/trajectory_digest.py` integrates its whole corpus (98 runs)
     and exits 0 with `errors 0`.  Its row count and sha256 are not pinned:
     the bits of a run, and so which grid samples skip, depend on the BLAS
     build."""
@@ -20,7 +20,7 @@ def test_trajectory_digest_runs_its_corpus_without_errors():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [lines[0], lines[2]] == ["runs 95", "errors 0"]
+    assert [lines[0], lines[2]] == ["runs 98", "errors 0"]
     assert lines[3].startswith("sha256 ") and len(lines) == 4
 
 
