@@ -1,6 +1,6 @@
 """Integrate a seeded corpus of runs and print a digest of their trajectories.
 
-    python3 scripts/trajectory_digest.py
+    python3 scripts/trajectory_digest.py [--counts PATH]
 
 Run from the root of a checkout; it imports `src/tangleflow` and needs
 nothing built, and uses only the standard library and numpy besides.  The
@@ -29,12 +29,20 @@ and one sha256 over all of it in corpus order.  Two implementations that
 give the same digest integrate every run of the corpus alike, bit for bit.
 No run of the corpus should raise: an exception is printed with its run,
 counted as an error, and makes the exit code 1.
+
+With --counts PATH it also writes, as a JSON list in corpus order, each
+run's name, seed, t_max and grad_tol, its status, its `RunStats` fields,
+and the `repr` of its final t and energy.  Unlike the digest, these hold
+across BLAS builds for every run of the corpus but the 1e14 one, whose
+Rosenbrock accepts depend on the last bits of its velocity products;
+`tests/data/trajectory_counts.json` is such a file.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import hashlib
+import json
 import sys
 import traceback
 from pathlib import Path
@@ -90,9 +98,11 @@ def corpus():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.parse_args(argv)
+    parser.add_argument("--counts", type=Path, metavar="PATH", help="also write each run's counts as JSON to PATH")
+    args = parser.parse_args(argv)
     digest = hashlib.sha256()
     count = rows = errors = 0
+    counts = []
     for name, system, seed, params in corpus():
         count += 1
         try:
@@ -105,6 +115,12 @@ def main(argv=None) -> int:
             continue
         digest.update(repr((traj.status, traj.stats)).encode() + b"\n")
         rows += len(traj.t)
+        counts.append(dict(
+            name=name, seed=seed, t_max=params.t_max, grad_tol=params.grad_tol, status=traj.status,
+            stats=dataclasses.asdict(traj.stats), t=repr(float(traj.t[-1])), energy=repr(float(traj.energy[-1])),
+        ))
+    if args.counts is not None:
+        args.counts.write_text("[\n" + ",\n".join(map(json.dumps, counts)) + "\n]\n")
     print(f"runs {count}")
     print(f"rows {rows}")
     print(f"errors {errors}")
