@@ -118,6 +118,16 @@ __all__ = [
 # initial energy (absorbs rounding noise near stationarity)
 _ENERGY_CUSHION = 1e-13
 
+# classical RK4 (Hairer, Norsett and Wanner, Solving ODEs I, II.1) as the
+# rows of its Butcher tableau: the stage states y + dt (a_i . [k1, ...]) of
+# k2, k3 and k4, then the weights of y_new = y + dt (b . [k1, k2, k3, k4])
+_RK4_A = np.array([
+    [0.5, 0.0, 0.0, 0.0],
+    [0.0, 0.5, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
+])
+
 # the classical RK4 stability interval on the negative real axis ends near
 # 2.785; keep lambda*dt under this margin so stiff gap modes stay damped
 # instead of cycling between growth and energy-guard rejection
@@ -206,6 +216,9 @@ class FlowParams:
     record_stride: int = 100
 
     def __post_init__(self):
+        for name in ("dt_min", "dt_init", "dt_max"):
+            if isinstance(getattr(self, name), bool):  # as `step` rejects dt=True
+                raise InvalidParameter(f"{name} must be an int or float, got {getattr(self, name)!r}")
         if not self.dt_min > 0:
             raise InvalidParameter(f"dt_min must be positive, got {self.dt_min!r}")
         if not self.dt_min <= self.dt_init:  # also rejects NaN
@@ -216,9 +229,9 @@ class FlowParams:
             raise InvalidParameter(
                 f"dt_max ({self.dt_max!r}) must be at least dt_init ({self.dt_init!r})"
             )
-        if not (self.t_max > 0 and _finite(self.t_max)):
+        if isinstance(self.t_max, bool) or not (self.t_max > 0 and _finite(self.t_max)):
             raise InvalidParameter(f"t_max must be positive and finite, got {self.t_max!r}")
-        if not (self.grad_tol > 0 and _finite(self.grad_tol)):
+        if isinstance(self.grad_tol, bool) or not (self.grad_tol > 0 and _finite(self.grad_tol)):
             raise InvalidParameter(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
         if not 0.0 < self.gap_safety < 1.0:
             raise InvalidParameter(
@@ -413,11 +426,25 @@ class _StepKernel:
     of a run: the accepted state `y` and its velocity `v`, and the
     repulsion, which admission fills; and the step buffers, which a kernel
     made with stepping=False (`gradient`, `stationarity_residual`) does not
-    build: the candidate end state `y_new` and its velocity `v_new`
-    (`accept` swaps the two pairs); the RK4 stage state `stage` and stage
-    velocities `k2`, `k3`, `k4`, of which a Rosenbrock stage uses `stage`
-    and `k2`; the Rosenbrock stages `u`; the absolute gaps `gaps`, with
-    their view `gap_view` in the families' shape; and scratch rows."""
+    build: the candidate end state `y_new` and its velocity `v_new`; the RK4
+    stage state `stage` and stage velocities `k2`, `k3`, `k4`, of which a
+    Rosenbrock stage uses `stage` and `k2`; the Rosenbrock stages `u`; the
+    absolute gaps `gaps`, with their view `gap_view` in the families' shape;
+    and scratch rows.
+
+    An RK4 step is the tableau `_RK4_A` applied to rows.  A stepping kernel
+    holds one (2, 5, 2n) block, a (5, 2n) row block [y, k1 = v, k2, k3, k4]
+    per parity: `y`, `v`, `k2`, `k3` and `k4` are the rows of the current
+    parity, and `y_new` and `v_new` the first two rows of the other, so
+    `accept` swaps the parities, in `parities`, and with them every one of
+    these views.  Each parity also binds its row `heads`: rows[:2],
+    rows[:3] and rows[:4], which stages 2 to 4 read, and rows[1:], the four
+    stage velocities.  The (4, 5) `tableau` holds a coefficient row per
+    head: column 0 is [1, 1, 1, 0], the weight of y, and the rest is
+    dt _RK4_A; it is refilled only when a step's dt differs from that of
+    the step before, `dt`.  So each stage state, and the step's increment
+    dt (b . [k1, k2, k3, k4]), is one row-times-head product (`ndarray.dot`,
+    a BLAS gemv, whose rounding depends on the BLAS build)."""
 
     def __init__(self, system, config, gap_safety=FlowParams.gap_safety, grad_tol=None, stepping=True):
         self.n = n = system.n_vertices
@@ -435,8 +462,8 @@ class _StepKernel:
             self.blue_dots = self.red_dots = lambda z, out: np.matmul(two_l, z[..., None], out=out[..., None])
         self.sign = system.sign.astype(float).reshape(shape)
         self.edges = _stacked_edges(system)
-        flat = np.empty((2, 2 * n))
-        self.y, self.v = map(_Heights, flat, flat.reshape((2, 2) + shape))
+        block = np.empty((2, 5, 2 * n) if stepping else (1, 2, 2 * n))
+        self.y, self.v = map(_Heights, block[0, :2], block[0, :2].reshape((2, 2) + shape))
         self.repulsion = np.empty(shape)
         self.evaluations = 0
         self.y.flat[:], gaps = _checked_heights(system, config)
@@ -465,10 +492,17 @@ class _StepKernel:
         self.quad_rate = 4.0 * int(np.max(degree))
         self.sum_test = not degree.all()
         self.speed_floor = _speed_floor(2 * n, grad_tol)
-        flat = np.empty((6, 2 * n))
-        self.y_new, self.v_new, self.stage, self.k2, self.k3, self.k4 = map(
-            _Heights, flat, flat.reshape((6, 2) + shape)
-        )
+        self.parities = [
+            (*map(_Heights, rows, rows.reshape((5, 2) + shape)), (rows[:2], rows[:3], rows[:4], rows[1:]))
+            for rows in block
+        ]
+        self._bind()
+        self.tableau = tableau = np.zeros((4, 5))
+        tableau[:3, 0] = 1.0
+        self.tableau_rows = (tableau[0, :2], tableau[1, :3], tableau[2, :4], tableau[3, 1:])
+        self.dt = math.nan  # no step yet: the first fills the tableau
+        stage = np.empty(2 * n)
+        self.stage = _Heights(stage, stage.reshape((2,) + shape))
         self.u = np.empty((4, 2 * n))
         self.u_heads = tuple(self.u[:i] for i in range(4))  # u_1..u_i, read by stage i + 1
         self.gaps = np.empty(n)
@@ -476,9 +510,15 @@ class _StepKernel:
         self.scratch = tuple(np.empty((2, 2 * n)))
 
     def accept(self):
-        """Make the candidate end state and its velocity the accepted ones."""
-        self.y, self.y_new = self.y_new, self.y
-        self.v, self.v_new = self.v_new, self.v
+        """Make the candidate end state and its velocity the accepted ones:
+        the two parities of the row block trade places."""
+        self.parities.reverse()
+        self._bind()
+
+    def _bind(self):
+        """Point the row views at the current parity, `parities[0]`."""
+        (self.y, self.v, self.k2, self.k3, self.k4, self.heads), idle = self.parities
+        self.y_new, self.v_new = idle[:2]
 
 
 def _energy(edges, y, gaps, x_term) -> float:
@@ -715,35 +755,29 @@ def _end_states(kernel, heights, gap_floor):
 def _rk4_step(kernel, dt, energy):
     """One Runge-Kutta step of size dt from the kernel's accepted state `y`,
     whose velocity `v` is k1 and whose energy is energy (None if it was left
-    unevaluated), to its candidate `y_new`, with the stages in the kernel's
-    buffers.  Returns the `_end_state` of `y_new`, whose velocity goes to
-    `v_new`, with the step's increment, held in `k2`, for its certificates:
-    an accepted end state carries the energy None when the certificate
-    proved its descent, and the evaluated energy when the fallback test
-    passed, and the sup norm None when its speed floor proved it."""
-    y, k1 = kernel.y.flat, kernel.v.flat
+    unevaluated), to its candidate `y_new`, each stage state and the
+    increment one tableau row times a row head of the kernel's block (see
+    `_StepKernel`).  Returns the `_end_state` of `y_new`, whose velocity
+    goes to `v_new`, with the step's increment, held in a scratch row, for
+    its certificates: an accepted end state carries the energy None when the
+    certificate proved its descent, and the evaluated energy when the
+    fallback test passed, and the sup norm None when its speed floor proved
+    it."""
+    if dt != kernel.dt:
+        np.multiply(_RK4_A, dt, out=kernel.tableau[:, 1:])
+        kernel.dt = dt
+    second, third, fourth, weights = kernel.tableau_rows
+    two, three, four, velocities = kernel.heads
     stage = kernel.stage
-    k2, k3, k4 = kernel.k2.flat, kernel.k3.flat, kernel.k4.flat
-    half = 0.5 * dt
-    np.multiply(k1, half, out=stage.flat)
-    stage.flat += y
+    second.dot(two, stage.flat)
     _velocity(kernel, stage, kernel.k2)
-    np.multiply(k2, half, out=stage.flat)
-    stage.flat += y
+    third.dot(three, stage.flat)
     _velocity(kernel, stage, kernel.k3)
-    np.multiply(k3, dt, out=stage.flat)
-    stage.flat += y
+    fourth.dot(four, stage.flat)
     _velocity(kernel, stage, kernel.k4)
-    # y + dt / 6 (k1 + 2 k2 + 2 k3 + k4), summed left to right; k + k is 2 k
-    # bit for bit
-    k2 += k2
-    k2 += k1
-    k3 += k3
-    k2 += k3
-    k2 += k4
-    k2 *= dt / 6.0
-    np.add(k2, y, out=kernel.y_new.flat)
-    return _end_state(kernel, kernel.y_new, kernel.v_new, energy, k2)
+    increment = weights.dot(velocities, kernel.scratch[1])
+    np.add(kernel.y.flat, increment, out=kernel.y_new.flat)
+    return _end_state(kernel, kernel.y_new, kernel.v_new, energy, increment)
 
 
 def step(system, config, dt) -> Configuration:

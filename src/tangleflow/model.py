@@ -550,7 +550,7 @@ def random_initial_configuration(system, seed: int, gap_scale: float = 1.0) -> C
     """
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
-    if not (isinstance(gap_scale, Real) and gap_scale > 0 and _finite(gap_scale)):  # also rejects NaN
+    if isinstance(gap_scale, bool) or not (isinstance(gap_scale, Real) and gap_scale > 0 and _finite(gap_scale)):
         raise InvalidParameter(f"gap_scale must be positive and finite, got {gap_scale!r}")
     if not 2.0 * float(gap_scale) < math.inf:
         raise InvalidParameter(f"gap_scale {gap_scale!r} is too large: heights up to 2*gap_scale overflow")

@@ -253,12 +253,16 @@ def test_value_errors_are_tangleflow_errors():
         (InvalidParameter, lambda: FlowParams(grad_tol=-1.0)),
         (InvalidParameter, lambda: FlowParams(record_stride=0)),
         (InvalidParameter, lambda: FlowParams(record_stride=True)),  # was a stride of 1
+        (InvalidParameter, lambda: FlowParams(t_max=True)),  # was a horizon of 1
+        (InvalidParameter, lambda: FlowParams(grad_tol=True)),
+        (InvalidParameter, lambda: FlowParams(dt_max=True)),
         (InvalidParameter, lambda: FlowParams(t_max=10**400)),  # a raw OverflowError
         (InvalidParameter, lambda: FlowParams(grad_tol=10**400)),  # a raw OverflowError
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=0.0)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=float("nan"))),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=float("inf"))),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale="1")),
+        (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 0, gap_scale=True)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), -1)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), 1.5)),
         (InvalidParameter, lambda: random_initial_configuration(load_system("entangled_pair.graph"), "3")),
