@@ -1444,7 +1444,7 @@ def test_flow_params_validation():
         FlowParams(t_max=float("inf"))  # an untangled run would never end
     with pytest.raises(ValueError):
         FlowParams(grad_tol=float("inf"))  # would report convergence at t=0
-    # a bool was taken as the number 1, as `step` no longer takes dt=True
+    # each took a bool as the number 1; it is rejected, as `step` rejects dt=True
     for name in ("dt_min", "dt_init", "dt_max"):
         with pytest.raises(InvalidParameter, match=f"^{name} must be an int or float, got True$"):
             FlowParams(**{name: True})
