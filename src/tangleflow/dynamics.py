@@ -217,8 +217,8 @@ class FlowParams:
 
     def __post_init__(self):
         for name in ("dt_min", "dt_init", "dt_max"):
-            if isinstance(getattr(self, name), bool):  # as `step` rejects dt=True
-                raise InvalidParameter(f"{name} must be an int or float, got {getattr(self, name)!r}")
+            if isinstance(value := getattr(self, name), bool):  # as `step` rejects dt=True
+                raise InvalidParameter(f"{name} must be an int or float, got {value!r}")
         if not self.dt_min > 0:
             raise InvalidParameter(f"dt_min must be positive, got {self.dt_min!r}")
         if not self.dt_min <= self.dt_init:  # also rejects NaN
