@@ -1,12 +1,13 @@
 """Decompose a seeded corpus of weaves and print a digest of the results.
 
-    python3 scripts/decomposition_corpus.py [--seed 0] [--random 4000] [--stacks 1000]
+    python3 scripts/decomposition_corpus.py [--seed 0] [--exhaustive 4] [--random 4000] [--stacks 1000]
 
 Run from the root of a checkout; it imports `src/tangleflow` and needs
 nothing built, and uses only the standard library besides.  The corpus is,
 in this order:
 
-- every sign matrix with at most 4 blue and at most 4 red threads (74,954);
+- every sign matrix with at most --exhaustive blue and at most --exhaustive
+  red threads (74,954 at the default 4, 682 at 3);
 - --random seeded random matrices of 1 to 24 threads per family, each with
   its own density of +1 entries between 0.05 and 0.95;
 - --stacks seeded stacks of 1 to 7 blocks, each block a random sign matrix
@@ -92,9 +93,9 @@ def order_violations(system, decomposition) -> int:
     )
 
 
-def corpus(seed: int, n_random: int, n_stacks: int):
+def corpus(seed: int, max_threads: int, n_random: int, n_stacks: int):
     rng = random.Random(seed)
-    for sign in itertools.chain(exhaustive(), random_matrices(rng, n_random), random_stacks(rng, n_stacks)):
+    for sign in itertools.chain(exhaustive(max_threads), random_matrices(rng, n_random), random_stacks(rng, n_stacks)):
         yield build_weave_system(WeaveDesign(n_blue=len(sign), n_red=len(sign[0]), sign=sign))
     for path in sorted((ROOT / "designs").glob("*.weave")):
         yield design_to_system(load_design(path))
@@ -103,12 +104,13 @@ def corpus(seed: int, n_random: int, n_stacks: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--exhaustive", type=int, default=4, help="most threads per family in the exhaustive part")
     parser.add_argument("--random", type=int, default=4000)
     parser.add_argument("--stacks", type=int, default=1000)
     args = parser.parse_args(argv)
     digest = hashlib.sha256()
     count = violations = errors = faults = 0
-    for system in corpus(args.seed, args.random, args.stacks):
+    for system in corpus(args.seed, args.exhaustive, args.random, args.stacks):
         count += 1
         try:
             decomposition = tangle_decomposition(system)

@@ -176,15 +176,15 @@ _ROS_B_HAT = np.array([0.37810903145819369, -0.096042292212423178, 0.5, 0.217933
 # the same method in the variables u_i = sum_j gamma_ij k_j, which need no
 # Jacobian-vector products: W u_i = gamma h v(y + sum_j a_ij u_j)
 # + sum_j gamma c_ij u_j, and y_1 = y + sum_j m_j u_j; _ROS_ERROR holds the
-# weights of the embedded error, m - m_hat
+# weights of the embedded error, m - m_hat, on [u_1, ..., u_4]
 _ROS_GAMMAS_INV = np.linalg.inv(_ROS_GAMMAS)
 _ROS_A = _ROS_ALPHA @ _ROS_GAMMAS_INV
 _ROS_GC = -_ROS_GAMMA * np.tril(_ROS_GAMMAS_INV, -1)
-_ROS_M = _ROS_B @ _ROS_GAMMAS_INV
 _ROS_ERROR = (_ROS_B - _ROS_B_HAT) @ _ROS_GAMMAS_INV
-# the weights of u_1..u_i in stage i + 1
-_ROS_A_ROWS = tuple(_ROS_A[i, :i] for i in range(4))
-_ROS_GC_ROWS = tuple(_ROS_GC[i, :i] for i in range(4))
+# as rows over [y, u_1, ...]: the stage states [1, a_i1, ..., a_i,i-1] of
+# stages 2 to 4, and the update [1, m_1, ..., m_4]
+_ROS_STAGE_ROWS = tuple(np.concatenate(([1.0], _ROS_A[i, :i])) for i in range(1, 4))
+_ROS_UPDATE = np.concatenate(([1.0], _ROS_B @ _ROS_GAMMAS_INV))
 
 # the Rosenbrock phase also records the flow at t = 10^(k / N) for every
 # integer k, from the dense output of the step that spans it, so that a
@@ -193,6 +193,12 @@ _ROS_GC_ROWS = tuple(_ROS_GC[i, :i] for i in range(4))
 _GRID_PER_DECADE = 150
 
 _LOG = logging.getLogger("tangleflow")
+
+
+def _real(value) -> bool:
+    """Whether value is a number that a step size or tolerance may be: an int
+    or float, or a numpy integer or floating scalar, but not a bool."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 
 
 @dataclass(frozen=True)
@@ -217,7 +223,7 @@ class FlowParams:
 
     def __post_init__(self):
         for name in ("dt_min", "dt_init", "dt_max"):
-            if isinstance(value := getattr(self, name), bool):  # as `step` rejects dt=True
+            if not _real(value := getattr(self, name)):  # as `step` rejects dt=True or None
                 raise InvalidParameter(f"{name} must be an int or float, got {value!r}")
         if not self.dt_min > 0:
             raise InvalidParameter(f"dt_min must be positive, got {self.dt_min!r}")
@@ -229,11 +235,10 @@ class FlowParams:
             raise InvalidParameter(
                 f"dt_max ({self.dt_max!r}) must be at least dt_init ({self.dt_init!r})"
             )
-        if isinstance(self.t_max, bool) or not (self.t_max > 0 and _finite(self.t_max)):
-            raise InvalidParameter(f"t_max must be positive and finite, got {self.t_max!r}")
-        if isinstance(self.grad_tol, bool) or not (self.grad_tol > 0 and _finite(self.grad_tol)):
-            raise InvalidParameter(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
-        if not 0.0 < self.gap_safety < 1.0:
+        for name in ("t_max", "grad_tol"):
+            if not (_real(value := getattr(self, name)) and value > 0 and _finite(value)):
+                raise InvalidParameter(f"{name} must be positive and finite, got {value!r}")
+        if not (_real(self.gap_safety) and 0.0 < self.gap_safety < 1.0):
             raise InvalidParameter(
                 f"gap_safety must lie strictly between 0 and 1, got {self.gap_safety!r}"
             )
@@ -426,11 +431,10 @@ class _StepKernel:
     of a run: the accepted state `y` and its velocity `v`, and the
     repulsion, which admission fills; and the step buffers, which a kernel
     made with stepping=False (`gradient`, `stationarity_residual`) does not
-    build: the candidate end state `y_new` and its velocity `v_new`; the RK4
-    stage state `stage` and stage velocities `k2`, `k3`, `k4`, of which a
-    Rosenbrock stage uses `stage` and `k2`; the Rosenbrock stages `u`; the
-    absolute gaps `gaps`, with their view `gap_view` in the families' shape;
-    and scratch rows.
+    build: the candidate end state `y_new` and its velocity `v_new`; the
+    stage state `stage` and the RK4 stage velocities `k2`, `k3`, `k4`; the
+    Rosenbrock row block `ros`, below; the absolute gaps `gaps`, with their
+    view `gap_view` in the families' shape; and scratch rows.
 
     An RK4 step is the tableau `_RK4_A` applied to rows.  A stepping kernel
     holds one (2, 5, 2n) block, a (5, 2n) row block [y, k1 = v, k2, k3, k4]
@@ -441,10 +445,29 @@ class _StepKernel:
     rows[:3] and rows[:4], which stages 2 to 4 read, and rows[1:], the four
     stage velocities.  The (4, 5) `tableau` holds a coefficient row per
     head: column 0 is [1, 1, 1, 0], the weight of y, and the rest is
-    dt _RK4_A; it is refilled only when a step's dt differs from that of
-    the step before, `dt`.  So each stage state, and the step's increment
-    dt (b . [k1, k2, k3, k4]), is one row-times-head product (`ndarray.dot`,
-    a BLAS gemv, whose rounding depends on the BLAS build)."""
+    dt _RK4_A; it is refilled, through its flat view `tableau_flat`, only
+    when a step's dt differs from that of the step before, `dt`.  So each
+    stage state, and the step's increment dt (b . [k1, k2, k3, k4]), is one
+    row-times-head product (`ndarray.dot`, a BLAS gemv, whose rounding
+    depends on the BLAS build).
+
+    A Rosenbrock step (`_ros_step`) is row products too, over the (6, 2n)
+    block `ros` with rows [f, y, u_1, u_2, u_3, u_4]: `f`, a `_Heights` over
+    row 0, holds each stage velocity, row 1 a copy of the step's start y,
+    and rows 2 to 5 the stages u_i.  Stage i + 1 reads the state
+    `_ROS_STAGE_ROWS[i - 1]` . [y, u_1, ..., u_i] and, after its velocity f,
+    the right-hand side [gamma h, 0, gc_i1, ..., gc_ii] . [f, y, u_1, ...,
+    u_i]; the step is `_ROS_UPDATE` . [y, u_1, ..., u_4] and its error
+    `_ROS_ERROR` . [u_1, ..., u_4].  The one zero weight, of each
+    right-hand side, falls on y, a finite accepted state: f and the u rows
+    can hold NaN from a failed attempt, and 0 NaN is NaN.  The (3, 5)
+    `ros_rhs` holds those three right-hand-side rows; its column 0 is
+    refilled only when gamma h differs from the last step's, `gamma_h` (h
+    only doubles, halves or is clipped at t_max).  `ros_stages` binds, per
+    stage, its two coefficient rows, the row heads they read and its u row.
+    `_jacobian` caches the dense 2 L it copies, with its diagonal indices,
+    in `dense` at its first call, so that a run that never switches builds
+    no n x n matrix."""
 
     def __init__(self, system, config, gap_safety=FlowParams.gap_safety, grad_tol=None, stepping=True):
         self.n = n = system.n_vertices
@@ -498,13 +521,22 @@ class _StepKernel:
         ]
         self._bind()
         self.tableau = tableau = np.zeros((4, 5))
+        self.tableau_flat = tableau.reshape(20)
         tableau[:3, 0] = 1.0
         self.tableau_rows = (tableau[0, :2], tableau[1, :3], tableau[2, :4], tableau[3, 1:])
         self.dt = math.nan  # no step yet: the first fills the tableau
         stage = np.empty(2 * n)
         self.stage = _Heights(stage, stage.reshape((2,) + shape))
-        self.u = np.empty((4, 2 * n))
-        self.u_heads = tuple(self.u[:i] for i in range(4))  # u_1..u_i, read by stage i + 1
+        self.ros = ros = np.empty((6, 2 * n))
+        self.f = _Heights(ros[0], ros[0].reshape((2,) + shape))
+        self.ros_rhs = rhs = np.zeros((3, 5))
+        for i in range(1, 4):
+            rhs[i - 1, 2:2 + i] = _ROS_GC[i, :i]
+        self.ros_stages = tuple(
+            (_ROS_STAGE_ROWS[i - 1], ros[1:2 + i], rhs[i - 1, :2 + i], ros[:2 + i], ros[2 + i]) for i in range(1, 4)
+        )
+        self.gamma_h = math.nan  # no Rosenbrock step yet: the first fills column 0
+        self.dense = None  # `_jacobian`'s (2 L, blue diagonal, red diagonal), from its first call
         self.gaps = np.empty(n)
         self.gap_view = self.gaps.reshape(shape)
         self.scratch = tuple(np.empty((2, 2 * n)))
@@ -560,14 +592,18 @@ def _jacobian(kernel, y):
     blockdiag(2 L_B, 2 L_R) plus, on each vertex's (blue, red) pair, the
     block [[-D, D], [D, -D]] with D = 2 / |d|^3.  It is symmetric, its
     columns sum to zero (so 1^T J = 0), and it is minus the Hessian of the
-    height energy."""
+    height energy.  A fresh matrix: the dense 2 L, built from the stacked
+    edges at the kernel's first call and cached in its `dense`, is copied."""
     n = kernel.n
+    if kernel.dense is None:
+        two_l = _laplacian(*kernel.edges, 2 * n)
+        two_l *= 2.0
+        blue = np.arange(n)
+        kernel.dense = (two_l, blue, blue + n)
+    two_l, blue, red = kernel.dense
     d = np.abs(y[:n] - y[n:])
     D = 2.0 / (d * d * d)
-    J = _laplacian(*kernel.edges, 2 * n)
-    J *= 2.0
-    blue = np.arange(n)
-    red = blue + n
+    J = two_l.copy()
     J[blue, blue] -= D
     J[red, red] -= D
     J[blue, red] = D
@@ -764,8 +800,12 @@ def _rk4_step(kernel, dt, energy):
     fallback test passed, and the sup norm None when its speed floor proved
     it."""
     if dt != kernel.dt:
-        np.multiply(_RK4_A, dt, out=kernel.tableau[:, 1:])
-        kernel.dt = dt
+        # the nonzero entries of dt _RK4_A, as the same float products
+        kernel.dt, dt, tableau = dt, float(dt), kernel.tableau_flat
+        tableau[1] = tableau[7] = 0.5 * dt
+        tableau[13] = dt
+        tableau[16] = tableau[19] = (1.0 / 6.0) * dt
+        tableau[17] = tableau[18] = (1.0 / 3.0) * dt
     second, third, fourth, weights = kernel.tableau_rows
     two, three, four, velocities = kernel.heads
     stage = kernel.stage
@@ -792,7 +832,7 @@ def step(system, config, dt) -> Configuration:
     violates a crossing sign or whose energy or velocity is not finite
     raises InvalidInitial.
     """
-    if isinstance(dt, bool) or not isinstance(dt, (int, float, np.integer, np.floating)):
+    if not _real(dt):
         raise InvalidParameter(f"dt must be an int or float, got {dt!r}")
     if not (dt > 0 and _finite(dt)):  # also rejects NaN
         raise InvalidParameter(f"dt must be positive and finite, got {dt!r}")
@@ -809,26 +849,26 @@ def step(system, config, dt) -> Configuration:
 def _ros_step(kernel, h, w_inv):
     """One ROS34PW2 step of size h from the kernel's accepted state `y`,
     whose velocity is `v`, to its candidate `y_new`, where w_inv is
-    W^-1 = (I - gamma h J)^-1 for some approximation J of the Jacobian; the
-    stages u_1..u_4 run in the rows of the kernel's `u`, and only u_2..u_4
-    evaluate the velocity.  Returns `y_new` and the embedded error estimate,
-    a vector."""
-    y, stage, f = kernel.y.flat, kernel.stage, kernel.k2
-    u, rhs, error = kernel.u, *kernel.scratch
+    W^-1 = (I - gamma h J)^-1 for some approximation J of the Jacobian; each
+    stage state, right-hand side, the end state and the error are row
+    products over the kernel's block `ros` (see `_StepKernel`), and only
+    u_2..u_4 evaluate the velocity, into `f`.  Returns `y_new` and the
+    embedded error estimate, a vector."""
+    ros, f, stage, (rhs, error) = kernel.ros, kernel.f, kernel.stage, kernel.scratch
     gamma_h = _ROS_GAMMA * h
-    np.multiply(kernel.v.flat, gamma_h, out=rhs)
-    np.dot(w_inv, rhs, out=u[0])
-    for i in range(1, 4):
-        np.dot(_ROS_A_ROWS[i], kernel.u_heads[i], out=stage.flat)
-        stage.flat += y
+    if gamma_h != kernel.gamma_h:
+        kernel.ros_rhs[:, 0] = kernel.gamma_h = gamma_h
+    np.copyto(ros[1], kernel.y.flat)
+    np.multiply(kernel.v.flat, gamma_h, rhs)
+    w_inv.dot(rhs, ros[2])
+    for row, states, rhs_row, rhs_rows, u in kernel.ros_stages:
+        row.dot(states, stage.flat)
         _velocity(kernel, stage, f)
-        f.flat *= gamma_h
-        f.flat += np.dot(_ROS_GC_ROWS[i], kernel.u_heads[i], out=rhs)
-        np.dot(w_inv, f.flat, out=u[i])
+        rhs_row.dot(rhs_rows, rhs)
+        w_inv.dot(rhs, u)
     y_new = kernel.y_new
-    np.dot(_ROS_M, u, out=y_new.flat)
-    y_new.flat += y
-    return y_new, np.dot(_ROS_ERROR, u, out=error)
+    _ROS_UPDATE.dot(ros[1:], y_new.flat)
+    return y_new, _ROS_ERROR.dot(ros[2:], error)
 
 
 def _record_steps(kernel, steps, record):
@@ -928,8 +968,9 @@ class _Rosenbrock:
             # 1^T J = 0 gives 1^T W^-1 = 1^T, and every right-hand side below
             # sums to zero but for the rounding of its velocity, which a long
             # step would carry into the barycenter: project each u onto the
-            # zero-sum states by giving every column of W^-1 zero mean
-            self.w_inv -= self.w_inv.mean(axis=0)
+            # zero-sum states by giving every column of W^-1 zero mean (the
+            # bits of ndarray.mean)
+            self.w_inv -= np.add.reduce(self.w_inv, axis=0) / (2 * kernel.n)
             self.h_w, self.t_w = h, t
             self.refreshes += 1
         y_new, error = _ros_step(kernel, h, self.w_inv)

@@ -44,6 +44,7 @@ from tangleflow.errors import (
 from tangleflow.model import (
     Configuration,
     WeaveDesign,
+    _laplacian,
     build_weave_system,
     make_configuration,
     random_initial_configuration,
@@ -1022,7 +1023,8 @@ def test_long_untangled_run_ends_without_a_rejection_storm(monkeypatch):
     passes its error test; the budget of 30,000 calls makes a storm fail
     fast instead of hanging.  Its Rosenbrock counts depend on the last bits
     of the cancelled velocity products at heights of ~5e4, so they move
-    with the BLAS kernel and with the rounding of the RK4 stage sums."""
+    with the BLAS kernel and with the rounding of the RK4 and Rosenbrock
+    stage sums."""
     calls = 0
     end_state = dynamics._end_state
 
@@ -1037,7 +1039,7 @@ def test_long_untangled_run_ends_without_a_rejection_storm(monkeypatch):
     traj = integrate(system, random_initial_configuration(system, seed=11), FlowParams(t_max=1e14))
     assert (traj.status, traj.samples[-1].t) == ("truncated", 1e14)
     # the only bundled run whose grid samples skip: 607 of its 1,947
-    assert traj.stats == RunStats(120, 0, 6584, 1027, 59, 165, 1340, 607)
+    assert traj.stats == RunStats(120, 0, 6383, 991, 48, 143, 1340, 607)
 
 
 def test_skipped_grid_samples_leave_the_steps_unchanged(caplog, monkeypatch):
@@ -1167,6 +1169,65 @@ def test_rosenbrock_step_is_third_order(monkeypatch, exact_jacobian):
     errors = [error_at_1(n) for n in (80, 160, 320)]
     orders = [np.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert min(orders) >= 2.8, orders
+
+
+UNTANGLED_DESIGNS = [name for name in GRAPH_DESIGNS + WEAVE_DESIGNS if len(load_system(name)._components) >= 2]
+
+
+@pytest.mark.parametrize("name", UNTANGLED_DESIGNS)
+def test_tableau_rosenbrock_step_is_the_u_variable_formula(name):
+    """One W refresh plus `_ros_step`, whose sums are row products over the
+    kernel's `ros` block, give ROS34PW2 in its u variables to 1e-13
+    relative: stage = y + sum_j a_ij u_j, W u_i = gamma h f + sum_j gc_ij u_j
+    with f the velocity at the stage, y_new = y + sum_j m_j u_j and error
+    sum_j e_j u_j (relative to the sum of its terms' magnitudes, since it
+    cancels).  At two step sizes, so that the kernel refills the
+    gamma h column of its right-hand-side rows."""
+    system = load_system(name)
+    kernel = dynamics._StepKernel(system, random_initial_configuration(system, seed=1))
+    phase = dynamics._Rosenbrock(kernel, None, 10.0, 0, 0)
+    y, v = kernel.y.flat.copy(), kernel.v.flat.copy()
+    a, gc, error_weights = dynamics._ROS_A, dynamics._ROS_GC, dynamics._ROS_ERROR
+    m = dynamics._ROS_B @ np.linalg.inv(dynamics._ROS_GAMMAS)
+    for h in (0.05, 0.1):
+        with np.errstate(**dynamics._QUIET):
+            phase.attempt(10.0, h, kernel.start[1])  # a new h refreshes W
+        w_inv, gamma_h = phase.w_inv, dynamics._ROS_GAMMA * h
+        u = np.empty((4, y.size))
+        u[0] = w_inv @ (gamma_h * v)
+        for i in range(1, 4):
+            f = kernel_velocity(kernel, y + a[i, :i] @ u[:i])
+            u[i] = w_inv @ (gamma_h * f + gc[i, :i] @ u[:i])
+        y_new, error = dynamics._ros_step(kernel, h, w_inv)
+        expected = y + m @ u
+        assert np.max(np.abs(y_new.flat - expected)) <= 1e-13 * np.max(np.abs(expected))
+        scale = np.max(np.abs(error_weights) @ np.abs(u))
+        assert np.max(np.abs(error - error_weights @ u)) <= 1e-13 * scale
+        assert kernel.gamma_h == gamma_h
+
+
+def test_jacobian_copies_its_cached_stretching_matrix():
+    """`_jacobian` builds the dense 2 L at its first call, not with the
+    kernel, and then copies it: two calls at different states each equal,
+    bit for bit, a build from a fresh `_laplacian`, also after the first
+    result was overwritten."""
+    system = load_system("three_blocks_6x6.weave")
+    kernel = dynamics._StepKernel(system, random_initial_configuration(system, seed=1))
+    assert kernel.dense is None
+    n = system.n_vertices
+    blue = np.arange(n)
+    for seed in (2, 3):
+        config = random_initial_configuration(system, seed=seed)
+        y = np.concatenate((config.z_blue, config.z_red))
+        d = np.abs(y[:n] - y[n:])
+        D = 2.0 / (d * d * d)
+        expected = 2.0 * _laplacian(*kernel.edges, 2 * n)
+        expected[blue, blue] -= D
+        expected[blue + n, blue + n] -= D
+        expected[blue, blue + n] = expected[blue + n, blue] = D
+        J = dynamics._jacobian(kernel, y)
+        assert np.array_equal(J, expected)
+        J.fill(np.nan)
 
 
 def test_guard_reason_returns_gaps_or_reason():
@@ -1451,6 +1512,17 @@ def test_flow_params_validation():
     for name in ("t_max", "grad_tol"):
         with pytest.raises(InvalidParameter, match=f"^{name} must be positive and finite, got True$"):
             FlowParams(**{name: True})
+    # each escaped as a raw TypeError from a comparison
+    for name, value, message in [
+        ("t_max", None, "must be positive and finite"),
+        ("grad_tol", "1e-3", "must be positive and finite"),
+        ("dt_min", None, "must be an int or float"),
+        ("dt_init", "0.1", "must be an int or float"),
+        ("dt_max", 1j, "must be an int or float"),
+        ("gap_safety", "0.5", "must lie strictly between 0 and 1"),
+    ]:
+        with pytest.raises(InvalidParameter, match=f"^{name} {message}, got {re.escape(repr(value))}$"):
+            FlowParams(**{name: value})
 
 
 def test_record_stride_controls_sample_count():

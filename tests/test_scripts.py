@@ -80,6 +80,29 @@ def test_parse_corpus_runs_its_mutations_without_faults():
     assert lines[-1].startswith("sha256 ") and len(lines[-1].split()[1]) == 64
 
 
+def test_decomposition_corpus_subset_keeps_its_digest():
+    """`scripts/decomposition_corpus.py` on the named subset `--exhaustive 3
+    --random 400 --stacks 200` (1,289 weaves) decomposes every weave with no
+    order violation and no error, and its sha256 is pinned: the records are
+    integer `repr`s, so no BLAS build moves them.  A change that moves any
+    decomposition of the subset moves the sha.  The full corpus (79,961
+    weaves) stays the check to run by hand."""
+    done = subprocess.run(
+        [
+            sys.executable, str(ROOT / "scripts" / "decomposition_corpus.py"),
+            "--exhaustive", "3", "--random", "400", "--stacks", "200",
+        ],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "weaves 1289",
+        "order violations 0",
+        "errors 0",
+        "sha256 6b8184644a572a38601aa9ba66546b6ad8442cdb92a1d7611bc7a80b33039bd9",
+    ]
+
+
 def test_time_large_weaves_runs():
     """`scripts/time_large_weaves.py` times its kernel build, velocity and
     `relax` run on a 4x4 checkerboard and exits 0 with one data row after
